@@ -9,12 +9,10 @@ from .model import (DefinitenessViolation, DimensionMismatch, ModelError,
                     NetworkModel, ProbabilityOutOfRange, StackedModel,
                     SubsystemModel, ValidatedModel, load_config,
                     model_from_dict, model_to_dict, stack, validate)
-from .riccati import (CRESolution, GeneralizedCRESolution, NotAdditive,
-                      NotSingle, RiccatiError, SingularLambda,
-                      SingularLambdaTilde, SingularPi, check_definiteness,
-                      solve_cre, solve_cre_additive, solve_cre_single,
-                      solve_generalized)
-from .synthesis import GainSchedule, gains, local_feedback, optimal_cost
+from .riccati import (CRESolution, GeneralizedCRESolution, RiccatiError,
+                      SingularLambda, SingularPi, check_definiteness,
+                      solve_cre, solve_generalized)
+from .synthesis import GainSchedule, gains, optimal_cost
 from .estimator import (EstimatorState, init_estimate, initial_state,
                         update_estimate)
 from .oracle import (MomentState, costate_moments, exact_cost,

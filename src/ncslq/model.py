@@ -12,6 +12,7 @@ and reads/writes the JSON configuration format.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -34,8 +35,12 @@ class ProbabilityOutOfRange(ModelError):
     pass
 
 
-# Relative asymmetry above which an allegedly symmetric matrix is rejected
-# instead of being symmetrized.
+class HorizonMismatch(ValueError):
+    """A gain schedule or horizon override does not fit the model's horizon."""
+
+
+# Relative size of M - M^T above which an allegedly symmetric matrix is
+# rejected instead of being symmetrized.
 SYMMETRY_RTOL = 1e-12
 
 
@@ -51,7 +56,7 @@ def symmetrized(M, name):
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     asym = np.linalg.norm(M - M.T)
     if asym > SYMMETRY_RTOL * max(np.linalg.norm(M), 1e-300):
-        raise DefinitenessViolation(f"{name} is not symmetric (asymmetry {asym:g})")
+        raise DefinitenessViolation(f"{name} is not symmetric (||M - M^T|| = {asym:g})")
     return 0.5 * (M + M.T)
 
 
@@ -196,15 +201,23 @@ class ValidatedModel:
         return getattr(self.model, name)
 
 
+def _unwrap(model):
+    """The NetworkModel behind a ValidatedModel, or the model itself."""
+    return model.model if isinstance(model, ValidatedModel) else model
+
+
 def validate(model, mode="definite"):
     """Check a NetworkModel for structural and definiteness errors.
 
     `definite` mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard
     weighting assumptions).  `indefinite` mode requires symmetry only and
     tags the instance for the generalized (pseudo-inverse) recursion.
+    The caller's model is left untouched: the returned ValidatedModel holds
+    a copy whose symmetric weights and covariances are exactly symmetric.
     """
     if mode not in ("definite", "indefinite"):
         raise ValueError(f"unknown mode {mode!r}")
+    model = copy.deepcopy(_unwrap(model))
     if not model.subsystems:
         raise DimensionMismatch("model has no subsystems")
     if model.N < 0:
@@ -283,7 +296,7 @@ class StackedModel:
 
 def stack(validated):
     """Assemble the stacked global matrices from a validated model."""
-    model = validated.model if isinstance(validated, ValidatedModel) else validated
+    model = _unwrap(validated)
     NL, ML = model.n_total, model.m_total
     noff, moff = model.n_offsets, model.m_offsets
     A = np.zeros((NL, NL))

@@ -22,6 +22,8 @@ weights are the crux of exactness and are materialized explicitly.
 This module is the quantitative stand-in for the equilibrium (stationarity)
 condition of the underlying forward-backward system: a candidate gain
 schedule is optimal iff the exact cost is stationary in every gain entry.
+The costate audit prices the state with the stacked value matrices P_k of
+a solved recursion (riccati.CRESolution).
 """
 from __future__ import annotations
 
@@ -30,15 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ValidatedModel
-
-
-class HorizonMismatch(ValueError):
-    pass
-
-
-def _unwrap(model):
-    return model.model if isinstance(model, ValidatedModel) else model
+from .model import HorizonMismatch, _unwrap
 
 
 def bernoulli_weights(model):
@@ -244,14 +238,16 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=500, rng_seed=
 class CostateMomentsReport:
     """Per-step audit of the costate-value telescoping identity.
 
-    costate_value[k] is E[X_k' (P_k Xhat_k + H_k Xtilde_k)]; the identity
+    costate_value[k] is E[X_k' P_k X_k], with X_k = Xhat_k + Xtilde_k; the
+    identity
 
         costate_value[k] - costate_value[k+1]
-            = E[stage cost at k] - Tr(L_{k+1} Sigma_v)
+            = E[stage cost at k] - Tr(P_{k+1} Sigma_v)
 
-    telescopes to the total cost.  (This scalar sequence is distinct from
-    the stacked additive-noise vector; it is named costate_value to keep
-    the two apart.)
+    telescopes to the total cost.  It holds when the gains are optimal for
+    the stacked cost, e.g. under a perfect channel.  (This scalar sequence
+    is distinct from the stacked additive-noise vector; it is named
+    costate_value to keep the two apart.)
     """
 
     costate_value: list
@@ -268,13 +264,9 @@ def costate_moments(model, stacked, gain_schedule, sol):
     noff = stacked.n_offsets
     Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], stacked.NL, noff)
     stages, terminal = stage_costs(model, stacked, gain_schedule)
-    V = []
-    for ms in propagate_moments(model, stacked, gain_schedule):
-        k = ms.k
-        # E[X' P Xhat] = Tr(P E[Xhat X']), E[Xhat X'] = S + C
-        V.append(float(np.trace(sol.P[k] @ (ms.S + ms.C))
-                       + np.trace(sol.H[k] @ (ms.C.T + ms.T))))
-    noise = [float(np.trace(sol.L[k + 1] @ Sigma_v)) for k in range(N + 1)]
+    V = [float(np.trace(sol.P[ms.k] @ ms.state_second_moment))
+         for ms in propagate_moments(model, stacked, gain_schedule)]
+    noise = [float(np.trace(sol.P[k + 1] @ Sigma_v)) for k in range(N + 1)]
     residuals = []
     worst = 0.0
     for k in range(N + 1):

@@ -1,22 +1,23 @@
 """Backward coupled Riccati recursions.
 
-Two intertwined families are solved from k = N down to 0:
+One symmetric kernel is solved from k = N down to 0, for two families:
 
-  stacked:        P_k, H_k (N_L x N_L, asymmetric in general) with
-                  L_k = P_k p + H_k (I - p)
-  per-subsystem:  P_k^i, H_k^i (n_i x n_i, symmetric) with
-                  L_k^i = p_i P_k^i + (1 - p_i) H_k^i
+  stacked:        P_k (N_L x N_L) over the full input U, with coefficients
+                  Lambda_k, Psi_k that define the remote gain Khat_k;
+  per-subsystem:  P_k^i (n_i x n_i) over the local input u^i and its one
+                  noise channel, with coefficients Pi_k^i, Omega_k^i that
+                  define the local error gain Ktilde_k^i.
 
-plus the coefficient matrices (Lambda, Psi, ...) that define the gains.
-The stacked P_k, H_k are stored exactly as computed — never symmetrized.
-With the shared terminal condition the two families coincide (P = H = L)
-in exact arithmetic, but the recursion does not preserve that coincidence
-structurally, so on ill-conditioned instances they can drift apart and
-become asymmetric; `asymmetry()` measures this.
+Each step forms Lambda = R + B'P B + sum_j sigma_j Bbar_j'P Bbar_j,
+Psi = B'P A + sum_j sigma_j Bbar_j'P Abar_j and
+P_k = Q + A'P A + sum_j sigma_j Abar_j'P Abar_j - Psi' Lambda^{-1} Psi,
+with P = P_{k+1}.  Every stored value matrix is the symmetric part of what
+the step computes, so P_k = P_k' exactly: left alone, the antisymmetric
+round-off of the stacked P_k grows step by step on long horizons.
 
-Also provided: the additive-noise reduction (all sigma_w = 0), the
-single-subsystem reduction (L = 1), and the generalized recursion for
-indefinite weights which uses a Moore-Penrose pseudo-inverse.
+Also provided: the generalized recursion for indefinite weights, the same
+step with a Moore-Penrose pseudo-inverse.  The additive-noise and
+single-subsystem reductions live in the test suite as independent oracles.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .model import ValidatedModel, psd_tolerance
+from .model import _unwrap, psd_tolerance
 
 # Reciprocal condition number below which a coefficient matrix is declared
 # singular (the solvability condition fails).
@@ -42,45 +43,27 @@ class SingularLambda(RiccatiError):
         self.k, self.rcond = k, rcond
 
 
-class SingularLambdaTilde(RiccatiError):
-    def __init__(self, k, rcond):
-        super().__init__(f"LambdaTilde_{k} is numerically singular (rcond {rcond:g})")
-        self.k, self.rcond = k, rcond
-
-
 class SingularPi(RiccatiError):
-    def __init__(self, k, i, rcond, tilde=False):
-        name = "PiTilde" if tilde else "Pi"
-        super().__init__(f"{name}_{k}^{i} is numerically singular (rcond {rcond:g})")
+    def __init__(self, k, i, rcond):
+        super().__init__(f"Pi_{k}^{i} is numerically singular (rcond {rcond:g})")
         self.k, self.i, self.rcond = k, i, rcond
-
-
-class NotAdditive(RiccatiError):
-    pass
-
-
-class NotSingle(RiccatiError):
-    pass
 
 
 def solve_checked(M, rhs, exc_factory):
     """Solve M @ X = rhs via LU with a condition estimate.
 
     Raises exc_factory(rcond) when the estimated reciprocal condition
-    number falls below RCOND_SINGULAR.
+    number falls below RCOND_SINGULAR or is not finite, which is also how
+    a diverged (non-finite) M is reported.
     """
     M = np.asarray(M, dtype=float)
     anorm = np.linalg.norm(M, 1)
-    lu, piv = lu_factor(M)
+    lu, piv = lu_factor(M, check_finite=False)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, anorm)
     if not np.isfinite(rcond) or rcond < RCOND_SINGULAR:
         raise exc_factory(rcond)
-    return lu_solve((lu, piv), rhs)
-
-
-def _unwrap(model):
-    return model.model if isinstance(model, ValidatedModel) else model
+    return lu_solve((lu, piv), rhs, check_finite=False)
 
 
 @dataclass
@@ -98,246 +81,69 @@ class CRESolution:
     n_offsets: list[int]
     m_offsets: list[int]
     p: list[float]
-    P: np.ndarray                      # (N+2, NL, NL)
-    H: np.ndarray
-    L: np.ndarray
-    P_sub: list[np.ndarray]            # each (N+2, n_i, n_i)
-    H_sub: list[np.ndarray]
-    L_sub: list[np.ndarray]
+    P: np.ndarray                      # (N+2, NL, NL), symmetric
+    P_sub: list[np.ndarray]            # each (N+2, n_i, n_i), symmetric
     Lambda: np.ndarray                 # (N+1, ML, ML)
     Psi: np.ndarray                    # (N+1, ML, NL)
-    LambdaTilde: np.ndarray
-    PsiTilde: np.ndarray
     Pi: list[np.ndarray]               # each (N+1, m_i, m_i)
     Omega: list[np.ndarray]            # each (N+1, m_i, n_i)
-    PiTilde: list[np.ndarray]
-    OmegaTilde: list[np.ndarray]
 
     @property
     def L_count(self):
         return len(self.P_sub)
 
-    def asymmetry(self):
-        """Max relative asymmetry of the stacked P_k, H_k over all k."""
-        worst = 0.0
-        for M in (self.P, self.H):
-            for k in range(self.N + 2):
-                scale = max(np.linalg.norm(M[k]), 1e-300)
-                worst = max(worst, np.linalg.norm(M[k] - M[k].T) / scale)
-        return worst
+
+def _sym(M):
+    return 0.5 * (M + M.T)
 
 
-def _diag_block(M, noff, i):
-    r = slice(noff[i], noff[i + 1])
-    return M[r, r]
+def _step(P1, A, B, Q, R, channels):
+    """Coefficients of one backward step from the value matrix P1 = P_{k+1}.
 
-
-def _alloc(model, stacked):
-    N, NL, ML = model.N, stacked.NL, stacked.ML
-    noff, moff = stacked.n_offsets, stacked.m_offsets
-    n = [noff[i + 1] - noff[i] for i in range(len(noff) - 1)]
-    m = [moff[i + 2] - moff[i + 1] for i in range(len(moff) - 2)]
-    sol = CRESolution(
-        N=N, NL=NL, ML=ML, n_offsets=noff, m_offsets=moff, p=list(stacked.p),
-        P=np.zeros((N + 2, NL, NL)), H=np.zeros((N + 2, NL, NL)),
-        L=np.zeros((N + 2, NL, NL)),
-        P_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
-        H_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
-        L_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
-        Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
-        LambdaTilde=np.zeros((N + 1, ML, ML)), PsiTilde=np.zeros((N + 1, ML, NL)),
-        Pi=[np.zeros((N + 1, mi, mi)) for mi in m],
-        Omega=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
-        PiTilde=[np.zeros((N + 1, mi, mi)) for mi in m],
-        OmegaTilde=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
-    )
-    PT = model.P_terminal
-    sol.P[N + 1] = PT
-    sol.H[N + 1] = PT
-    sol.L[N + 1] = PT
-    for i in range(len(n)):
-        blk = _diag_block(PT, noff, i)
-        sol.P_sub[i][N + 1] = blk
-        sol.H_sub[i][N + 1] = blk
-        sol.L_sub[i][N + 1] = blk
-    return sol
-
-
-def _stacked_coefficients(sol, stacked, model, k):
-    """Lambda_k, Psi_k, LambdaTilde_k, PsiTilde_k from step k+1 values."""
-    A, B, R = stacked.A, stacked.B, model.R
-    P1, L1 = sol.P[k + 1], sol.L[k + 1]
-    noise_BB = sum(s * Bb.T @ L1 @ Bb
-                   for s, Bb in zip(stacked.sigma_w, stacked.Bbold))
-    noise_BA = sum(s * Bb.T @ L1 @ Ab
-                   for s, Bb, Ab in zip(stacked.sigma_w, stacked.Bbold, stacked.Abold))
-    Lam = R + B.T @ P1 @ B + noise_BB
-    Psi = B.T @ P1 @ A + noise_BA
-    LamT = R + B.T @ L1 @ B + noise_BB
-    PsiT = B.T @ L1 @ A + noise_BA
-    return Lam, Psi, LamT, PsiT
-
-
-def _subsystem_coefficients(sol, model, i, k):
-    """Pi_k^i, Omega_k^i, PiTilde_k^i, OmegaTilde_k^i from step k+1 values."""
-    s = model.subsystems[i]
-    Rii = model.R_block(i + 1, i + 1)
-    P1, L1 = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
-    noise_BB = s.sigma_w * s.Bbar.T @ L1 @ s.Bbar
-    noise_BA = s.sigma_w * s.Bbar.T @ L1 @ s.Abar
-    Pi = Rii + s.B.T @ P1 @ s.B + noise_BB
-    Om = s.B.T @ P1 @ s.A + noise_BA
-    PiT = Rii + s.B.T @ L1 @ s.B + noise_BB
-    OmT = s.B.T @ L1 @ s.A + noise_BA
-    return Pi, Om, PiT, OmT
+    `channels` lists the multiplicative-noise channels as (sigma, Abar,
+    Bbar).  Returns (Lambda, Psi, Q + A'P1 A + sum sigma Abar'P1 Abar);
+    the step's value matrix is the last minus Psi' Lambda^{-1} Psi.
+    """
+    Lam = R + B.T @ P1 @ B + sum(s * Bb.T @ P1 @ Bb for s, _, Bb in channels)
+    Psi = B.T @ P1 @ A + sum(s * Bb.T @ P1 @ Ab for s, Ab, Bb in channels)
+    G = Q + A.T @ P1 @ A + sum(s * Ab.T @ P1 @ Ab for s, Ab, _ in channels)
+    return Lam, Psi, G
 
 
 def solve_cre(stacked, model):
-    """Solve the full coupled recursions backward from k = N to 0."""
+    """Solve the coupled recursions backward from k = N to 0."""
     model = _unwrap(model)
-    sol = _alloc(model, stacked)
-    A, Q = stacked.A, model.Q
-    p = stacked.p_diag
-    I_p = np.eye(stacked.NL) - p
-    for k in range(model.N, -1, -1):
-        Lam, Psi, LamT, PsiT = _stacked_coefficients(sol, stacked, model, k)
-        sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
-        for i in range(model.L):
-            Pi, Om, PiT, OmT = _subsystem_coefficients(sol, model, i, k)
-            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
-            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
-        L1 = sol.L[k + 1]
-        noise_AA = sum(s * Ab.T @ L1 @ Ab
-                       for s, Ab in zip(stacked.sigma_w, stacked.Abold))
-        sol.P[k] = (Q + A.T @ sol.P[k + 1] @ A + noise_AA
-                    - Psi.T @ solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc)))
-        sol.H[k] = (Q + A.T @ L1 @ A + noise_AA
-                    - PsiT.T @ solve_checked(
-                        LamT, PsiT, lambda rc: SingularLambdaTilde(k, rc)))
-        for i, s in enumerate(model.subsystems):
-            Qii = model.Q_block(i + 1, i + 1)
-            L1i = sol.L_sub[i][k + 1]
-            noise = s.sigma_w * s.Abar.T @ L1i @ s.Abar
-            Om, OmT = sol.Omega[i][k], sol.OmegaTilde[i][k]
-            sol.P_sub[i][k] = (
-                Qii + s.A.T @ sol.P_sub[i][k + 1] @ s.A + noise
-                - Om.T @ solve_checked(
-                    sol.Pi[i][k], Om, lambda rc: SingularPi(k, i + 1, rc)))
-            sol.H_sub[i][k] = (
-                Qii + s.A.T @ L1i @ s.A + noise
-                - OmT.T @ solve_checked(
-                    sol.PiTilde[i][k], OmT,
-                    lambda rc: SingularPi(k, i + 1, rc, tilde=True)))
-        sol.L[k] = sol.P[k] @ p + sol.H[k] @ I_p
-        for i, s in enumerate(model.subsystems):
-            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
-    return sol
-
-
-def solve_cre_additive(stacked, model):
-    """Reduced recursion for the additive-noise case (all sigma_w = 0).
-
-    In this case L_k = H_k = P_k for the stacked family (and likewise per
-    subsystem), so only the P-recursions are propagated; the returned
-    structure carries the duplicated H and L for interface uniformity.
-    """
-    model = _unwrap(model)
-    if any(s.sigma_w != 0.0 for s in model.subsystems):
-        raise NotAdditive("solve_cre_additive requires sigma_w = 0 for every subsystem")
-    sol = _alloc(model, stacked)
+    N, NL, ML = model.N, stacked.NL, stacked.ML
+    noff = stacked.n_offsets
+    subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1),
+             [(s.sigma_w, s.Abar, s.Bbar)])
+            for i, s in enumerate(model.subsystems)]
+    sol = CRESolution(
+        N=N, NL=NL, ML=ML, n_offsets=noff, m_offsets=stacked.m_offsets,
+        p=list(stacked.p),
+        P=np.zeros((N + 2, NL, NL)),
+        P_sub=[np.zeros((N + 2, s.n, s.n)) for s in model.subsystems],
+        Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
+        Pi=[np.zeros((N + 1, s.m, s.m)) for s in model.subsystems],
+        Omega=[np.zeros((N + 1, s.m, s.n)) for s in model.subsystems],
+    )
+    PT = _sym(model.P_terminal)
+    sol.P[N + 1] = PT
+    for i in range(model.L):
+        r = slice(noff[i], noff[i + 1])
+        sol.P_sub[i][N + 1] = PT[r, r]
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    for k in range(model.N, -1, -1):
-        P1 = sol.P[k + 1]
-        Lam = R + B.T @ P1 @ B
-        Psi = B.T @ P1 @ A
+    channels = list(zip(stacked.sigma_w, stacked.Abold, stacked.Bbold))
+    for k in range(N, -1, -1):
+        Lam, Psi, G = _step(sol.P[k + 1], A, B, Q, R, channels)
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = Lam, Psi
-        sol.P[k] = (Q + A.T @ P1 @ A
-                    - Psi.T @ solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc)))
-        sol.H[k] = sol.P[k]
-        sol.L[k] = sol.P[k]
-        for i, s in enumerate(model.subsystems):
-            Qii = model.Q_block(i + 1, i + 1)
-            Rii = model.R_block(i + 1, i + 1)
-            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
-            Pi = Rii + s.B.T @ P1i @ s.B
-            Om = s.B.T @ P1i @ s.A
-            PiT = Rii + s.B.T @ L1i @ s.B
-            OmT = s.B.T @ L1i @ s.A
+        sol.P[k] = _sym(G - Psi.T @ solve_checked(
+            Lam, Psi, lambda rc: SingularLambda(k, rc)))
+        for i, (s, Qii, Rii, chan) in enumerate(subs):
+            Pi, Om, Gi = _step(sol.P_sub[i][k + 1], s.A, s.B, Qii, Rii, chan)
             sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
-            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
-            sol.P_sub[i][k] = (
-                Qii + s.A.T @ P1i @ s.A
-                - Om.T @ solve_checked(Pi, Om, lambda rc: SingularPi(k, i + 1, rc)))
-            sol.H_sub[i][k] = (
-                Qii + s.A.T @ L1i @ s.A
-                - OmT.T @ solve_checked(
-                    PiT, OmT, lambda rc: SingularPi(k, i + 1, rc, tilde=True)))
-            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
-    return sol
-
-
-def solve_cre_single(stacked, model):
-    """Single-subsystem reduction (L = 1): a symmetric two-matrix recursion.
-
-    Implemented directly from the subsystem matrices (no block embedding):
-    with a single uplink probability, L_k = p P_k + (1-p) H_k preserves
-    symmetry, so P_k and H_k stay symmetric; this is asserted.
-    """
-    model = _unwrap(model)
-    if model.L != 1:
-        raise NotSingle(f"solve_cre_single requires L = 1, got L = {model.L}")
-    sol = _alloc(model, stacked)
-    s = model.subsystems[0]
-    A = s.A
-    B = np.hstack([s.B0, s.B])
-    Abar = s.Abar
-    Bbar = np.hstack([s.Bbar0, s.Bbar])
-    Q, R, sw, p = model.Q, model.R, s.sigma_w, s.p
-    Qii = model.Q_block(1, 1)
-    Rii = model.R_block(1, 1)
-    for k in range(model.N, -1, -1):
-        P1, L1 = sol.P[k + 1], sol.L[k + 1]
-        noise_BB = sw * Bbar.T @ L1 @ Bbar
-        noise_BA = sw * Bbar.T @ L1 @ Abar
-        noise_AA = sw * Abar.T @ L1 @ Abar
-        Lam = R + B.T @ P1 @ B + noise_BB
-        Psi = B.T @ P1 @ A + noise_BA
-        LamT = R + B.T @ L1 @ B + noise_BB
-        PsiT = B.T @ L1 @ A + noise_BA
-        sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
-        sol.P[k] = (Q + A.T @ P1 @ A + noise_AA
-                    - Psi.T @ solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc)))
-        sol.H[k] = (Q + A.T @ L1 @ A + noise_AA
-                    - PsiT.T @ solve_checked(
-                        LamT, PsiT, lambda rc: SingularLambdaTilde(k, rc)))
-        sol.L[k] = p * sol.P[k] + (1.0 - p) * sol.H[k]
-        # per-subsystem family (local matrices only)
-        P1i, L1i = sol.P_sub[0][k + 1], sol.L_sub[0][k + 1]
-        nBB = sw * s.Bbar.T @ L1i @ s.Bbar
-        nBA = sw * s.Bbar.T @ L1i @ s.Abar
-        Pi = Rii + s.B.T @ P1i @ s.B + nBB
-        Om = s.B.T @ P1i @ s.A + nBA
-        PiT = Rii + s.B.T @ L1i @ s.B + nBB
-        OmT = s.B.T @ L1i @ s.A + nBA
-        sol.Pi[0][k], sol.Omega[0][k] = Pi, Om
-        sol.PiTilde[0][k], sol.OmegaTilde[0][k] = PiT, OmT
-        ni = sw * s.Abar.T @ L1i @ s.Abar
-        sol.P_sub[0][k] = (
-            Qii + s.A.T @ P1i @ s.A + ni
-            - Om.T @ solve_checked(Pi, Om, lambda rc: SingularPi(k, 1, rc)))
-        sol.H_sub[0][k] = (
-            Qii + s.A.T @ L1i @ s.A + ni
-            - OmT.T @ solve_checked(
-                PiT, OmT, lambda rc: SingularPi(k, 1, rc, tilde=True)))
-        sol.L_sub[0][k] = p * sol.P_sub[0][k] + (1.0 - p) * sol.H_sub[0][k]
-    for k in range(model.N + 2):
-        for name, M in (("P", sol.P[k]), ("H", sol.H[k])):
-            scale = max(np.linalg.norm(M), 1e-300)
-            if np.linalg.norm(M - M.T) > 1e-9 * scale:
-                raise RiccatiError(f"{name}_{k} lost symmetry in the L=1 recursion")
+            sol.P_sub[i][k] = _sym(Gi - Om.T @ solve_checked(
+                Pi, Om, lambda rc: SingularPi(k, i + 1, rc)))
     return sol
 
 
@@ -365,25 +171,18 @@ def solve_generalized(stacked, model):
     model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
+    channels = list(zip(stacked.sigma_w, stacked.Abold, stacked.Bbold))
     out = GeneralizedCRESolution(
         N=N, Delta=np.zeros((N + 2, NL, NL)), Upsilon=np.zeros((N + 1, ML, ML)),
         M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
     out.Delta[N + 1] = model.P_terminal
     for k in range(N, -1, -1):
-        D1 = out.Delta[k + 1]
-        Ups = R + B.T @ D1 @ B + sum(
-            s * Bb.T @ D1 @ Bb for s, Bb in zip(stacked.sigma_w, stacked.Bbold))
-        Mk = B.T @ D1 @ A + sum(
-            s * Bb.T @ D1 @ Ab
-            for s, Bb, Ab in zip(stacked.sigma_w, stacked.Bbold, stacked.Abold))
-        Ups = 0.5 * (Ups + Ups.T)
+        Ups, Mk, G = _step(out.Delta[k + 1], A, B, Q, R, channels)
+        Ups = _sym(Ups)
         eigs = np.linalg.eigvalsh(Ups)
         out.upsilon_psd[k] = bool(eigs.min() >= -psd_tolerance(eigs))
-        Delta = (Q + A.T @ D1 @ A + sum(
-            s * Ab.T @ D1 @ Ab for s, Ab in zip(stacked.sigma_w, stacked.Abold))
-            - Mk.T @ np.linalg.pinv(Ups, rcond=RCOND_SINGULAR) @ Mk)
         out.Upsilon[k], out.M[k] = Ups, Mk
-        out.Delta[k] = 0.5 * (Delta + Delta.T)
+        out.Delta[k] = _sym(G - Mk.T @ np.linalg.pinv(Ups, rcond=RCOND_SINGULAR) @ Mk)
     return out
 
 
@@ -400,11 +199,11 @@ class DefinitenessReport:
 
 
 def check_definiteness(sol, model):
-    """Verify Pi_k^i, PiTilde_k^i > 0 and P_k^i, H_k^i >= 0 for all k, i.
+    """Verify Pi_k^i > 0 and P_k^i >= 0 for all k, i.
 
-    P_k^i and H_k^i are additionally rebuilt through their completed-square
-    closed forms (with feedbacks g = -Pi^{-1} Omega, gtilde analogous),
-    which also certifies positive semidefiniteness structurally.
+    P_k^i is additionally rebuilt through its completed-square closed form
+    (with the local feedback g = -Pi^{-1} Omega), which also certifies
+    positive semidefiniteness structurally.
     """
     model = _unwrap(model)
     rep = DefinitenessReport()
@@ -412,28 +211,25 @@ def check_definiteness(sol, model):
         Qii = model.Q_block(i + 1, i + 1)
         Rii = model.R_block(i + 1, i + 1)
         for k in range(model.N, -1, -1):
-            for name, M in (("Pi", sol.Pi[i][k]), ("PiTilde", sol.PiTilde[i][k])):
-                eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-                if eigs.min() <= psd_tolerance(eigs):
-                    rep.violations.append((name, k, i + 1, float(eigs.min())))
-            for name, M in (("P", sol.P_sub[i][k]), ("H", sol.H_sub[i][k])):
-                eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-                if eigs.min() < -psd_tolerance(eigs):
-                    rep.violations.append((name, k, i + 1, float(eigs.min())))
-            # completed-square closed forms
-            g = -np.linalg.solve(sol.Pi[i][k], sol.Omega[i][k])
-            gt = -np.linalg.solve(sol.PiTilde[i][k], sol.OmegaTilde[i][k])
-            L1 = sol.L_sub[i][k + 1]
-            for gain, Pmid, stored in ((g, sol.P_sub[i][k + 1], sol.P_sub[i][k]),
-                                       (gt, sol.L_sub[i][k + 1], sol.H_sub[i][k])):
-                Acl = s.A + s.B @ gain
-                Abcl = s.Abar + s.Bbar @ gain
-                rebuilt = (Qii + gain.T @ Rii @ gain + Acl.T @ Pmid @ Acl
-                           + s.sigma_w * Abcl.T @ L1 @ Abcl)
-                scale = max(np.linalg.norm(stored), 1.0)
-                rep.closed_form_error = max(
-                    rep.closed_form_error,
-                    float(np.linalg.norm(rebuilt - stored) / scale))
+            Pi = sol.Pi[i][k]
+            eigs = np.linalg.eigvalsh(_sym(Pi))
+            if eigs.min() <= psd_tolerance(eigs):
+                rep.violations.append(("Pi", k, i + 1, float(eigs.min())))
+            stored = sol.P_sub[i][k]
+            eigs = np.linalg.eigvalsh(_sym(stored))
+            if eigs.min() < -psd_tolerance(eigs):
+                rep.violations.append(("P", k, i + 1, float(eigs.min())))
+            # completed-square closed form
+            g = -np.linalg.solve(Pi, sol.Omega[i][k])
+            P1 = sol.P_sub[i][k + 1]
+            Acl = s.A + s.B @ g
+            Abcl = s.Abar + s.Bbar @ g
+            rebuilt = (Qii + g.T @ Rii @ g + Acl.T @ P1 @ Acl
+                       + s.sigma_w * Abcl.T @ P1 @ Abcl)
+            scale = max(np.linalg.norm(stored), 1.0)
+            rep.closed_form_error = max(
+                rep.closed_form_error,
+                float(np.linalg.norm(rebuilt - stored) / scale))
     # the rebuild routes through solve(Pi) and a different summation order,
     # so its roundoff is amplified by the conditioning of Pi; 1e-8 relative
     # still separates rounding from any structural violation by many decades

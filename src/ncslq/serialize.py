@@ -72,19 +72,23 @@ def load(path):
         return json.load(fh)
 
 
+# Version of the cre.json document; schema 1 also carried eight duplicate
+# families, each equal to P, P^i or their coefficient matrices.
+CRE_SCHEMA = 2
+
+
 def cre_to_dict(sol):
     """CRESolution -> plain document keyed by k (and subsystem)."""
     return {
+        "schema": CRE_SCHEMA,
         "N": sol.N,
         "n_offsets": sol.n_offsets,
         "m_offsets": sol.m_offsets,
         "p": sol.p,
-        "P": sol.P, "H": sol.H, "L": sol.L,
-        "P_sub": list(sol.P_sub), "H_sub": list(sol.H_sub), "L_sub": list(sol.L_sub),
+        "P": sol.P,
+        "P_sub": list(sol.P_sub),
         "Lambda": sol.Lambda, "Psi": sol.Psi,
-        "LambdaTilde": sol.LambdaTilde, "PsiTilde": sol.PsiTilde,
         "Pi": list(sol.Pi), "Omega": list(sol.Omega),
-        "PiTilde": list(sol.PiTilde), "OmegaTilde": list(sol.OmegaTilde),
     }
 
 
@@ -97,15 +101,10 @@ def cre_from_dict(doc):
         n_offsets=[int(v) for v in doc["n_offsets"]],
         m_offsets=[int(v) for v in doc["m_offsets"]],
         p=[float(v) for v in doc["p"]],
-        P=arr(doc["P"]), H=arr(doc["H"]), L=arr(doc["L"]),
+        P=arr(doc["P"]),
         P_sub=[arr(x) for x in doc["P_sub"]],
-        H_sub=[arr(x) for x in doc["H_sub"]],
-        L_sub=[arr(x) for x in doc["L_sub"]],
         Lambda=arr(doc["Lambda"]), Psi=arr(doc["Psi"]),
-        LambdaTilde=arr(doc["LambdaTilde"]), PsiTilde=arr(doc["PsiTilde"]),
         Pi=[arr(x) for x in doc["Pi"]], Omega=[arr(x) for x in doc["Omega"]],
-        PiTilde=[arr(x) for x in doc["PiTilde"]],
-        OmegaTilde=[arr(x) for x in doc["OmegaTilde"]],
     )
 
 

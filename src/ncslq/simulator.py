@@ -16,15 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator
-from .model import ValidatedModel, stack, validate
-from .riccati import solve_cre
+from .model import HorizonMismatch, ModelError, _unwrap, stack, validate
+from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
 BLOCK_TRIALS = 8192
-
-
-class HorizonMismatch(ValueError):
-    pass
 
 
 def thread_count():
@@ -33,10 +29,6 @@ def thread_count():
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
-
-
-def _unwrap(model):
-    return model.model if isinstance(model, ValidatedModel) else model
 
 
 def _chol_factors(model):
@@ -262,8 +254,9 @@ def with_dropout(model, p):
 def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     """Re-solve, re-synthesize, and simulate for each dropout setting.
 
-    Returns a list of per-p records; solver failures are recorded and the
-    sweep continues.
+    Returns a list of per-p records; a setting that the model or the solver
+    rejects (ModelError, RiccatiError) is recorded and the sweep continues.
+    Any other error, such as trials < 1, propagates.
     """
     model = _unwrap(model)
     out = []
@@ -279,7 +272,7 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
                 cost_mean=summary.cost_mean, cost_stderr=summary.cost_stderr,
                 x1_traj=x1.tolist(), decay_time_x1=decay_time(x1),
                 summary=summary)
-        except Exception as exc:  # keep sweeping past unsolvable settings
+        except (ModelError, RiccatiError) as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"
         out.append(rec)
     return out

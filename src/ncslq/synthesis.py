@@ -6,7 +6,8 @@ From a solved CRE the control law is
     Uhat_k = Khat_k @ Xhat_k,    utilde_k^i = Ktilde_k^i @ xtilde_k^i,
 
 with Khat_k = -Lambda_k^{-1} Psi_k acting on the remote estimate and the
-local error gains Ktilde_k^i = -(PiTilde_k^i)^{-1} OmegaTilde_k^i.
+local error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i from the
+per-subsystem family.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedModel
-from .riccati import (SingularLambda, SingularPi, solve_checked)
+from .model import _unwrap
+from .riccati import SingularLambda, SingularPi, solve_checked
 
 
 @dataclass
@@ -68,25 +69,17 @@ def gains(sol):
     """Materialize the full gain schedule from a CRE solution."""
     N = sol.N
     Khat = np.zeros((N + 1, sol.ML, sol.NL))
-    Ktilde = [np.zeros((N + 1,) + sol.OmegaTilde[i].shape[1:])
-              for i in range(sol.L_count)]
+    Ktilde = [np.zeros_like(Om) for Om in sol.Omega]
     for k in range(N + 1):
         Khat[k] = -solve_checked(
             sol.Lambda[k], sol.Psi[k], lambda rc: SingularLambda(k, rc))
         for i in range(sol.L_count):
             Ktilde[i][k] = -solve_checked(
-                sol.PiTilde[i][k], sol.OmegaTilde[i][k],
-                lambda rc: SingularPi(k, i + 1, rc, tilde=True))
+                sol.Pi[i][k], sol.Omega[i][k],
+                lambda rc: SingularPi(k, i + 1, rc))
     Sel0, Sel = selectors(sol.m_offsets)
     return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde, Sel0=Sel0, Sel=Sel,
                         n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
-
-
-def local_feedback(sol, k, i):
-    """Diagnostic accessors g_k^i = -Pi^{-1} Omega and gtilde_k^i."""
-    g = -np.linalg.solve(sol.Pi[i - 1][k], sol.Omega[i - 1][k])
-    gt = -np.linalg.solve(sol.PiTilde[i - 1][k], sol.OmegaTilde[i - 1][k])
-    return g, gt
 
 
 def _symmetric_part(M, name, rtol=1e-9):
@@ -99,28 +92,24 @@ def _symmetric_part(M, name, rtol=1e-9):
 def optimal_cost(sol, model):
     """Closed-form expected cost of the synthesized strategy.
 
-    Per subsystem, the initial-state contribution splits by whether the
-    first upload succeeds: with probability p_i the remote knows x_0^i and
-    the initial spread is priced by P_0^i, otherwise the spread sits in the
-    estimation error and is priced by H_0^i.  Additive noise contributes
-    Tr(Sigma_v^i L_{k+1}^i) per step:
+    Per subsystem, the initial state is priced by P_0^i and each step's
+    additive noise by P_{k+1}^i:
 
-        J = sum_i [ mu_i' P_0^i mu_i + p_i Tr(Sigma_x0^i P_0^i)
-                    + (1 - p_i) Tr(Sigma_x0^i H_0^i) ]
-            + sum_i sum_{k=0}^{N} Tr(Sigma_v^i L_{k+1}^i)
+        J = sum_i [ mu_i' P_0^i mu_i + Tr(Sigma_x0^i P_0^i) ]
+            + sum_i sum_{k=0}^{N} Tr(Sigma_v^i P_{k+1}^i)
 
     This is the cost of the block-diagonal (implementable) strategy; it is
     exact when the subsystems are dynamically decoupled from the remote
     input's noise channels, and is cross-checked against the moment oracle.
+    A solution read from a file may carry asymmetric value matrices, so
+    P_0^i is checked for symmetry before use.
     """
-    model = model.model if isinstance(model, ValidatedModel) else model
+    model = _unwrap(model)
     total = 0.0
     for i, s in enumerate(model.subsystems):
         P0 = _symmetric_part(sol.P_sub[i][0], f"P_0^{i + 1}")
-        H0 = _symmetric_part(sol.H_sub[i][0], f"H_0^{i + 1}")
         total += float(s.mu @ P0 @ s.mu)
-        total += s.p * float(np.trace(s.Sigma_x0 @ P0))
-        total += (1.0 - s.p) * float(np.trace(s.Sigma_x0 @ H0))
+        total += float(np.trace(s.Sigma_x0 @ P0))
         for k in range(model.N + 1):
-            total += float(np.trace(s.Sigma_v @ sol.L_sub[i][k + 1]))
+            total += float(np.trace(s.Sigma_v @ sol.P_sub[i][k + 1]))
     return total

@@ -2,9 +2,13 @@
 
 Everything here is deliberately written in plain scalar arithmetic or
 brute-force loops, sharing no code with the package, so that agreement is
-meaningful evidence of correctness.
+meaningful evidence of correctness.  The two-family recursions (stacked and
+per-subsystem P, H and L = P p + H (I - p), and the additive-noise and
+single-subsystem reductions of them) keep every family the package folds
+into its one symmetric kernel, so they check that fold independently.
 """
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,3 +133,175 @@ def place_blocks_by_loop(subsystem_mats, n_offsets, NL):
             for b in range(mat.shape[1]):
                 M[n_offsets[i] + a, n_offsets[i] + b] = mat[a, b]
     return M
+
+
+def _unwrap(model):
+    return getattr(model, "model", model)
+
+
+def _alloc(model, stacked):
+    """Zeroed two-family solution (P, H, L and their coefficient matrices,
+    stacked and per subsystem) with every value family at P_terminal."""
+    N, NL, ML = model.N, stacked.NL, stacked.ML
+    noff, moff = stacked.n_offsets, stacked.m_offsets
+    n = [noff[i + 1] - noff[i] for i in range(len(noff) - 1)]
+    m = [moff[i + 2] - moff[i + 1] for i in range(len(moff) - 2)]
+    sol = SimpleNamespace(
+        P=np.zeros((N + 2, NL, NL)), H=np.zeros((N + 2, NL, NL)),
+        L=np.zeros((N + 2, NL, NL)),
+        P_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
+        H_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
+        L_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
+        Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
+        LambdaTilde=np.zeros((N + 1, ML, ML)), PsiTilde=np.zeros((N + 1, ML, NL)),
+        Pi=[np.zeros((N + 1, mi, mi)) for mi in m],
+        Omega=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
+        PiTilde=[np.zeros((N + 1, mi, mi)) for mi in m],
+        OmegaTilde=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
+    )
+    PT = model.P_terminal
+    sol.P[N + 1] = sol.H[N + 1] = sol.L[N + 1] = PT
+    for i in range(len(n)):
+        r = slice(noff[i], noff[i + 1])
+        sol.P_sub[i][N + 1] = sol.H_sub[i][N + 1] = sol.L_sub[i][N + 1] = PT[r, r]
+    return sol
+
+
+def solve_two_families(stacked, model):
+    """Both recursions with their H and L families propagated separately.
+
+    Stacked: P_k over P_{k+1}, H_k over L_{k+1}, with the multiplicative
+    noise priced by L_{k+1} = P_{k+1} p + H_{k+1} (I - p) in both; per
+    subsystem likewise with L^i = p_i P^i + (1 - p_i) H^i.  Plain loops over
+    steps, subsystems and noise channels; nothing is symmetrized.
+    """
+    model = _unwrap(model)
+    sol = _alloc(model, stacked)
+    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
+    p = stacked.p_diag
+    I_p = np.eye(stacked.NL) - p
+    for k in range(model.N, -1, -1):
+        P1, L1 = sol.P[k + 1], sol.L[k + 1]
+        nBB = np.zeros_like(R)
+        nBA = np.zeros((stacked.ML, stacked.NL))
+        nAA = np.zeros_like(Q)
+        for s, Ab, Bb in zip(stacked.sigma_w, stacked.Abold, stacked.Bbold):
+            nBB = nBB + s * Bb.T @ L1 @ Bb
+            nBA = nBA + s * Bb.T @ L1 @ Ab
+            nAA = nAA + s * Ab.T @ L1 @ Ab
+        Lam, Psi = R + B.T @ P1 @ B + nBB, B.T @ P1 @ A + nBA
+        LamT, PsiT = R + B.T @ L1 @ B + nBB, B.T @ L1 @ A + nBA
+        sol.Lambda[k], sol.Psi[k] = Lam, Psi
+        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
+        sol.P[k] = Q + A.T @ P1 @ A + nAA - Psi.T @ np.linalg.solve(Lam, Psi)
+        sol.H[k] = Q + A.T @ L1 @ A + nAA - PsiT.T @ np.linalg.solve(LamT, PsiT)
+        sol.L[k] = sol.P[k] @ p + sol.H[k] @ I_p
+        for i, s in enumerate(model.subsystems):
+            Qii = model.Q_block(i + 1, i + 1)
+            Rii = model.R_block(i + 1, i + 1)
+            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
+            bb = s.sigma_w * s.Bbar.T @ L1i @ s.Bbar
+            ba = s.sigma_w * s.Bbar.T @ L1i @ s.Abar
+            aa = s.sigma_w * s.Abar.T @ L1i @ s.Abar
+            Pi, Om = Rii + s.B.T @ P1i @ s.B + bb, s.B.T @ P1i @ s.A + ba
+            PiT, OmT = Rii + s.B.T @ L1i @ s.B + bb, s.B.T @ L1i @ s.A + ba
+            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
+            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
+            sol.P_sub[i][k] = (Qii + s.A.T @ P1i @ s.A + aa
+                               - Om.T @ np.linalg.solve(Pi, Om))
+            sol.H_sub[i][k] = (Qii + s.A.T @ L1i @ s.A + aa
+                               - OmT.T @ np.linalg.solve(PiT, OmT))
+            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
+    return sol
+
+
+def solve_cre_additive(stacked, model):
+    """Reduced recursion for the additive-noise case (all sigma_w = 0).
+
+    In this case L_k = H_k = P_k for the stacked family (and likewise per
+    subsystem), so only the P-recursions are propagated; the returned
+    structure carries the duplicated H and L for interface uniformity.
+    """
+    model = _unwrap(model)
+    if any(s.sigma_w != 0.0 for s in model.subsystems):
+        raise ValueError("solve_cre_additive requires sigma_w = 0 for every subsystem")
+    sol = _alloc(model, stacked)
+    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
+    for k in range(model.N, -1, -1):
+        P1 = sol.P[k + 1]
+        Lam = R + B.T @ P1 @ B
+        Psi = B.T @ P1 @ A
+        sol.Lambda[k], sol.Psi[k] = Lam, Psi
+        sol.LambdaTilde[k], sol.PsiTilde[k] = Lam, Psi
+        sol.P[k] = Q + A.T @ P1 @ A - Psi.T @ np.linalg.solve(Lam, Psi)
+        sol.H[k] = sol.P[k]
+        sol.L[k] = sol.P[k]
+        for i, s in enumerate(model.subsystems):
+            Qii = model.Q_block(i + 1, i + 1)
+            Rii = model.R_block(i + 1, i + 1)
+            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
+            Pi = Rii + s.B.T @ P1i @ s.B
+            Om = s.B.T @ P1i @ s.A
+            PiT = Rii + s.B.T @ L1i @ s.B
+            OmT = s.B.T @ L1i @ s.A
+            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
+            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
+            sol.P_sub[i][k] = Qii + s.A.T @ P1i @ s.A - Om.T @ np.linalg.solve(Pi, Om)
+            sol.H_sub[i][k] = Qii + s.A.T @ L1i @ s.A - OmT.T @ np.linalg.solve(PiT, OmT)
+            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
+    return sol
+
+
+def solve_cre_single(stacked, model):
+    """Single-subsystem reduction (L = 1): a symmetric two-matrix recursion.
+
+    Implemented directly from the subsystem matrices (no block embedding):
+    with a single uplink probability, L_k = p P_k + (1-p) H_k preserves
+    symmetry, so P_k and H_k stay symmetric; this is asserted.
+    """
+    model = _unwrap(model)
+    if model.L != 1:
+        raise ValueError(f"solve_cre_single requires L = 1, got L = {model.L}")
+    sol = _alloc(model, stacked)
+    s = model.subsystems[0]
+    A = s.A
+    B = np.hstack([s.B0, s.B])
+    Abar = s.Abar
+    Bbar = np.hstack([s.Bbar0, s.Bbar])
+    Q, R, sw, p = model.Q, model.R, s.sigma_w, s.p
+    Qii = model.Q_block(1, 1)
+    Rii = model.R_block(1, 1)
+    for k in range(model.N, -1, -1):
+        P1, L1 = sol.P[k + 1], sol.L[k + 1]
+        noise_BB = sw * Bbar.T @ L1 @ Bbar
+        noise_BA = sw * Bbar.T @ L1 @ Abar
+        noise_AA = sw * Abar.T @ L1 @ Abar
+        Lam = R + B.T @ P1 @ B + noise_BB
+        Psi = B.T @ P1 @ A + noise_BA
+        LamT = R + B.T @ L1 @ B + noise_BB
+        PsiT = B.T @ L1 @ A + noise_BA
+        sol.Lambda[k], sol.Psi[k] = Lam, Psi
+        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
+        sol.P[k] = Q + A.T @ P1 @ A + noise_AA - Psi.T @ np.linalg.solve(Lam, Psi)
+        sol.H[k] = Q + A.T @ L1 @ A + noise_AA - PsiT.T @ np.linalg.solve(LamT, PsiT)
+        sol.L[k] = p * sol.P[k] + (1.0 - p) * sol.H[k]
+        # per-subsystem family (local matrices only)
+        P1i, L1i = sol.P_sub[0][k + 1], sol.L_sub[0][k + 1]
+        nBB = sw * s.Bbar.T @ L1i @ s.Bbar
+        nBA = sw * s.Bbar.T @ L1i @ s.Abar
+        Pi = Rii + s.B.T @ P1i @ s.B + nBB
+        Om = s.B.T @ P1i @ s.A + nBA
+        PiT = Rii + s.B.T @ L1i @ s.B + nBB
+        OmT = s.B.T @ L1i @ s.A + nBA
+        sol.Pi[0][k], sol.Omega[0][k] = Pi, Om
+        sol.PiTilde[0][k], sol.OmegaTilde[0][k] = PiT, OmT
+        ni = sw * s.Abar.T @ L1i @ s.Abar
+        sol.P_sub[0][k] = Qii + s.A.T @ P1i @ s.A + ni - Om.T @ np.linalg.solve(Pi, Om)
+        sol.H_sub[0][k] = Qii + s.A.T @ L1i @ s.A + ni - OmT.T @ np.linalg.solve(PiT, OmT)
+        sol.L_sub[0][k] = p * sol.P_sub[0][k] + (1.0 - p) * sol.H_sub[0][k]
+    for k in range(model.N + 2):
+        for name, M in (("P", sol.P[k]), ("H", sol.H[k])):
+            scale = max(np.linalg.norm(M), 1e-300)
+            if np.linalg.norm(M - M.T) > 1e-9 * scale:
+                raise AssertionError(f"{name}_{k} lost symmetry in the L=1 recursion")
+    return sol

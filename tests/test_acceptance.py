@@ -10,7 +10,7 @@ Where the file is present they are expected to fail, and are implemented
 faithfully rather than weakened:
 
 - 1, 2, 7: the instance's printed weights are indefinite and its closed
-  loop diverges (min eigenvalue of Pi/PiTilde far below zero, late/early
+  loop diverges (min eigenvalue of Pi far below zero, late/early
   mean-square ratios far above 0.25, no 10%-decay time at either p);
 - 3, 4, 9: on the coupled benchmark-N5 case the closed-form cost differs
   from the moment oracle, the synthesized gains are not stationary for the
@@ -27,9 +27,8 @@ import numpy as np
 import pytest
 
 from ncslq import (gains, model_to_dict, simulate, solve_cre,
-                   solve_cre_additive, solve_cre_single, solve_generalized,
-                   exact_cost, costate_moments, optimal_cost,
-                   stationarity_check)
+                   solve_generalized, exact_cost, costate_moments,
+                   optimal_cost, stationarity_check)
 from ncslq.cli import main as cli_main
 from ncslq.model import psd_tolerance
 from ncslq.simulator import sweep_dropout
@@ -38,6 +37,7 @@ from ncslq import serialize
 import conftest
 from conftest import (load_sec5, make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, requires_sec5, validated_pair)
+from reference import solve_cre_additive, solve_cre_single
 from test_estimator import rollout
 
 
@@ -68,16 +68,16 @@ def scalar_and_sec5_n5():
 def test_criterion_01_benchmark_solvability():
     vm = load_sec5()
     t0 = time.time()
-    stk, sol, _ = solve_all(vm)   # raises SingularLambda* if not invertible
+    stk, sol, _ = solve_all(vm)   # raises SingularLambda/Pi if not invertible
     elapsed = time.time() - t0
     worst = math.inf
     for i in range(vm.model.L):
         for k in range(vm.model.N + 1):
-            for M in (sol.Pi[i][k], sol.PiTilde[i][k]):
-                worst = min(worst, np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+            M = sol.Pi[i][k]
+            worst = min(worst, np.linalg.eigvalsh(0.5 * (M + M.T)).min())
     all_pd = worst > 0.0
     ok = report(1, elapsed < 1.0 and all_pd,
-                f"solve completed in {elapsed:.3f}s, min eig of Pi/PiTilde "
+                f"solve completed in {elapsed:.3f}s, min eig of Pi "
                 f"= {worst:.3g} (PD required)")
     assert ok
 
@@ -159,7 +159,8 @@ def test_criterion_05_monte_carlo_consistency():
 
 def test_criterion_06_reductions():
     details = []
-    # (a) additive: sigma_w = 0 collapses P = H = L and the reduced solver
+    # (a) additive: sigma_w = 0 collapses the reference's P = H = L onto the
+    # one kernel's P
     model = make_random_definite(np.random.default_rng(61), L=2, N=5)
     for s in model.subsystems:
         s.sigma_w = 0.0
@@ -167,10 +168,9 @@ def test_criterion_06_reductions():
     sol = solve_cre(stk, vm)
     add = solve_cre_additive(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
-    a_ok = (np.max(np.abs(sol.P - sol.H)) / scale <= 1e-10
-            and np.max(np.abs(sol.P - sol.L)) / scale <= 1e-10
-            and np.max(np.abs(add.P - sol.P)) / scale <= 1e-10
-            and np.max(np.abs(add.H - sol.H)) / scale <= 1e-10)
+    a_ok = (np.max(np.abs(add.H - sol.P)) / scale <= 1e-10
+            and np.max(np.abs(add.L - sol.P)) / scale <= 1e-10
+            and np.max(np.abs(add.P - sol.P)) / scale <= 1e-10)
     details.append(f"additive collapse {'ok' if a_ok else 'VIOLATED'}")
     # (b) single subsystem
     vm1, stk1 = validated_pair(make_scalar_coupled(N=6))
@@ -178,7 +178,7 @@ def test_criterion_06_reductions():
     single = solve_cre_single(stk1, vm1)
     s1 = 1.0 + np.max(np.abs(sol1.P))
     b_ok = (np.max(np.abs(single.P - sol1.P)) / s1 <= 1e-10
-            and np.max(np.abs(single.H - sol1.H)) / s1 <= 1e-10)
+            and np.max(np.abs(single.H - sol1.P)) / s1 <= 1e-10)
     details.append(f"single reduction {'ok' if b_ok else 'VIOLATED'}")
     # (c) perfect channel: generalized recursion coincides and the
     # estimation error vanishes on every simulated path

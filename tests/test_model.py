@@ -140,6 +140,8 @@ def test_near_symmetric_input_is_symmetrized():
     model.Q[0, 1] = 1e-15
     vm = validate(model)
     assert np.array_equal(vm.model.Q, vm.model.Q.T)
+    # the caller's model is not mutated
+    assert model.Q[0, 1] == 1e-15 and model.Q[1, 0] == 0.0
 
 
 def test_config_round_trip(tmp_path):

@@ -196,8 +196,25 @@ def test_costate_telescoping_zero_noise():
         math.fsum(stages + [terminal]), rel=1e-10)
 
 
-def test_costate_telescoping_scalar():
-    model = make_scalar_decoupled(N=5)
-    vm, stk, sol, sched = solve_all(model)
+def perfect_channel(seed, L, N):
+    """make_random_definite with every p set to 1: the problem is then
+    centralized, so the costate audit must telescope."""
+    model = make_random_definite(np.random.default_rng(seed), L=L, N=N)
+    for s in model.subsystems:
+        s.p = 1.0
+    return model
+
+
+# The long-horizon perfect-channel instances drift out of symmetry (residual
+# above 1) or into SingularLambda when the value matrices are not kept
+# symmetric.
+@pytest.mark.parametrize("make", [
+    lambda: make_scalar_decoupled(N=5),
+    lambda: perfect_channel(79, L=2, N=30),
+    lambda: perfect_channel(84, L=2, N=30),
+    lambda: perfect_channel(77, L=3, N=60),
+], ids=["scalar", "p1-seed79-L2-N30", "p1-seed84-L2-N30", "p1-seed77-L3-N60"])
+def test_costate_telescoping_scalar(make):
+    vm, stk, sol, sched = solve_all(make())
     rep = costate_moments(vm, stk, sched, sol)
     assert rep.max_relative_residual <= 1e-8

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncslq import (NetworkModel, NotAdditive, NotSingle, SingularLambda,
-                   SubsystemModel, check_definiteness, solve_cre,
-                   solve_cre_additive, solve_cre_single, solve_generalized)
+from ncslq import (NetworkModel, SingularLambda, SubsystemModel,
+                   check_definiteness, solve_cre, solve_generalized)
 from ncslq.riccati import solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
                       validated_pair)
-from reference import hand_recursion_scalar
+from reference import (hand_recursion_scalar, solve_cre_additive,
+                       solve_cre_single, solve_two_families)
 
 
 def solve(model, mode="definite"):
@@ -21,12 +21,10 @@ def solve(model, mode="definite"):
 
 def test_frozen_scalar_values_12_digits():
     # independently hand-derived for the scalar instance at N = 1:
-    # P_1 = H_1 = 7/4 and P_0 = H_0 = 365/176
+    # P_1 = 7/4 and P_0 = 365/176
     _, _, sol = solve(make_scalar_decoupled(N=1))
     assert sol.P[1][0, 0] == pytest.approx(1.75, rel=1e-12)
-    assert sol.H[1][0, 0] == pytest.approx(1.75, rel=1e-12)
     assert sol.P[0][0, 0] == pytest.approx(2.0738636363636367, rel=1e-12)
-    assert sol.H[0][0, 0] == pytest.approx(2.0738636363636367, rel=1e-12)
     assert sol.P_sub[0][0][0, 0] == pytest.approx(2.0738636363636367, rel=1e-12)
 
 
@@ -36,25 +34,9 @@ def test_terminal_conditions():
     N = model.N
     PT = vm.model.P_terminal
     assert np.array_equal(sol.P[N + 1], PT)
-    assert np.array_equal(sol.H[N + 1], PT)
-    assert np.array_equal(sol.L[N + 1], PT)
     for i in range(model.L):
         blk = PT[vm.model.state_slice(i + 1), vm.model.state_slice(i + 1)]
         assert np.array_equal(sol.P_sub[i][N + 1], blk)
-        assert np.array_equal(sol.L_sub[i][N + 1], blk)
-
-
-def test_convex_combination_identities_exact():
-    model = make_random_definite(np.random.default_rng(5))
-    _, stk, sol = solve(model)
-    I = np.eye(stk.NL)
-    for k in range(model.N + 1):
-        assert np.array_equal(
-            sol.L[k], sol.P[k] @ stk.p_diag + sol.H[k] @ (I - stk.p_diag))
-        for i, s in enumerate(model.subsystems):
-            assert np.array_equal(
-                sol.L_sub[i][k],
-                s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k])
 
 
 def test_coefficient_rebuild_internal_consistency():
@@ -62,23 +44,19 @@ def test_coefficient_rebuild_internal_consistency():
     vm, stk, sol = solve(model)
     R = vm.model.R
     for k in range(model.N + 1):
-        P1, L1 = sol.P[k + 1], sol.L[k + 1]
-        nBB = sum(s * Bb.T @ L1 @ Bb for s, Bb in zip(stk.sigma_w, stk.Bbold))
-        nBA = sum(s * Bb.T @ L1 @ Ab
+        P1 = sol.P[k + 1]
+        nBB = sum(s * Bb.T @ P1 @ Bb for s, Bb in zip(stk.sigma_w, stk.Bbold))
+        nBA = sum(s * Bb.T @ P1 @ Ab
                   for s, Bb, Ab in zip(stk.sigma_w, stk.Bbold, stk.Abold))
         assert np.array_equal(sol.Lambda[k], R + stk.B.T @ P1 @ stk.B + nBB)
         assert np.array_equal(sol.Psi[k], stk.B.T @ P1 @ stk.A + nBA)
-        assert np.array_equal(sol.LambdaTilde[k], R + stk.B.T @ L1 @ stk.B + nBB)
-        assert np.array_equal(sol.PsiTilde[k], stk.B.T @ L1 @ stk.A + nBA)
         for i, s in enumerate(vm.model.subsystems):
             Rii = vm.model.R_block(i + 1, i + 1)
-            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
-            bb = s.sigma_w * s.Bbar.T @ L1i @ s.Bbar
-            ba = s.sigma_w * s.Bbar.T @ L1i @ s.Abar
+            P1i = sol.P_sub[i][k + 1]
+            bb = s.sigma_w * s.Bbar.T @ P1i @ s.Bbar
+            ba = s.sigma_w * s.Bbar.T @ P1i @ s.Abar
             assert np.array_equal(sol.Pi[i][k], Rii + s.B.T @ P1i @ s.B + bb)
             assert np.array_equal(sol.Omega[i][k], s.B.T @ P1i @ s.A + ba)
-            assert np.array_equal(sol.PiTilde[i][k], Rii + s.B.T @ L1i @ s.B + bb)
-            assert np.array_equal(sol.OmegaTilde[i][k], s.B.T @ L1i @ s.A + ba)
 
 
 def test_matches_hand_recursion_on_coupled_scalar():
@@ -88,13 +66,13 @@ def test_matches_hand_recursion_on_coupled_scalar():
         A=1.0, B1=1.0, B0=0.3, Abar=0.5, Bbar1=0.2, Bbar0=0.1,
         sw=1.0, p=0.5, Q=1.0, R=np.eye(2), PT=1.0, N=5)
     _, _, sol = solve(model)
+    # the reference keeps its own H and L families; the one kernel's P
+    # must match all three
     for k in range(7):
-        assert sol.P[k][0, 0] == pytest.approx(ref["P"][k], rel=1e-12)
-        assert sol.H[k][0, 0] == pytest.approx(ref["H"][k], rel=1e-12)
-        assert sol.L[k][0, 0] == pytest.approx(ref["L"][k], rel=1e-12)
-        assert sol.P_sub[0][k][0, 0] == pytest.approx(ref["P_sub"][k], rel=1e-12)
-        assert sol.H_sub[0][k][0, 0] == pytest.approx(ref["H_sub"][k], rel=1e-12)
-        assert sol.L_sub[0][k][0, 0] == pytest.approx(ref["L_sub"][k], rel=1e-12)
+        for name in ("P", "H", "L"):
+            assert sol.P[k][0, 0] == pytest.approx(ref[name][k], rel=1e-12)
+        for name in ("P_sub", "H_sub", "L_sub"):
+            assert sol.P_sub[0][k][0, 0] == pytest.approx(ref[name][k], rel=1e-12)
     from ncslq import gains
     sched = gains(sol)
     for k in range(6):
@@ -107,7 +85,7 @@ def test_matches_hand_recursion_on_coupled_scalar():
 
 
 def test_zero_coupling_fixed_point():
-    # A = 0 and all bar matrices zero decouple the recursion: P = H = Q + PT
+    # A = 0 and all bar matrices zero decouple the recursion: P = Q + PT
     # contribution only through one step, and all gains vanish
     sub = SubsystemModel(index=1, A=[[0.0]], Abar=[[0.0]], B=[[1.0]],
                          Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
@@ -118,9 +96,8 @@ def test_zero_coupling_fixed_point():
     _, _, sol = solve(model)
     for k in range(5):
         assert sol.P[k][0, 0] == 1.0
-        assert sol.H[k][0, 0] == 1.0
         assert not sol.Psi[k].any()
-        assert not sol.OmegaTilde[0][k].any()
+        assert not sol.Omega[0][k].any()
 
 
 def test_zero_weights_zero_fixed_point():
@@ -128,7 +105,7 @@ def test_zero_weights_zero_fixed_point():
     model.Q = np.zeros((1, 1))
     model.P_terminal = np.zeros((1, 1))
     _, _, sol = solve(model)
-    assert not sol.P.any() and not sol.H.any()
+    assert not sol.P.any()
     assert not sol.Psi.any()
 
 
@@ -141,21 +118,12 @@ def test_additive_reduction_matches_general():
     sol = solve_cre(stk, vm)
     add = solve_cre_additive(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
-    assert np.max(np.abs(add.P - sol.P)) / scale <= 1e-10
-    assert np.max(np.abs(add.H - sol.H)) / scale <= 1e-10
+    for M in (add.P, add.H, add.L):
+        assert np.max(np.abs(M - sol.P)) / scale <= 1e-10
     for i in range(model.L):
         si = 1.0 + np.max(np.abs(sol.P_sub[i]))
-        assert np.max(np.abs(add.P_sub[i] - sol.P_sub[i])) / si <= 1e-10
-        assert np.max(np.abs(add.H_sub[i] - sol.H_sub[i])) / si <= 1e-10
-    # additive collapse inside the general solution as well
-    assert np.max(np.abs(sol.P - sol.H)) / scale <= 1e-10
-    assert np.max(np.abs(sol.P - sol.L)) / scale <= 1e-10
-
-
-def test_additive_requires_zero_multiplicative_noise():
-    vm, stk = validated_pair(make_scalar_coupled())
-    with pytest.raises(NotAdditive):
-        solve_cre_additive(stk, vm)
+        for M in (add.P_sub[i], add.H_sub[i], add.L_sub[i]):
+            assert np.max(np.abs(M - sol.P_sub[i])) / si <= 1e-10
 
 
 def test_single_reduction_matches_general():
@@ -165,26 +133,9 @@ def test_single_reduction_matches_general():
     single = solve_cre_single(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
     assert np.max(np.abs(single.P - sol.P)) / scale <= 1e-10
-    assert np.max(np.abs(single.H - sol.H)) / scale <= 1e-10
-    assert np.max(np.abs(single.L - sol.L)) / scale <= 1e-10
-    assert np.max(np.abs(single.PiTilde[0] - sol.PiTilde[0])) <= 1e-10 * scale
-
-
-def test_single_requires_one_subsystem():
-    model = make_random_definite(np.random.default_rng(13), L=2, N=2)
-    vm, stk = validated_pair(model)
-    with pytest.raises(NotSingle):
-        solve_cre_single(stk, vm)
-
-
-def test_single_additive_and_perfect_channel_collapses():
-    model = make_scalar_coupled(N=4)
-    model.subsystems[0].sigma_w = 0.0
-    _, _, sol = solve(model)
-    assert np.max(np.abs(sol.P - sol.H)) <= 1e-12 * (1 + np.max(np.abs(sol.P)))
-    model = make_scalar_coupled(N=4, p=1.0)
-    _, _, sol = solve(model)
-    assert np.array_equal(sol.L, sol.P)
+    assert np.max(np.abs(single.H - sol.P)) / scale <= 1e-10
+    assert np.max(np.abs(single.L - sol.P)) / scale <= 1e-10
+    assert np.max(np.abs(single.PiTilde[0] - sol.Pi[0])) <= 1e-10 * scale
 
 
 def test_perfect_channel_generalized_coincides():
@@ -237,6 +188,22 @@ def test_singular_lambda_detected():
         solve_cre(stk, vm)
 
 
+def test_diverged_recursion_reported_as_singular():
+    # P_2 overflows to a non-finite value; the next step must name Lambda_1
+    # rather than fail inside the linear algebra
+    sub = SubsystemModel(index=1, A=[[1e200]], Abar=[[0.0]], B=[[1.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
+                         sigma_w=0.0, Sigma_v=[[0.0]], mu=[0.0],
+                         Sigma_x0=[[0.0]], p=0.5)
+    model = NetworkModel(subsystems=[sub], m0=1, N=2, Q=[[1.0]],
+                         R=np.eye(2), P_terminal=[[1.0]])
+    vm, stk = validated_pair(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularLambda) as info:
+            solve_cre(stk, vm)
+    assert info.value.k == 1
+
+
 def test_solve_checked_well_conditioned():
     M = np.array([[2.0, 0.0], [0.0, 4.0]])
     rhs = np.array([[2.0], [8.0]])
@@ -258,25 +225,31 @@ def test_definiteness_reduces_to_R_block():
 
 
 def test_collapse_of_the_two_families_under_equal_terminals():
-    # because the three stacked sequences share one terminal condition, the
-    # backward recursion reproduces P = H = L step by step (the split only
-    # separates when the recursion degrades numerically); the solver must
-    # not rely on this, but on well-conditioned instances it must hold
+    # the H and L families share P's terminal condition, so in exact
+    # arithmetic the two-family recursion reproduces P = H = L step by step;
+    # the one symmetric kernel must match a reference that propagates them
     rng = np.random.default_rng(19)
     model = make_random_definite(rng, L=2, N=4)
     model.subsystems[0].p, model.subsystems[1].p = 0.9, 0.2
-    _, _, sol = solve(model)
+    vm, stk, sol = solve(model)
+    ref = solve_two_families(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
-    assert np.max(np.abs(sol.P - sol.H)) / scale <= 1e-10
-    assert np.max(np.abs(sol.P - sol.L)) / scale <= 1e-10
-    # asymmetry is measured (never silently symmetrized) and is at
-    # round-off level here
-    assert sol.asymmetry() <= 1e-10
-    # per-subsystem families stay symmetric
-    for i in range(2):
-        for k in range(model.N + 2):
-            M = sol.P_sub[i][k]
-            assert np.linalg.norm(M - M.T) <= 1e-9 * (1 + np.linalg.norm(M))
+    for M in (ref.P, ref.H, ref.L):
+        assert np.max(np.abs(M - sol.P)) / scale <= 1e-10
+    for i in range(model.L):
+        si = 1.0 + np.max(np.abs(sol.P_sub[i]))
+        for M in (ref.P_sub[i], ref.H_sub[i], ref.L_sub[i]):
+            assert np.max(np.abs(M - sol.P_sub[i])) / si <= 1e-10
+    # every stored value matrix is exactly symmetric, also on a long horizon
+    # where an unsymmetrized recursion drifts into SingularLambda
+    long = make_random_definite(np.random.default_rng(77), L=3, N=60)
+    for s in long.subsystems:
+        s.p = 1.0
+    for sol in (sol, solve(long)[2]):
+        for k in range(sol.N + 2):
+            assert np.array_equal(sol.P[k], sol.P[k].T)
+            for Pi in sol.P_sub:
+                assert np.array_equal(Pi[k], Pi[k].T)
 
 
 @settings(max_examples=30, deadline=None)

@@ -170,6 +170,14 @@ def test_sweep_continues_past_failures():
     assert "cost_mean" in recs[1]
 
 
+def test_sweep_propagates_errors_other_than_model_and_solver():
+    # only ModelError and RiccatiError are recorded per p; a bad argument
+    # is the caller's fault and must not be swallowed
+    model = make_scalar_coupled(N=2)
+    with pytest.raises(ValueError, match="trials"):
+        sweep_dropout(model, [0.5], seed=0, trials=0)
+
+
 def test_monte_carlo_matches_oracle_random_model():
     model = make_random_definite(np.random.default_rng(53), L=2, N=5)
     vm, stk, sched = solve_all(model)
