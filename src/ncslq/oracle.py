@@ -131,23 +131,26 @@ def propagate_moments(model, stacked, gain_schedule):
     yield MomentState(k=N + 1, S=S, T=T, C=C, mean_xhat=m_hat, mean_xtilde=m_til)
 
 
-def stage_costs(model, stacked, gain_schedule):
-    """Exact expected stage costs for k = 0..N and the terminal cost."""
-    model = _unwrap(model)
+def _priced_moments(model, stacked, gain_schedule):
+    """Yield (MomentState, cost) for k = 0..N+1: the exact expected stage
+    cost at k <= N, then the terminal cost."""
     Q, R, PT = model.Q, model.R, model.P_terminal
-    stages = []
-    terminal = None
     for ms in propagate_moments(model, stacked, gain_schedule):
         XX = ms.state_second_moment
         if ms.k == model.N + 1:
-            terminal = float(np.trace(PT @ XX))
-            break
+            yield ms, float(np.trace(PT @ XX))
+            return
         Kh = gain_schedule.Khat[ms.k]
         Kt = gain_schedule.Ktilde_full(ms.k)
         UU = (Kh @ ms.S @ Kh.T + Kh @ ms.C @ Kt.T
               + Kt @ ms.C.T @ Kh.T + Kt @ ms.T @ Kt.T)
-        stages.append(float(np.trace(Q @ XX)) + float(np.trace(R @ UU)))
-    return stages, terminal
+        yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))
+
+
+def stage_costs(model, stacked, gain_schedule):
+    """Exact expected stage costs for k = 0..N and the terminal cost."""
+    costs = [c for _, c in _priced_moments(_unwrap(model), stacked, gain_schedule)]
+    return costs[:-1], costs[-1]
 
 
 def exact_cost(model, stacked, gain_schedule):
@@ -263,9 +266,11 @@ def costate_moments(model, stacked, gain_schedule, sol):
     N = model.N
     noff = stacked.n_offsets
     Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], stacked.NL, noff)
-    stages, terminal = stage_costs(model, stacked, gain_schedule)
-    V = [float(np.trace(sol.P[ms.k] @ ms.state_second_moment))
-         for ms in propagate_moments(model, stacked, gain_schedule)]
+    stages, V = [], []
+    for ms, cost in _priced_moments(model, stacked, gain_schedule):
+        stages.append(cost)
+        V.append(float(np.trace(sol.P[ms.k] @ ms.state_second_moment)))
+    stages.pop()  # the terminal cost enters through V[N+1]
     noise = [float(np.trace(sol.P[k + 1] @ Sigma_v)) for k in range(N + 1)]
     residuals = []
     worst = 0.0

@@ -1,8 +1,9 @@
 """Deterministic structured-text emission of solver artifacts.
 
-Floats are rendered with 17 significant digits so every 64-bit value
-round-trips bit-exactly; keys are emitted in a fixed order, making equal
-objects produce byte-identical documents.
+Documents are written by the standard-library JSON encoder: every float is
+its shortest round-trip text (NaN and +-Infinity as the JSON extensions) and
+keys keep their insertion order, so equal objects produce byte-identical
+documents.
 """
 from __future__ import annotations
 
@@ -11,54 +12,18 @@ import json
 import numpy as np
 
 
-def _fmt_float(x):
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
-
-
-def _emit(obj, out):
-    if isinstance(obj, dict):
-        out.append("{")
-        for j, key in enumerate(obj):
-            if j:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for j, item in enumerate(obj):
-            if j:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj):
-    out = []
-    _emit(obj, out)
-    return "".join(out)
+    return json.dumps(obj, separators=(",", ":"), default=_plain)
 
 
 def dump(obj, path):
@@ -119,14 +84,11 @@ def gains_to_dict(sched):
 
 
 def gains_from_dict(doc):
-    from .synthesis import GainSchedule, selectors
-    m_offsets = [int(v) for v in doc["m_offsets"]]
-    Sel0, Sel = selectors(m_offsets)
+    from .synthesis import GainSchedule
     return GainSchedule(
         N=int(doc["N"]),
         Khat=np.asarray(doc["Khat"], dtype=float),
         Ktilde=[np.asarray(x, dtype=float) for x in doc["Ktilde"]],
-        Sel0=Sel0, Sel=Sel,
         n_offsets=[int(v) for v in doc["n_offsets"]],
-        m_offsets=m_offsets,
+        m_offsets=[int(v) for v in doc["m_offsets"]],
     )

@@ -2,11 +2,12 @@
 
 From a solved CRE the control law is
 
-    u_k^0 = Sel_0 @ Uhat_k,      u_k^i = Sel_i @ Uhat_k + utilde_k^i,
-    Uhat_k = Khat_k @ Xhat_k,    utilde_k^i = Ktilde_k^i @ xtilde_k^i,
+    U_k = Khat_k @ Xhat_k + Utilde_k,   utilde_k^i = Ktilde_k^i @ xtilde_k^i,
 
-with Khat_k = -Lambda_k^{-1} Psi_k acting on the remote estimate and the
-local error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i from the
+where U_k stacks (u_k^0, u_k^1, ..., u_k^L) at m_offsets and Utilde_k is
+zero in the remote input u_k^0, which cannot see the estimation error.
+Khat_k = -Lambda_k^{-1} Psi_k acts on the remote estimate and the local
+error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the
 per-subsystem family.
 """
 from __future__ import annotations
@@ -21,13 +22,11 @@ from .riccati import SingularLambda, SingularPi, solve_checked
 
 @dataclass
 class GainSchedule:
-    """Feedback gains for k = 0..N plus the input selector matrices."""
+    """Feedback gains for k = 0..N."""
 
     N: int
     Khat: np.ndarray             # (N+1, M_L, N_L)
     Ktilde: list[np.ndarray]     # per subsystem, (N+1, m_i, n_i)
-    Sel0: np.ndarray             # m_0 x M_L, extracts u^0 from U
-    Sel: list[np.ndarray]        # m_i x M_L each
     n_offsets: list[int]
     m_offsets: list[int]
 
@@ -54,17 +53,6 @@ class GainSchedule:
         return K
 
 
-def selectors(m_offsets):
-    """Selector matrices Sel_0..Sel_L that split U into (u^0, u^1, ..., u^L)."""
-    ML = m_offsets[-1]
-    out = []
-    for i in range(len(m_offsets) - 1):
-        S = np.zeros((m_offsets[i + 1] - m_offsets[i], ML))
-        S[:, m_offsets[i]:m_offsets[i + 1]] = np.eye(m_offsets[i + 1] - m_offsets[i])
-        out.append(S)
-    return out[0], out[1:]
-
-
 def gains(sol):
     """Materialize the full gain schedule from a CRE solution."""
     N = sol.N
@@ -77,8 +65,7 @@ def gains(sol):
             Ktilde[i][k] = -solve_checked(
                 sol.Pi[i][k], sol.Omega[i][k],
                 lambda rc: SingularPi(k, i + 1, rc))
-    Sel0, Sel = selectors(sol.m_offsets)
-    return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde, Sel0=Sel0, Sel=Sel,
+    return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde,
                         n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
 
 

@@ -1,6 +1,9 @@
+import csv
 import json
+import math
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 
 import ncslq
-from ncslq import model_to_dict, solve_cre, gains
+from ncslq import (gains, load_config, model_to_dict, simulate, solve_cre,
+                   stack, validate)
 from ncslq.cli import main
 from ncslq import serialize
 
@@ -116,6 +120,35 @@ def test_simulate_retains_requested_traces(scalar_config, tmp_path):
     assert header == ["k", "x0", "xhat0", "u0", "u1", "gamma1", "stage_cost"]
 
 
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def test_simulate_trace_cells_round_trip(scalar_config, tmp_path):
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "--seed", 3,
+                "simulate", "--trials", 2, "--retain-traces"]) == 0
+    vm = validate(load_config(scalar_config))
+    st = stack(vm)
+    tr = simulate(vm, st, gains(solve_cre(st, vm)), 3, 2,
+                  retain_traces=True).traces[0]
+    with open(out / "trace_0.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    NL, ML = tr.X.shape[1], tr.U.shape[1]
+    assert len(rows) == tr.X.shape[0] == tr.U.shape[0] + 1
+    for k, row in enumerate(rows):
+        assert int(row[0]) == k
+        x, xhat = row[1:1 + NL], row[1 + NL:1 + 2 * NL]
+        u = row[1 + 2 * NL:1 + 2 * NL + ML]
+        assert [_bits(float(v)) for v in x] == [_bits(v) for v in tr.X[k]]
+        assert [_bits(float(v)) for v in xhat] == [_bits(v) for v in tr.Xhat[k]]
+        if k < tr.U.shape[0]:
+            assert [_bits(float(v)) for v in u] == [_bits(v) for v in tr.U[k]]
+            assert _bits(float(row[-1])) == _bits(tr.stage_costs[k])
+    assert rows[-1][1 + 2 * NL:1 + 2 * NL + ML] == [""] * ML
+    assert _bits(float(rows[-1][-1])) == _bits(tr.terminal_cost)
+
+
 def test_evaluate(scalar_config, tmp_path):
     out = tmp_path / "out"
     assert run(["--config", scalar_config, "--out", out, "evaluate"]) == 0
@@ -152,7 +185,7 @@ def test_sweep(scalar_config, tmp_path):
     assert run(["--config", scalar_config, "--out", out, "sweep",
                 "--p", 0.8, "--p", 0.3, "--trials", 300]) == 0
     doc = serialize.load(out / "sweep.json")
-    assert set(doc) == {"0.80000000000000004", "0.29999999999999999"}
+    assert list(doc) == ["0.8", "0.3"]
     for entry in doc.values():
         assert "cost_mean" in entry and "x1_traj" in entry
 
@@ -180,6 +213,27 @@ def test_serialize_float_round_trip():
               2.0738636363636367]
     text = serialize.dumps({"v": values})
     assert json.loads(text)["v"] == values
+
+
+def test_serialize_special_values_round_trip():
+    cube = np.arange(24, dtype=float).reshape(2, 3, 4) / 7.0
+    cube[0, 1, 2], cube[1, 0, 3], cube[1, 2, 0] = -0.0, np.nan, -np.inf
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+    doc = json.loads(serialize.dumps({
+        "floats": floats, "flag": np.bool_(True), "count": np.int64(-7),
+        "cube": cube, "pair": (0.1, 2)}))
+    assert [_bits(v) for v in doc["floats"]] == [_bits(v) for v in floats]
+    assert doc["flag"] is True
+    assert type(doc["count"]) is int and doc["count"] == -7
+    back = np.array(doc["cube"])
+    assert back.shape == cube.shape and back.dtype == cube.dtype
+    assert back.tobytes() == cube.tobytes()
+    assert doc["pair"] == [0.1, 2] and type(doc["pair"][1]) is int
+
+
+def test_serialize_rejects_unknown_types():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        serialize.dumps({"a": [object()]})
 
 
 def test_serialize_fixed_key_order():

@@ -6,7 +6,7 @@ from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
                    stationarity_check)
 from ncslq.model import psd_tolerance
 from ncslq.oracle import bernoulli_weights, stage_costs
-from ncslq.synthesis import GainSchedule, selectors
+from ncslq.synthesis import GainSchedule
 
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, validated_pair)
@@ -20,12 +20,10 @@ def solve_all(model):
 
 
 def zero_gains(model):
-    Sel0, Sel = selectors(model.m_offsets)
     return GainSchedule(
         N=model.N,
         Khat=np.zeros((model.N + 1, model.m_total, model.n_total)),
         Ktilde=[np.zeros((model.N + 1, s.m, s.n)) for s in model.subsystems],
-        Sel0=Sel0, Sel=Sel,
         n_offsets=model.n_offsets, m_offsets=model.m_offsets)
 
 

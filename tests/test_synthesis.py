@@ -3,7 +3,6 @@ import pytest
 
 from ncslq import gains, optimal_cost, solve_cre
 from ncslq.oracle import exact_cost
-from ncslq.synthesis import selectors
 
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, validated_pair)
@@ -13,15 +12,6 @@ def solve_all(model, mode="definite"):
     vm, stk = validated_pair(model, mode=mode)
     sol = solve_cre(stk, vm)
     return vm, stk, sol, gains(sol)
-
-
-def test_selector_identities():
-    Sel0, Sel = selectors([0, 2, 3, 5])
-    assert np.array_equal(Sel0 @ Sel0.T, np.eye(2))
-    assert np.array_equal(Sel[0] @ Sel[1].T, np.zeros((1, 2)))
-    assert np.array_equal(Sel0 @ Sel[0].T, np.zeros((2, 1)))
-    stacked = np.vstack([Sel0] + Sel)
-    assert np.array_equal(stacked, np.eye(5))
 
 
 def test_gains_reproduce_from_solution():
