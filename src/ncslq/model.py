@@ -267,24 +267,28 @@ def validate(model, mode="definite"):
 class StackedModel:
     """Global block-assembled matrices for the stacked dynamics
 
-        X_{k+1} = A X_k + B U_k + sum_i w_k^i (Abold_i X_k + Bbold_i U_k) + V_k
+        X_{k+1} = A X_k + B U_k + diag(w_k) (Abar X_k + Bbar U_k) + V_k
 
-    Abold_i carries Abar^i at block (i,i); Bbold_i carries Bbar^{i0} at
-    block (i,0) and Bbar^i at block (i,i).  Confining Bbold_i to block row i
-    is what makes the stacked dynamics reproduce the subsystem dynamics:
-    subsystem i's noise w^i only ever enters subsystem i's rows.
+    where diag(w_k) repeats w_k^i over subsystem i's n_i states.  Abar is
+    block diagonal in Abar^i; block row i of Bbar carries Bbar^{i0} at input
+    block 0 and Bbar^i at input block i.  Subsystem i's noise w^i scales
+    block row i only, which is what makes the stacked dynamics reproduce the
+    subsystem dynamics.  Since the w^i are independent, the noise's second
+    moments are a block-Hadamard product with Sw, which holds sigma_w^i on
+    diagonal block (i,i) and 0 elsewhere: E[diag(w) M diag(w)] = Sw * M for
+    any N_L x N_L matrix M independent of w.
     """
 
     A: np.ndarray             # N_L x N_L block diagonal
     B: np.ndarray             # N_L x M_L, remote column block first
-    Abold: list[np.ndarray]   # one N_L x N_L per subsystem
-    Bbold: list[np.ndarray]   # one N_L x M_L per subsystem
+    Abar: np.ndarray          # N_L x N_L block diagonal
+    Bbar: np.ndarray          # N_L x M_L, block row i nonzero at inputs 0, i
+    Sw: np.ndarray            # N_L x N_L, sigma_w^i on diagonal block (i,i)
     p_diag: np.ndarray        # N_L x N_L diag of p_i I_{n_i}
     n_offsets: list[int]
     m_offsets: list[int]
     NL: int
     ML: int
-    sigma_w: list[float]
     p: list[float]
 
     def state_slice(self, i):
@@ -301,26 +305,24 @@ def stack(validated):
     noff, moff = model.n_offsets, model.m_offsets
     A = np.zeros((NL, NL))
     B = np.zeros((NL, ML))
+    Abar = np.zeros((NL, NL))
+    Bbar = np.zeros((NL, ML))
+    Sw = np.zeros((NL, NL))
     p_vec = np.zeros(NL)
-    Abold, Bbold = [], []
     for i, s in enumerate(model.subsystems, start=1):
         r = slice(noff[i - 1], noff[i])
         c = slice(moff[i], moff[i + 1])
         A[r, r] = s.A
         B[r, 0:model.m0] = s.B0
         B[r, c] = s.B
+        Abar[r, r] = s.Abar
+        Bbar[r, 0:model.m0] = s.Bbar0
+        Bbar[r, c] = s.Bbar
+        Sw[r, r] = s.sigma_w
         p_vec[r] = s.p
-        Ai = np.zeros((NL, NL))
-        Ai[r, r] = s.Abar
-        Abold.append(Ai)
-        Bi = np.zeros((NL, ML))
-        Bi[r, 0:model.m0] = s.Bbar0
-        Bi[r, c] = s.Bbar
-        Bbold.append(Bi)
     return StackedModel(
-        A=A, B=B, Abold=Abold, Bbold=Bbold, p_diag=np.diag(p_vec),
+        A=A, B=B, Abar=Abar, Bbar=Bbar, Sw=Sw, p_diag=np.diag(p_vec),
         n_offsets=noff, m_offsets=moff, NL=NL, ML=ML,
-        sigma_w=[s.sigma_w for s in model.subsystems],
         p=[s.p for s in model.subsystems])
 
 

@@ -6,18 +6,25 @@ randomness, so the expected cost is an exact function of the second moments
 
     S_k = E[Xhat Xhat'],  T_k = E[Xtilde Xtilde'],  C_k = E[Xhat Xtilde'].
 
-Writing F = A + B Khat, G = A + B Kt, Phi_i = Abold_i + Bbold_i Khat,
-Psi_i = Abold_i + Bbold_i Kt and D for everything the next-step arrival
-indicator splits between estimate and error,
+Writing F = A + B Khat, G = A + B Kt, Phi = Abar + Bbar Khat,
+Psi = Abar + Bbar Kt, diag(w_k) for the block diagonal of w_k^i I_{n_i}
+and D for everything the next-step arrival indicator splits between
+estimate and error,
 
     Xhat_{k+1} = F Xhat_k + Gamma_{k+1} D_k,
     Xtilde_{k+1} = (I - Gamma_{k+1}) D_k,
-    D_k = G Xtilde_k + sum_i w_k^i (Phi_i Xhat_k + Psi_i Xtilde_k) + V_k.
+    D_k = G Xtilde_k + diag(w_k) (Phi Xhat_k + Psi Xtilde_k) + V_k.
 
-The only subtle expectation is over the Bernoulli diagonal: E[Gamma M Gamma]
-has block (i, j) weighted by p_i p_j off the diagonal but p_i on it
-(independence across subsystems, gamma^2 = gamma).  These block-Hadamard
-weights are the crux of exactness and are materialized explicitly.
+Two expectations are over block diagonals of independent scalars, and both
+are block-Hadamard products.  The noise gives E[diag(w) M diag(w)] = Sw * M,
+with Sw the variance mask of model.StackedModel, so
+
+    E[D D'] = G T G' + Sigma_v + Sw * (Phi S Phi' + Phi C Psi'
+                                       + Psi C' Phi' + Psi T Psi').
+
+The Bernoulli diagonal gives E[Gamma M Gamma] with block (i, j) weighted by
+p_i p_j off the diagonal but p_i on it (gamma^2 = gamma).  These weights are
+the crux of exactness and are materialized explicitly.
 
 This module is the quantitative stand-in for the equilibrium (stationarity)
 condition of the underlying forward-backward system: a candidate gain
@@ -109,19 +116,17 @@ def propagate_moments(model, stacked, gain_schedule):
     C = Wgc * Sigma0
     m_hat = mu.copy()
     m_til = np.zeros(NL)
-    A, B = stacked.A, stacked.B
+    A, B, Sw = stacked.A, stacked.B, stacked.Sw
     for k in range(N + 1):
         yield MomentState(k=k, S=S, T=T, C=C, mean_xhat=m_hat, mean_xtilde=m_til)
         Kh = gain_schedule.Khat[k]
         Kt = gain_schedule.Ktilde_full(k)
         F = A + B @ Kh
         G = A + B @ Kt
-        Phi = [Ab + Bb @ Kh for Ab, Bb in zip(stacked.Abold, stacked.Bbold)]
-        Psi = [Ab + Bb @ Kt for Ab, Bb in zip(stacked.Abold, stacked.Bbold)]
-        W = G @ T @ G.T + Sigma_v
-        for sw, Ph, Ps in zip(stacked.sigma_w, Phi, Psi):
-            W = W + sw * (Ph @ S @ Ph.T + Ph @ C @ Ps.T
-                          + Ps @ C.T @ Ph.T + Ps @ T @ Ps.T)
+        Phi = stacked.Abar + stacked.Bbar @ Kh
+        Psi = stacked.Abar + stacked.Bbar @ Kt
+        W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Phi @ C @ Psi.T
+                                          + Psi @ C.T @ Phi.T + Psi @ T @ Psi.T)
         CG = C @ G.T          # E[Xhat D'] (w has zero mean, V independent)
         S = F @ S @ F.T + F @ CG @ p_diag + p_diag @ CG.T @ F.T + Wgg * W
         C_next = F @ CG @ I_p + Wgc * W

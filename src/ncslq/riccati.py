@@ -4,16 +4,20 @@ One symmetric kernel is solved from k = N down to 0, for two families:
 
   stacked:        P_k (N_L x N_L) over the full input U, with coefficients
                   Lambda_k, Psi_k that define the remote gain Khat_k;
-  per-subsystem:  P_k^i (n_i x n_i) over the local input u^i and its one
-                  noise channel, with coefficients Pi_k^i, Omega_k^i that
+  per-subsystem:  P_k^i (n_i x n_i) over the local input u^i and its own
+                  noise w^i, with coefficients Pi_k^i, Omega_k^i that
                   define the local error gain Ktilde_k^i.
 
-Each step forms Lambda = R + B'P B + sum_j sigma_j Bbar_j'P Bbar_j,
-Psi = B'P A + sum_j sigma_j Bbar_j'P Abar_j and
-P_k = Q + A'P A + sum_j sigma_j Abar_j'P Abar_j - Psi' Lambda^{-1} Psi,
-with P = P_{k+1}.  Every stored value matrix is the symmetric part of what
-the step computes, so P_k = P_k' exactly: left alone, the antisymmetric
-round-off of the stacked P_k grows step by step on long horizons.
+With P = P_{k+1} and Pw = Sw * P, each step forms
+Lambda = R + B'P B + Bbar'Pw Bbar, Psi = B'P A + Bbar'Pw Abar and
+P_k = Q + A'P A + Abar'Pw Abar - Psi' Lambda^{-1} Psi.  In the stacked
+family Sw is the block-diagonal noise-variance mask of model.StackedModel,
+so Pw keeps sigma_i times the diagonal blocks of P: the independent noises
+w^i, each confined to its own block row, price as this one masked term.
+In the per-subsystem family Sw is the scalar sigma_w^i.  Every stored value
+matrix is the symmetric part of what the step computes, so P_k = P_k'
+exactly: left alone, the antisymmetric round-off of the stacked P_k grows
+step by step on long horizons.
 
 Also provided: the generalized recursion for indefinite weights, the same
 step with a Moore-Penrose pseudo-inverse.  The additive-noise and
@@ -97,16 +101,19 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _step(P1, A, B, Q, R, channels):
+def _step(P1, plant, Sw, Q, R):
     """Coefficients of one backward step from the value matrix P1 = P_{k+1}.
 
-    `channels` lists the multiplicative-noise channels as (sigma, Abar,
-    Bbar).  Returns (Lambda, Psi, Q + A'P1 A + sum sigma Abar'P1 Abar);
-    the step's value matrix is the last minus Psi' Lambda^{-1} Psi.
+    `plant` carries A, B, Abar, Bbar (a StackedModel or a SubsystemModel)
+    and Sw is its noise-variance mask, a matrix or a scalar.  Returns
+    (Lambda, Psi, Q + A'P1 A + Abar'Pw Abar) with Pw = Sw * P1; the step's
+    value matrix is the last minus Psi' Lambda^{-1} Psi.
     """
-    Lam = R + B.T @ P1 @ B + sum(s * Bb.T @ P1 @ Bb for s, _, Bb in channels)
-    Psi = B.T @ P1 @ A + sum(s * Bb.T @ P1 @ Ab for s, Ab, Bb in channels)
-    G = Q + A.T @ P1 @ A + sum(s * Ab.T @ P1 @ Ab for s, Ab, _ in channels)
+    A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
+    Pw = Sw * P1
+    Lam = R + B.T @ P1 @ B + Bbar.T @ Pw @ Bbar
+    Psi = B.T @ P1 @ A + Bbar.T @ Pw @ Abar
+    G = Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar
     return Lam, Psi, G
 
 
@@ -115,8 +122,7 @@ def solve_cre(stacked, model):
     model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     noff = stacked.n_offsets
-    subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1),
-             [(s.sigma_w, s.Abar, s.Bbar)])
+    subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1))
             for i, s in enumerate(model.subsystems)]
     sol = CRESolution(
         N=N, NL=NL, ML=ML, n_offsets=noff, m_offsets=stacked.m_offsets,
@@ -132,15 +138,14 @@ def solve_cre(stacked, model):
     for i in range(model.L):
         r = slice(noff[i], noff[i + 1])
         sol.P_sub[i][N + 1] = PT[r, r]
-    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    channels = list(zip(stacked.sigma_w, stacked.Abold, stacked.Bbold))
+    Q, R = model.Q, model.R
     for k in range(N, -1, -1):
-        Lam, Psi, G = _step(sol.P[k + 1], A, B, Q, R, channels)
+        Lam, Psi, G = _step(sol.P[k + 1], stacked, stacked.Sw, Q, R)
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
         sol.P[k] = _sym(G - Psi.T @ solve_checked(
             Lam, Psi, lambda rc: SingularLambda(k, rc)))
-        for i, (s, Qii, Rii, chan) in enumerate(subs):
-            Pi, Om, Gi = _step(sol.P_sub[i][k + 1], s.A, s.B, Qii, Rii, chan)
+        for i, (s, Qii, Rii) in enumerate(subs):
+            Pi, Om, Gi = _step(sol.P_sub[i][k + 1], s, s.sigma_w, Qii, Rii)
             sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
             sol.P_sub[i][k] = _sym(Gi - Om.T @ solve_checked(
                 Pi, Om, lambda rc: SingularPi(k, i + 1, rc)))
@@ -170,14 +175,13 @@ def solve_generalized(stacked, model):
     """
     model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
-    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    channels = list(zip(stacked.sigma_w, stacked.Abold, stacked.Bbold))
+    Q, R = model.Q, model.R
     out = GeneralizedCRESolution(
         N=N, Delta=np.zeros((N + 2, NL, NL)), Upsilon=np.zeros((N + 1, ML, ML)),
         M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
     out.Delta[N + 1] = model.P_terminal
     for k in range(N, -1, -1):
-        Ups, Mk, G = _step(out.Delta[k + 1], A, B, Q, R, channels)
+        Ups, Mk, G = _step(out.Delta[k + 1], stacked, stacked.Sw, Q, R)
         Ups = _sym(Ups)
         eigs = np.linalg.eigvalsh(Ups)
         out.upsilon_psd[k] = bool(eigs.min() >= -psd_tolerance(eigs))

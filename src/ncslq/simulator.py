@@ -95,8 +95,9 @@ def _simulate_block(model, stacked, gain_schedule, N, rng, trials, base_trial,
                     chol_x0, chol_v, retain):
     """Roll `trials` paths with one generator; returns block partials.
 
-    Draw order per block is fixed: x_0 and gamma_0 per subsystem, then for
-    each step k the noises (w^i, v^i) and next arrivals gamma^i.
+    Draw order per block is fixed: x_0^i then gamma_0^i for each subsystem
+    i in turn; then at each step k, w_k^1..w_k^L, then v_k^1..v_k^L, then
+    the next arrivals gamma_{k+1}^1..gamma_{k+1}^L.
     """
     L = len(model.subsystems)
     noff = stacked.n_offsets
@@ -119,7 +120,7 @@ def _simulate_block(model, stacked, gain_schedule, N, rng, trials, base_trial,
     Gs = np.empty((N + 2, trials, L)) if retain else None
     stage_rec = np.empty((N + 1, trials)) if retain else None
     Q, R, PT = model.Q, model.R, model.P_terminal
-    A, B = stacked.A, stacked.B
+    A, B, Abar, Bbar = stacked.A, stacked.B, stacked.Abar, stacked.Bbar
     seen_bad = np.zeros(trials, dtype=bool)
     for k in range(N + 1):
         Xhat = np.concatenate(xhat, axis=1)
@@ -138,16 +139,22 @@ def _simulate_block(model, stacked, gain_schedule, N, rng, trials, base_trial,
             c = slice(stacked.m_offsets[i + 1], stacked.m_offsets[i + 2])
             r = slice(noff[i], noff[i + 1])
             U[:, c] += Xt[:, r] @ gain_schedule.Ktilde[i][k].T
-        stage = (np.einsum("ti,ij,tj->t", X, Q, X)
-                 + np.einsum("ti,ij,tj->t", U, R, U))
+        stage = (np.einsum("ti,ti->t", X @ Q, X)
+                 + np.einsum("ti,ti->t", U @ R, U))
         costs += stage
         if retain:
             Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, gamma, stage
-        # plant step
+        # plant step; w^i scales subsystem i's columns of the noise term,
+        # which is built in place and freed at once so that the step holds
+        # a single extra (trials, N_L) array
         Xn = X @ A.T + U @ B.T
+        noise = X @ Abar.T
+        noise += U @ Bbar.T
         for i, s in enumerate(model.subsystems):
             w = rng.standard_normal(trials) * math.sqrt(s.sigma_w)
-            Xn += w[:, None] * (X @ stacked.Abold[i].T + U @ stacked.Bbold[i].T)
+            noise[:, noff[i]:noff[i + 1]] *= w[:, None]
+        Xn += noise
+        del noise
         for i, s in enumerate(model.subsystems):
             r = slice(noff[i], noff[i + 1])
             Xn[:, r] += rng.standard_normal((trials, s.n)) @ chol_v[i].T
@@ -164,7 +171,7 @@ def _simulate_block(model, stacked, gain_schedule, N, rng, trials, base_trial,
     for i in range(L):
         r = slice(noff[i], noff[i + 1])
         sq_norms[N + 1, i] = (X[:, r] ** 2).sum(axis=1).sum()
-    terminal = np.einsum("ti,ij,tj->t", X, PT, X)
+    terminal = np.einsum("ti,ti->t", X @ PT, X)
     costs += terminal
     traces = []
     if retain:

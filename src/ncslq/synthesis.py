@@ -87,7 +87,7 @@ def optimal_cost(sol, model):
 
     This is the cost of the block-diagonal (implementable) strategy; it is
     exact when the subsystems are dynamically decoupled from the remote
-    input's noise channels, and is cross-checked against the moment oracle.
+    input and its noise terms, and is cross-checked against the moment oracle.
     A solution read from a file may carry asymmetric value matrices, so
     P_0^i is checked for symmetry before use.
     """

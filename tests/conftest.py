@@ -98,6 +98,17 @@ def make_random_definite(rng, L=None, N=None):
         Q=GQ @ GQ.T, R=GR @ GR.T + 0.5 * np.eye(ML), P_terminal=GP @ GP.T)
 
 
+def make_unequal_blocks(N=6):
+    """Seeded three-subsystem instance with unequal block sizes (n_i = 2, 1,
+    3), distinct noise variances sigma_w^i and every p_i < 1, so that
+    block-row placement and the per-subsystem noise scaling are exercised."""
+    model = make_random_definite(np.random.default_rng(0), L=3, N=N)
+    assert [s.n for s in model.subsystems] == [2, 1, 3]
+    assert len({s.sigma_w for s in model.subsystems}) == 3
+    assert all(s.p < 1.0 for s in model.subsystems)
+    return model
+
+
 def make_indefinite():
     """Seeded instance whose control weight R is indefinite (shifted by
     -3 I), so the generalized recursion's Upsilon_k is PSD at some steps

@@ -139,6 +139,30 @@ def _unwrap(model):
     return getattr(model, "model", model)
 
 
+def dense_noise_channels(model):
+    """Per-subsystem noise channels (sigma_w^i, Abold_i, Bbold_i) as dense
+    N_L x N_L and N_L x M_L matrices, zero outside block row i, placed by
+    explicit index arithmetic from the subsystem matrices alone."""
+    model = _unwrap(model)
+    NL, ML, m0 = model.n_total, model.m_total, model.m0
+    out = []
+    r0, c0 = 0, m0
+    for s in model.subsystems:
+        Ab = np.zeros((NL, NL))
+        Bb = np.zeros((NL, ML))
+        for a in range(s.n):
+            for b in range(s.n):
+                Ab[r0 + a, r0 + b] = s.Abar[a, b]
+            for b in range(m0):
+                Bb[r0 + a, b] = s.Bbar0[a, b]
+            for b in range(s.m):
+                Bb[r0 + a, c0 + b] = s.Bbar[a, b]
+        out.append((s.sigma_w, Ab, Bb))
+        r0 += s.n
+        c0 += s.m
+    return out
+
+
 def _alloc(model, stacked):
     """Zeroed two-family solution (P, H, L and their coefficient matrices,
     stacked and per subsystem) with every value family at P_terminal."""
@@ -173,10 +197,12 @@ def solve_two_families(stacked, model):
     Stacked: P_k over P_{k+1}, H_k over L_{k+1}, with the multiplicative
     noise priced by L_{k+1} = P_{k+1} p + H_{k+1} (I - p) in both; per
     subsystem likewise with L^i = p_i P^i + (1 - p_i) H^i.  Plain loops over
-    steps, subsystems and noise channels; nothing is symmetrized.
+    steps, subsystems and dense per-subsystem noise channels
+    (dense_noise_channels); nothing is symmetrized.
     """
     model = _unwrap(model)
     sol = _alloc(model, stacked)
+    channels = dense_noise_channels(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
     p = stacked.p_diag
     I_p = np.eye(stacked.NL) - p
@@ -185,7 +211,7 @@ def solve_two_families(stacked, model):
         nBB = np.zeros_like(R)
         nBA = np.zeros((stacked.ML, stacked.NL))
         nAA = np.zeros_like(Q)
-        for s, Ab, Bb in zip(stacked.sigma_w, stacked.Abold, stacked.Bbold):
+        for s, Ab, Bb in channels:
             nBB = nBB + s * Bb.T @ L1 @ Bb
             nBA = nBA + s * Bb.T @ L1 @ Ab
             nAA = nAA + s * Ab.T @ L1 @ Ab
@@ -305,3 +331,59 @@ def solve_cre_single(stacked, model):
             if np.linalg.norm(M - M.T) > 1e-9 * scale:
                 raise AssertionError(f"{name}_{k} lost symmetry in the L=1 recursion")
     return sol
+
+
+def rollout_by_loop(model, gain_schedule, seed, trials):
+    """Replay block 0 of a Monte Carlo run one subsystem at a time.
+
+    Uses the generator default_rng([seed, 0]) with the simulator's
+    documented draw order: x_0^i then gamma_0^i per subsystem; then per
+    step all w^i, all v^i, all next arrivals gamma^i.  The plant, the
+    estimator and the controls are written per subsystem from the model's
+    own matrices, without the stacked model.  Returns (X, Xhat, U, stage,
+    terminal) with X, Xhat of shape (N+2, trials, N_L), U of shape
+    (N+1, trials, M_L), stage of shape (N+1, trials) and terminal of
+    shape (trials,).
+    """
+    model = _unwrap(model)
+    subs, m0, N = model.subsystems, model.m0, model.N
+    moff = [m0]
+    for s in subs:
+        moff.append(moff[-1] + s.m)
+    rng = np.random.default_rng([seed, 0])
+    x, xh = [], []
+    for s in subs:
+        z = rng.standard_normal((trials, s.n))
+        x0 = s.mu + z @ np.linalg.cholesky(s.Sigma_x0).T
+        arrived = rng.random(trials) < s.p
+        x.append(x0)
+        xh.append(np.where(arrived[:, None], x0, s.mu))
+    Xs, Xhs, Us, stage = [], [], [], []
+    for k in range(N + 1):
+        X, Xh = np.concatenate(x, axis=1), np.concatenate(xh, axis=1)
+        remote = Xh @ gain_schedule.Khat[k].T
+        u0 = remote[:, :m0]
+        uh = [remote[:, moff[i]:moff[i + 1]] for i in range(len(subs))]
+        u = [uh[i] + (x[i] - xh[i]) @ gain_schedule.Ktilde[i][k].T
+             for i in range(len(subs))]
+        U = np.concatenate([u0] + u, axis=1)
+        Xs.append(X)
+        Xhs.append(Xh)
+        Us.append(U)
+        stage.append(np.einsum("ti,ij,tj->t", X, model.Q, X)
+                     + np.einsum("ti,ij,tj->t", U, model.R, U))
+        w = [rng.standard_normal(trials)[:, None] * np.sqrt(s.sigma_w) for s in subs]
+        v = [rng.standard_normal((trials, s.n)) @ np.linalg.cholesky(s.Sigma_v).T
+             for s in subs]
+        arrived = [rng.random(trials) < s.p for s in subs]
+        for i, s in enumerate(subs):
+            xn = (x[i] @ s.A.T + w[i] * (x[i] @ s.Abar.T)
+                  + u[i] @ s.B.T + w[i] * (u[i] @ s.Bbar.T)
+                  + u0 @ s.B0.T + w[i] * (u0 @ s.Bbar0.T) + v[i])
+            pred = xh[i] @ s.A.T + uh[i] @ s.B.T + u0 @ s.B0.T
+            x[i], xh[i] = xn, np.where(arrived[i][:, None], xn, pred)
+    X = np.concatenate(x, axis=1)
+    Xs.append(X)
+    Xhs.append(np.concatenate(xh, axis=1))
+    terminal = np.einsum("ti,ij,tj->t", X, model.P_terminal, X)
+    return np.array(Xs), np.array(Xhs), np.array(Us), np.array(stage), terminal

@@ -48,8 +48,9 @@ def test_stack_single_block():
     s = vm.model.subsystems[0]
     assert np.array_equal(st_.A, s.A)
     assert np.array_equal(st_.B, np.hstack([s.B0, s.B]))
-    assert np.array_equal(st_.Abold[0], s.Abar)
-    assert np.array_equal(st_.Bbold[0], np.hstack([s.Bbar0, s.Bbar]))
+    assert np.array_equal(st_.Abar, s.Abar)
+    assert np.array_equal(st_.Bbar, np.hstack([s.Bbar0, s.Bbar]))
+    assert np.array_equal(st_.Sw, [[s.sigma_w]])
     assert np.array_equal(st_.p_diag, [[s.p]])
 
 
@@ -58,10 +59,11 @@ def test_stack_two_subsystems_against_loop_oracle():
     model = vm.model
     noff = model.n_offsets
     assert noff == [0, 1, 3]
-    # Abold_2 must occupy rows/cols 1..2 only; verify by brute-force placement
-    expect = place_blocks_by_loop(
-        [np.zeros((1, 1)), model.subsystems[1].Abar], noff, 3)
-    assert np.array_equal(st_.Abold[1], expect)
+    # Abar and Sw must match a brute-force block-diagonal placement
+    assert np.array_equal(
+        st_.Abar, place_blocks_by_loop([s.Abar for s in model.subsystems], noff, 3))
+    assert np.array_equal(st_.Sw, place_blocks_by_loop(
+        [s.sigma_w * np.ones((s.n, s.n)) for s in model.subsystems], noff, 3))
     # round-trip block extraction is exact
     for i, s in enumerate(model.subsystems, start=1):
         r = model.state_slice(i)
@@ -69,17 +71,26 @@ def test_stack_two_subsystems_against_loop_oracle():
         assert np.array_equal(st_.A[r, r], s.A)
         assert np.array_equal(st_.B[r, 0:model.m0], s.B0)
         assert np.array_equal(st_.B[r, c], s.B)
-        assert np.array_equal(st_.Abold[i - 1][r, r], s.Abar)
-        assert np.array_equal(st_.Bbold[i - 1][r, c], s.Bbar)
-        assert np.array_equal(st_.Bbold[i - 1][r, 0:model.m0], s.Bbar0)
+        assert np.array_equal(st_.Abar[r, r], s.Abar)
+        assert np.array_equal(st_.Bbar[r, c], s.Bbar)
+        assert np.array_equal(st_.Bbar[r, 0:model.m0], s.Bbar0)
 
 
-def test_abold_disjoint_support():
-    _, st_ = validated_pair(two_subsystem_model())
-    assert np.array_equal(st_.Abold[0] @ st_.Abold[1], np.zeros((3, 3)))
-    # Bbold_i nonzero rows confined to subsystem i's block row
-    assert not st_.Bbold[0][1:, :].any()
-    assert not st_.Bbold[1][:1, :].any()
+def assert_noise_confined_to_block_rows(model, st_):
+    """Abar and Sw vanish off the diagonal blocks; block row i of Bbar
+    vanishes outside input blocks 0 and i."""
+    for i in range(1, model.L + 1):
+        r = model.state_slice(i)
+        for j in range(1, model.L + 1):
+            if j != i:
+                assert not st_.Abar[r, model.state_slice(j)].any()
+                assert not st_.Sw[r, model.state_slice(j)].any()
+                assert not st_.Bbar[r, model.input_slice(j)].any()
+
+
+def test_noise_confined_to_block_rows():
+    vm, st_ = validated_pair(two_subsystem_model())
+    assert_noise_confined_to_block_rows(vm.model, st_)
 
 
 def test_p_diag_identity_iff_perfect_channel():
@@ -195,10 +206,12 @@ def test_random_instances_validate_and_round_trip(seed):
         c = vm.model.input_slice(i)
         assert np.array_equal(st_.A[r, r], s.A)
         assert np.array_equal(st_.B[r, c], s.B)
-        assert np.array_equal(st_.Bbold[i - 1][r, c], s.Bbar)
-    # each Abold_i has exactly one nonzero block
-    for i in range(vm.model.L):
-        mask = st_.Abold[i].copy()
-        r = vm.model.state_slice(i + 1)
-        mask[r, r] = 0.0
-        assert not mask.any()
+        assert np.array_equal(st_.Bbar[r, c], s.Bbar)
+        assert np.array_equal(st_.Bbar[r, 0:vm.model.m0], s.Bbar0)
+    noff = vm.model.n_offsets
+    subs = vm.model.subsystems
+    assert np.array_equal(
+        st_.Abar, place_blocks_by_loop([s.Abar for s in subs], noff, st_.NL))
+    assert np.array_equal(st_.Sw, place_blocks_by_loop(
+        [s.sigma_w * np.ones((s.n, s.n)) for s in subs], noff, st_.NL))
+    assert_noise_confined_to_block_rows(vm.model, st_)

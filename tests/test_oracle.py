@@ -9,8 +9,10 @@ from ncslq.oracle import bernoulli_weights, stage_costs
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_random_definite, make_scalar_coupled,
-                      make_scalar_decoupled, validated_pair)
-from reference import quadrature_cost
+                      make_scalar_decoupled, make_unequal_blocks,
+                      validated_pair)
+from reference import (dense_noise_channels, place_blocks_by_loop,
+                       quadrature_cost)
 
 
 def solve_all(model):
@@ -66,6 +68,32 @@ def test_bernoulli_weights_by_hand():
     assert np.all(Wgc[b11, b11] == 0.0) and np.all(Wgc[b22, b22] == 0.0)
     assert np.all(Wgc[b11, b22] == p1 * (1 - p2))
     assert np.all(Wgc[b22, b11] == p2 * (1 - p1))
+
+
+def test_masked_noise_moment_equals_per_channel_sums():
+    # T_{k+1} = Wcc * W, and every entry of Wcc is positive when each
+    # p_i < 1, so T_{k+1} pins down the masked noise moment W; rebuild W
+    # as the sum over dense per-subsystem channels, each zero outside its
+    # block row
+    vm, stk, _, sched = solve_all(make_unequal_blocks())
+    model = vm.model
+    _, Wcc, _ = bernoulli_weights(vm)
+    Sigma_v = place_blocks_by_loop([s.Sigma_v for s in model.subsystems],
+                                   model.n_offsets, stk.NL)
+    channels = dense_noise_channels(vm)
+    states = list(propagate_moments(vm, stk, sched))
+    for k in range(model.N + 1):
+        S, T, C = states[k].S, states[k].T, states[k].C
+        Kh, Kt = sched.Khat[k], sched.Ktilde_full(k)
+        G = stk.A + stk.B @ Kt
+        W = G @ T @ G.T + Sigma_v
+        for sw, Ab, Bb in channels:
+            Ph, Ps = Ab + Bb @ Kh, Ab + Bb @ Kt
+            W = W + sw * (Ph @ S @ Ph.T + Ph @ C @ Ps.T
+                          + Ps @ C.T @ Ph.T + Ps @ T @ Ps.T)
+        T_ref = Wcc * W
+        T_next = states[k + 1].T
+        assert np.linalg.norm(T_next - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
 
 
 @pytest.mark.parametrize("make", [make_scalar_decoupled, make_scalar_coupled])

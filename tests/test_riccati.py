@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from ncslq import (NetworkModel, SingularLambda, SubsystemModel,
                    check_definiteness, solve_cre, solve_generalized)
-from ncslq.riccati import solve_checked
+from ncslq.riccati import _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
-                      validated_pair)
-from reference import (hand_recursion_scalar, solve_cre_additive,
-                       solve_cre_single, solve_two_families)
+                      make_unequal_blocks, validated_pair)
+from reference import (dense_noise_channels, hand_recursion_scalar,
+                       solve_cre_additive, solve_cre_single,
+                       solve_two_families)
 
 
 def solve(model, mode="definite"):
@@ -45,18 +46,40 @@ def test_coefficient_rebuild_internal_consistency():
     R = vm.model.R
     for k in range(model.N + 1):
         P1 = sol.P[k + 1]
-        nBB = sum(s * Bb.T @ P1 @ Bb for s, Bb in zip(stk.sigma_w, stk.Bbold))
-        nBA = sum(s * Bb.T @ P1 @ Ab
-                  for s, Bb, Ab in zip(stk.sigma_w, stk.Bbold, stk.Abold))
+        Pw = stk.Sw * P1
+        nBB = stk.Bbar.T @ Pw @ stk.Bbar
+        nBA = stk.Bbar.T @ Pw @ stk.Abar
         assert np.array_equal(sol.Lambda[k], R + stk.B.T @ P1 @ stk.B + nBB)
         assert np.array_equal(sol.Psi[k], stk.B.T @ P1 @ stk.A + nBA)
         for i, s in enumerate(vm.model.subsystems):
             Rii = vm.model.R_block(i + 1, i + 1)
             P1i = sol.P_sub[i][k + 1]
-            bb = s.sigma_w * s.Bbar.T @ P1i @ s.Bbar
-            ba = s.sigma_w * s.Bbar.T @ P1i @ s.Abar
+            Pwi = s.sigma_w * P1i
+            bb = s.Bbar.T @ Pwi @ s.Bbar
+            ba = s.Bbar.T @ Pwi @ s.Abar
             assert np.array_equal(sol.Pi[i][k], Rii + s.B.T @ P1i @ s.B + bb)
             assert np.array_equal(sol.Omega[i][k], s.B.T @ P1i @ s.A + ba)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_masked_step_equals_per_channel_sums():
+    # the one masked noise term of _step against the sum over dense
+    # per-subsystem channels, each zero outside its block row
+    vm, stk, sol = solve(make_unequal_blocks())
+    Q, R, A, B = vm.model.Q, vm.model.R, stk.A, stk.B
+    channels = dense_noise_channels(vm)
+    for k in range(vm.model.N + 1):
+        P1 = sol.P[k + 1]
+        Lam, Psi, G = _step(P1, stk, stk.Sw, Q, R)
+        Lam_ref = R + B.T @ P1 @ B + sum(s * Bb.T @ P1 @ Bb for s, _, Bb in channels)
+        Psi_ref = B.T @ P1 @ A + sum(s * Bb.T @ P1 @ Ab for s, Ab, Bb in channels)
+        G_ref = Q + A.T @ P1 @ A + sum(s * Ab.T @ P1 @ Ab for s, Ab, _ in channels)
+        assert rel_err(Lam, Lam_ref) <= 1e-12
+        assert rel_err(Psi, Psi_ref) <= 1e-12
+        assert rel_err(G, G_ref) <= 1e-12
 
 
 def test_matches_hand_recursion_on_coupled_scalar():

@@ -10,7 +10,9 @@ from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              with_dropout)
 from ncslq.synthesis import GainSchedule
 
-from conftest import make_random_definite, make_scalar_coupled, validated_pair
+from conftest import (make_random_definite, make_scalar_coupled,
+                      make_unequal_blocks, validated_pair)
+from reference import rollout_by_loop
 
 
 def solve_all(model):
@@ -86,6 +88,25 @@ def test_trace_cost_decomposition_and_retention():
         # whenever the upload succeeded the estimate equals the state
         got = tr.Gamma[:, 0] == 1.0
         assert np.array_equal(tr.Xhat[got], tr.X[got])
+
+
+def test_paths_match_per_subsystem_rollout():
+    # unequal blocks make a misplaced w^i scaling or block offset show
+    model = make_unequal_blocks(N=8)
+    vm, stk, sched = solve_all(model)
+    trials = 4
+    summary = simulate(vm, stk, sched, seed=5, trials=trials, retain_traces=True)
+    X, Xhat, U, stage, terminal = rollout_by_loop(vm, sched, seed=5, trials=trials)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for t, tr in enumerate(summary.traces):
+        assert close(tr.X, X[:, t])
+        assert close(tr.Xhat, Xhat[:, t])
+        assert close(tr.U, U[:, t])
+        assert close(tr.stage_costs, stage[:, t])
+        assert close(tr.terminal_cost, terminal[t])
 
 
 def test_empirical_dropout_frequency():
