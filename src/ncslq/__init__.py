@@ -13,8 +13,7 @@ from .riccati import (CRESolution, GeneralizedCRESolution, RiccatiError,
                       SingularLambda, SingularPi, check_definiteness,
                       solve_cre, solve_generalized)
 from .synthesis import GainSchedule, gains, optimal_cost
-from .estimator import (EstimatorState, init_estimate, initial_state,
-                        update_estimate)
+from .estimator import init_estimate, update_estimate
 from .oracle import (MomentState, costate_moments, exact_cost,
                      propagate_moments, stationarity_check)
 from .simulator import (SimulationSummary, SimulationTrace, decay_time,

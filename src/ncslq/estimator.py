@@ -12,8 +12,6 @@ serves single paths and vectorized Monte Carlo blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -43,52 +41,3 @@ def update_estimate(sub, xhat, uhat_i, u0, gamma_next, x_next):
     if g.ndim:
         g = g[..., None]
     return g * np.asarray(x_next, dtype=float) + (1.0 - g) * predict(sub, xhat, uhat_i, u0)
-
-
-def error_recursion(sub, xtilde, utilde_i, u_i, u0, x_i, w, gamma_next, v):
-    """Closed-form estimation-error step, for cross-checking the estimator.
-
-    Algebraically this is (true dynamics) minus (update_estimate):
-
-        xtilde_{k+1} = (1 - gamma) [ A xtilde + B utilde
-                       + w (Abar x + Bbar u^i + Bbar0 u^0) + v ]
-
-    The multiplicative term enters the error whole because the remote
-    cannot anticipate w.
-    """
-    g = np.asarray(gamma_next, dtype=float)
-    if g.ndim:
-        g = g[..., None]
-    w = np.asarray(w, dtype=float)
-    if w.ndim:
-        w = w[..., None]
-    inner = (np.asarray(xtilde) @ sub.A.T + np.asarray(utilde_i) @ sub.B.T
-             + w * (np.asarray(x_i) @ sub.Abar.T + np.asarray(u_i) @ sub.Bbar.T
-                    + np.asarray(u0) @ sub.Bbar0.T)
-             + np.asarray(v))
-    return (1.0 - g) * inner
-
-
-@dataclass
-class EstimatorState:
-    """Per-subsystem estimates at step k, with the stacked view derived."""
-
-    k: int
-    xhat: list[np.ndarray]
-
-    @property
-    def Xhat(self):
-        return np.concatenate([np.asarray(x) for x in self.xhat], axis=-1)
-
-    def step(self, model, uhat, u0, gamma_next, x_next):
-        """Advance all subsystems one step; returns a new EstimatorState."""
-        nxt = [update_estimate(s, self.xhat[i], uhat[i], u0, gamma_next[i], x_next[i])
-               for i, s in enumerate(model.subsystems)]
-        return EstimatorState(k=self.k + 1, xhat=nxt)
-
-
-def initial_state(model, gamma0, x0):
-    """EstimatorState at k = 0 from the first-step arrivals and states."""
-    xhat = [init_estimate(gamma0[i], x0[i], s.mu)
-            for i, s in enumerate(model.subsystems)]
-    return EstimatorState(k=0, xhat=xhat)

@@ -2,29 +2,51 @@
 
 For any linear strategy Uhat_k = Khat_k Xhat_k, Utilde_k = Kt_k Xtilde_k,
 the closed loop is linear in (Xhat, Xtilde) with independent multiplicative
-randomness, so the expected cost is an exact function of the second moments
-
-    S_k = E[Xhat Xhat'],  T_k = E[Xtilde Xtilde'],  C_k = E[Xhat Xtilde'].
-
-Writing F = A + B Khat, G = A + B Kt, Phi = Abar + Bbar Khat,
-Psi = Abar + Bbar Kt, diag(w_k) for the block diagonal of w_k^i I_{n_i}
-and D for everything the next-step arrival indicator splits between
-estimate and error,
+randomness, so the expected cost is an exact function of second moments.
+Write F = A + B Khat, G = A + B Kt, Phi = Abar + Bbar Khat and
+Psi = Abar + Bbar Kt, and diag(w_k), Gamma_{k+1} for the block diagonals
+of w_k^i I_{n_i} and gamma_{k+1}^i I_{n_i}.  Then
 
     Xhat_{k+1} = F Xhat_k + Gamma_{k+1} D_k,
     Xtilde_{k+1} = (I - Gamma_{k+1}) D_k,
     D_k = G Xtilde_k + diag(w_k) (Phi Xhat_k + Psi Xtilde_k) + V_k.
 
-Two expectations are over block diagonals of independent scalars, and both
-are block-Hadamard products.  The noise gives E[diag(w) M diag(w)] = Sw * M,
-with Sw the variance mask of model.StackedModel, so
+Only two moments can be nonzero,
 
-    E[D D'] = G T G' + Sigma_v + Sw * (Phi S Phi' + Phi C Psi'
-                                       + Psi C' Phi' + Psi T Psi').
+    S_k = E[Xhat_k Xhat_k']  and  T_k = E[Xtilde_k Xtilde_k'] (block diagonal),
 
-The Bernoulli diagonal gives E[Gamma M Gamma] with block (i, j) weighted by
-p_i p_j off the diagonal but p_i on it (gamma^2 = gamma).  These weights are
-the crux of exactness and are materialized explicitly.
+because the cross moment C_k = E[Xhat_k Xtilde_k'] and the mean E[Xtilde_k]
+vanish at every step, under any gain schedule.  The proof is an induction
+on k that uses three facts: A and Abar are block diagonal; Kt is block
+diagonal with zero remote rows (the remote input u^0 never sees the
+error), so B Kt, G and Psi are block diagonal; and Sigma_x0^i, Sigma_v^i,
+w^i and gamma^i are independent across subsystems and steps.
+
+  k = 0.  Per subsystem xtilde_0 = (1 - gamma_0)(x_0 - mu), with zero
+  mean, and gamma (1 - gamma) = 0 makes it uncorrelated with
+  xhat_0 = gamma_0 x_0 + (1 - gamma_0) mu.  So C_0 = 0 and
+  T_0 = blockdiag((1 - p_i) Sigma_x0^i).
+
+  k -> k + 1.  With C_k = 0 and E[Xtilde_k] = 0, E[D_k] = 0 and
+  E[Xhat_k D_k'] = C_k G' = 0 (w has zero mean, V is independent), and the
+  noise moment E[diag(w) M diag(w)] = Sw * M (model.StackedModel) gives
+
+      W_k = E[D_k D_k'] = G T_k G' + Sigma_v + Sw * (Phi S_k Phi' + Psi T_k Psi'),
+
+  which is block diagonal because every term is.  Gamma_{k+1} is
+  independent of (Xhat_k, D_k), so E[Xhat_k D_k'] = 0 removes every term
+  that pairs F Xhat_k with D_k, and on the block-diagonal W only the
+  diagonal Bernoulli moments survive: E[gamma_i^2] = p_i,
+  E[(1 - gamma_i)^2] = 1 - p_i and E[gamma_i (1 - gamma_i)] = 0, which makes
+  C_{k+1} = 0.  Hence, with p the column of p_i per state row (so p * W
+  scales the rows of W),
+
+      S_{k+1} = F S_k F' + p * W_k,   T_{k+1} = (1 - p) * W_k,
+
+  and E[Xtilde_{k+1}] = (I - p) E[D_k] = 0.
+
+The cost then needs E[X X'] = S + T and E[U U'] = Khat S Khat' + Kt T Kt'.
+The reduction does not depend on how the gains were computed.
 
 This module is the quantitative stand-in for the equilibrium (stationarity)
 condition of the underlying forward-backward system: a candidate gain
@@ -39,36 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HorizonMismatch, _unwrap
-
-
-def bernoulli_weights(model):
-    """Block-Hadamard weight matrices for the arrival indicator Gamma.
-
-    Returns (Wgg, Wcc, Wgc) with block (i, j) entries:
-      Wgg: E[gamma_i gamma_j]      = p_i p_j (i != j),  p_i (i = j)
-      Wcc: E[(1-gamma_i)(1-gamma_j)] = (1-p_i)(1-p_j) / (1-p_i)
-      Wgc: E[gamma_i (1-gamma_j)]  = p_i (1-p_j) (i != j),  0 (i = j)
-    """
-    model = _unwrap(model)
-    NL = model.n_total
-    noff = model.n_offsets
-    Wgg = np.zeros((NL, NL))
-    Wcc = np.zeros((NL, NL))
-    Wgc = np.zeros((NL, NL))
-    for i, si in enumerate(model.subsystems, start=1):
-        ri = slice(noff[i - 1], noff[i])
-        for j, sj in enumerate(model.subsystems, start=1):
-            rj = slice(noff[j - 1], noff[j])
-            if i == j:
-                Wgg[ri, rj] = si.p
-                Wcc[ri, rj] = 1.0 - si.p
-                Wgc[ri, rj] = 0.0
-            else:
-                Wgg[ri, rj] = si.p * sj.p
-                Wcc[ri, rj] = (1.0 - si.p) * (1.0 - sj.p)
-                Wgc[ri, rj] = si.p * (1.0 - sj.p)
-    return Wgg, Wcc, Wgc
+from .model import _unwrap
 
 
 def _blockdiag(blocks, NL, noff):
@@ -81,59 +74,46 @@ def _blockdiag(blocks, NL, noff):
 
 @dataclass
 class MomentState:
-    """Second and first moments of (Xhat, Xtilde) at one step."""
+    """Second moments of (Xhat, Xtilde) at one step; T is zero outside
+    its diagonal blocks, so subsystem i's error moment is a slice of it."""
 
     k: int
     S: np.ndarray
     T: np.ndarray
-    C: np.ndarray
-    mean_xhat: np.ndarray
-    mean_xtilde: np.ndarray
 
     @property
     def state_second_moment(self):
         """E[X X'] with X = Xhat + Xtilde."""
-        return self.S + self.C + self.C.T + self.T
+        return self.S + self.T
 
 
 def propagate_moments(model, stacked, gain_schedule):
     """Yield MomentState for k = 0..N+1 under the given gains."""
     model = _unwrap(model)
     N = model.N
-    if gain_schedule.Khat.shape[0] < N + 1:
-        raise HorizonMismatch(
-            f"gains cover {gain_schedule.Khat.shape[0]} steps, horizon needs {N + 1}")
+    gain_schedule.check_horizon(N)
     NL = stacked.NL
     noff = stacked.n_offsets
-    Wgg, Wcc, Wgc = bernoulli_weights(model)
-    p_diag = stacked.p_diag
-    I_p = np.eye(NL) - p_diag
+    p = np.diag(stacked.p_diag)[:, None]
+    q = 1.0 - p
     Sigma0 = _blockdiag([s.Sigma_x0 for s in model.subsystems], NL, noff)
     Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], NL, noff)
     mu = np.concatenate([s.mu for s in model.subsystems])
-    S = np.outer(mu, mu) + Wgg * Sigma0
-    T = Wcc * Sigma0
-    C = Wgc * Sigma0
-    m_hat = mu.copy()
-    m_til = np.zeros(NL)
+    S = np.outer(mu, mu) + p * Sigma0
+    T = q * Sigma0
     A, B, Sw = stacked.A, stacked.B, stacked.Sw
     for k in range(N + 1):
-        yield MomentState(k=k, S=S, T=T, C=C, mean_xhat=m_hat, mean_xtilde=m_til)
+        yield MomentState(k=k, S=S, T=T)
         Kh = gain_schedule.Khat[k]
         Kt = gain_schedule.Ktilde_full(k)
         F = A + B @ Kh
         G = A + B @ Kt
         Phi = stacked.Abar + stacked.Bbar @ Kh
         Psi = stacked.Abar + stacked.Bbar @ Kt
-        W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Phi @ C @ Psi.T
-                                          + Psi @ C.T @ Phi.T + Psi @ T @ Psi.T)
-        CG = C @ G.T          # E[Xhat D'] (w has zero mean, V independent)
-        S = F @ S @ F.T + F @ CG @ p_diag + p_diag @ CG.T @ F.T + Wgg * W
-        C_next = F @ CG @ I_p + Wgc * W
-        T = Wcc * W
-        C = C_next
-        m_hat, m_til = F @ m_hat + p_diag @ (G @ m_til), I_p @ (G @ m_til)
-    yield MomentState(k=N + 1, S=S, T=T, C=C, mean_xhat=m_hat, mean_xtilde=m_til)
+        W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Psi @ T @ Psi.T)
+        S = F @ S @ F.T + p * W
+        T = q * W
+    yield MomentState(k=N + 1, S=S, T=T)
 
 
 def _priced_moments(model, stacked, gain_schedule):
@@ -147,8 +127,7 @@ def _priced_moments(model, stacked, gain_schedule):
             return
         Kh = gain_schedule.Khat[ms.k]
         Kt = gain_schedule.Ktilde_full(ms.k)
-        UU = (Kh @ ms.S @ Kh.T + Kh @ ms.C @ Kt.T
-              + Kt @ ms.C.T @ Kh.T + Kt @ ms.T @ Kt.T)
+        UU = Kh @ ms.S @ Kh.T + Kt @ ms.T @ Kt.T
         yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))
 
 

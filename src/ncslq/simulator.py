@@ -204,9 +204,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     N = model.N if horizon is None else int(horizon)
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
-    if gain_schedule.Khat.shape[0] < N + 1:
-        raise HorizonMismatch(
-            f"gains cover {gain_schedule.Khat.shape[0]} steps, horizon needs {N + 1}")
+    gain_schedule.check_horizon(N)
     chol_x0, chol_v = _chol_factors(model)
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]

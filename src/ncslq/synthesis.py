@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _unwrap
+from .model import HorizonMismatch, _unwrap
 from .riccati import SingularLambda, SingularPi, solve_checked
 
 
@@ -41,6 +41,16 @@ class GainSchedule:
     @property
     def ML(self):
         return self.m_offsets[-1]
+
+    def check_horizon(self, N):
+        """Raise HorizonMismatch unless Khat and every Ktilde^i cover
+        steps k = 0..N."""
+        named = [("Khat", self.Khat)] + [
+            (f"Ktilde^{i + 1}", Kt) for i, Kt in enumerate(self.Ktilde)]
+        for name, K in named:
+            if len(K) < N + 1:
+                raise HorizonMismatch(
+                    f"{name} covers {len(K)} steps, horizon needs {N + 1}")
 
     def Ktilde_full(self, k):
         """The N_L-input error gain: Ktilde blocks on the (i, i) diagonal,

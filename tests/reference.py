@@ -5,12 +5,20 @@ brute-force loops, sharing no code with the package, so that agreement is
 meaningful evidence of correctness.  The two-family recursions (stacked and
 per-subsystem P, H and L = P p + H (I - p), and the additive-noise and
 single-subsystem reductions of them) keep every family the package folds
-into its one symmetric kernel, so they check that fold independently.
+into its one symmetric kernel, so they check that fold independently.  The
+full moment system (propagate_moments_full) carries the cross moment and
+the means that the package's oracle proves zero and drops, so it checks
+that reduction.  The estimator-state helpers at the end are the one
+exception: they drive the package's estimator step, which is what the
+closed-form error recursion next to them checks.
 """
 import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+
+from ncslq.estimator import init_estimate, update_estimate
 
 
 def hand_recursion_scalar(A, B1, B0, Abar, Bbar1, Bbar0, sw, p, Q, R, PT, N):
@@ -387,3 +395,156 @@ def rollout_by_loop(model, gain_schedule, seed, trials):
     Xhs.append(np.concatenate(xh, axis=1))
     terminal = np.einsum("ti,ij,tj->t", X, model.P_terminal, X)
     return np.array(Xs), np.array(Xhs), np.array(Us), np.array(stage), terminal
+
+
+def bernoulli_weights(model):
+    """Block-Hadamard weight matrices for the arrival indicator Gamma.
+
+    Returns (Wgg, Wcc, Wgc) with block (i, j) entries:
+      Wgg: E[gamma_i gamma_j]          = p_i p_j (i != j),        p_i (i = j)
+      Wcc: E[(1-gamma_i)(1-gamma_j)]   = (1-p_i)(1-p_j) (i != j), 1-p_i (i = j)
+      Wgc: E[gamma_i (1-gamma_j)]      = p_i (1-p_j) (i != j),    0 (i = j)
+    """
+    model = _unwrap(model)
+    NL = model.n_total
+    noff = model.n_offsets
+    Wgg = np.zeros((NL, NL))
+    Wcc = np.zeros((NL, NL))
+    Wgc = np.zeros((NL, NL))
+    for i, si in enumerate(model.subsystems, start=1):
+        ri = slice(noff[i - 1], noff[i])
+        for j, sj in enumerate(model.subsystems, start=1):
+            rj = slice(noff[j - 1], noff[j])
+            if i == j:
+                Wgg[ri, rj] = si.p
+                Wcc[ri, rj] = 1.0 - si.p
+                Wgc[ri, rj] = 0.0
+            else:
+                Wgg[ri, rj] = si.p * sj.p
+                Wcc[ri, rj] = (1.0 - si.p) * (1.0 - sj.p)
+                Wgc[ri, rj] = si.p * (1.0 - sj.p)
+    return Wgg, Wcc, Wgc
+
+
+def propagate_moments_full(model, stacked, gain_schedule):
+    """Every first and second moment of (Xhat, Xtilde) for k = 0..N+1.
+
+    The dense moment system, with no structure assumed: S = E[Xhat Xhat'],
+    T = E[Xtilde Xtilde'], the cross moment C = E[Xhat Xtilde'] and both
+    means, with the arrival indicator's second moments as explicit
+    block-Hadamard weights (bernoulli_weights).  It is the referee for the
+    package's reduced oracle, which carries only S and a block-diagonal T;
+    each yielded record has fields k, S, T, C, mean_xhat, mean_xtilde and
+    state_second_moment = S + C + C' + T.
+    """
+    model = _unwrap(model)
+    N = model.N
+    if gain_schedule.Khat.shape[0] < N + 1:
+        raise ValueError(
+            f"gains cover {gain_schedule.Khat.shape[0]} steps, horizon needs {N + 1}")
+    NL = stacked.NL
+    noff = stacked.n_offsets
+    Wgg, Wcc, Wgc = bernoulli_weights(model)
+    p_diag = stacked.p_diag
+    I_p = np.eye(NL) - p_diag
+    Sigma0 = place_blocks_by_loop([s.Sigma_x0 for s in model.subsystems], noff, NL)
+    Sigma_v = place_blocks_by_loop([s.Sigma_v for s in model.subsystems], noff, NL)
+    mu = np.concatenate([s.mu for s in model.subsystems])
+    S = np.outer(mu, mu) + Wgg * Sigma0
+    T = Wcc * Sigma0
+    C = Wgc * Sigma0
+    m_hat = mu.copy()
+    m_til = np.zeros(NL)
+    A, B, Sw = stacked.A, stacked.B, stacked.Sw
+
+    def state(k):
+        return SimpleNamespace(k=k, S=S, T=T, C=C, mean_xhat=m_hat,
+                               mean_xtilde=m_til,
+                               state_second_moment=S + C + C.T + T)
+
+    for k in range(N + 1):
+        yield state(k)
+        Kh = gain_schedule.Khat[k]
+        Kt = gain_schedule.Ktilde_full(k)
+        F = A + B @ Kh
+        G = A + B @ Kt
+        Phi = stacked.Abar + stacked.Bbar @ Kh
+        Psi = stacked.Abar + stacked.Bbar @ Kt
+        W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Phi @ C @ Psi.T
+                                          + Psi @ C.T @ Phi.T + Psi @ T @ Psi.T)
+        CG = C @ G.T          # E[Xhat D'] (w has zero mean, V independent)
+        S = F @ S @ F.T + F @ CG @ p_diag + p_diag @ CG.T @ F.T + Wgg * W
+        C_next = F @ CG @ I_p + Wgc * W
+        T = Wcc * W
+        C = C_next
+        m_hat, m_til = F @ m_hat + p_diag @ (G @ m_til), I_p @ (G @ m_til)
+    yield state(N + 1)
+
+
+def priced_moments_full(model, stacked, gain_schedule):
+    """Yield (moments, cost) for k = 0..N+1 from propagate_moments_full:
+    the exact expected stage cost at k <= N, then the terminal cost."""
+    model = _unwrap(model)
+    Q, R, PT = model.Q, model.R, model.P_terminal
+    for ms in propagate_moments_full(model, stacked, gain_schedule):
+        XX = ms.state_second_moment
+        if ms.k == model.N + 1:
+            yield ms, float(np.trace(PT @ XX))
+            return
+        Kh = gain_schedule.Khat[ms.k]
+        Kt = gain_schedule.Ktilde_full(ms.k)
+        UU = (Kh @ ms.S @ Kh.T + Kh @ ms.C @ Kt.T
+              + Kt @ ms.C.T @ Kh.T + Kt @ ms.T @ Kt.T)
+        yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))
+
+
+def error_recursion(sub, xtilde, utilde_i, u_i, u0, x_i, w, gamma_next, v):
+    """Closed-form estimation-error step, for cross-checking the estimator.
+
+    Algebraically this is (true dynamics) minus (update_estimate):
+
+        xtilde_{k+1} = (1 - gamma) [ A xtilde + B utilde
+                       + w (Abar x + Bbar u^i + Bbar0 u^0) + v ]
+
+    The multiplicative term enters the error whole because the remote
+    cannot anticipate w.
+    """
+    g = np.asarray(gamma_next, dtype=float)
+    if g.ndim:
+        g = g[..., None]
+    w = np.asarray(w, dtype=float)
+    if w.ndim:
+        w = w[..., None]
+    inner = (np.asarray(xtilde) @ sub.A.T + np.asarray(utilde_i) @ sub.B.T
+             + w * (np.asarray(x_i) @ sub.Abar.T + np.asarray(u_i) @ sub.Bbar.T
+                    + np.asarray(u0) @ sub.Bbar0.T)
+             + np.asarray(v))
+    return (1.0 - g) * inner
+
+
+@dataclass
+class EstimatorState:
+    """Per-subsystem estimates at step k, with the stacked view derived.
+    It drives the package's estimator step (update_estimate), which is the
+    code under test, one subsystem at a time."""
+
+    k: int
+    xhat: list
+
+    @property
+    def Xhat(self):
+        return np.concatenate([np.asarray(x) for x in self.xhat], axis=-1)
+
+    def step(self, model, uhat, u0, gamma_next, x_next):
+        """Advance all subsystems one step; returns a new EstimatorState."""
+        nxt = [update_estimate(s, self.xhat[i], uhat[i], u0, gamma_next[i], x_next[i])
+               for i, s in enumerate(model.subsystems)]
+        return EstimatorState(k=self.k + 1, xhat=nxt)
+
+
+def initial_state(model, gamma0, x0):
+    """EstimatorState at k = 0 from the first-step arrivals and states,
+    through the package's init_estimate."""
+    xhat = [init_estimate(gamma0[i], x0[i], s.mu)
+            for i, s in enumerate(model.subsystems)]
+    return EstimatorState(k=0, xhat=xhat)

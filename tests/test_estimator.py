@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 
-from ncslq import (EstimatorState, gains, init_estimate, initial_state,
-                   solve_cre, update_estimate)
-from ncslq.estimator import error_recursion, predict
+from ncslq import gains, init_estimate, solve_cre, update_estimate
+from ncslq.estimator import predict
 
 from conftest import make_scalar_coupled, validated_pair
+from reference import EstimatorState, error_recursion, initial_state
 
 
 def test_init_received_is_exact():

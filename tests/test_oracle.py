@@ -5,13 +5,14 @@ from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
                    costate_moments, exact_cost, propagate_moments,
                    stationarity_check)
 from ncslq.model import psd_tolerance
-from ncslq.oracle import bernoulli_weights, stage_costs
+from ncslq.oracle import stage_costs
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_unequal_blocks,
                       validated_pair)
-from reference import (dense_noise_channels, place_blocks_by_loop,
+from reference import (bernoulli_weights, dense_noise_channels,
+                       place_blocks_by_loop, priced_moments_full,
                        quadrature_cost)
 
 
@@ -27,6 +28,20 @@ def zero_gains(model):
         Khat=np.zeros((model.N + 1, model.m_total, model.n_total)),
         Ktilde=[np.zeros((model.N + 1, s.m, s.n)) for s in model.subsystems],
         n_offsets=model.n_offsets, m_offsets=model.m_offsets)
+
+
+def off_block_mask(n_offsets):
+    """True at the entries outside the diagonal blocks."""
+    NL = n_offsets[-1]
+    mask = np.ones((NL, NL), dtype=bool)
+    for lo, hi in zip(n_offsets[:-1], n_offsets[1:]):
+        mask[lo:hi, lo:hi] = False
+    return mask
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
 
 
 def scalar_coeffs(model):
@@ -71,29 +86,31 @@ def test_bernoulli_weights_by_hand():
 
 
 def test_masked_noise_moment_equals_per_channel_sums():
-    # T_{k+1} = Wcc * W, and every entry of Wcc is positive when each
-    # p_i < 1, so T_{k+1} pins down the masked noise moment W; rebuild W
-    # as the sum over dense per-subsystem channels, each zero outside its
-    # block row
+    # diagonal block i of T_{k+1} is (1 - p_i) W^i, and every p_i < 1, so
+    # T_{k+1} pins down the diagonal blocks of the masked noise moment W;
+    # rebuild W as the sum over dense per-subsystem channels, each zero
+    # outside its block row
     vm, stk, _, sched = solve_all(make_unequal_blocks())
     model = vm.model
-    _, Wcc, _ = bernoulli_weights(vm)
+    noff = model.n_offsets
     Sigma_v = place_blocks_by_loop([s.Sigma_v for s in model.subsystems],
-                                   model.n_offsets, stk.NL)
+                                   noff, stk.NL)
     channels = dense_noise_channels(vm)
     states = list(propagate_moments(vm, stk, sched))
     for k in range(model.N + 1):
-        S, T, C = states[k].S, states[k].T, states[k].C
+        S, T = states[k].S, states[k].T
         Kh, Kt = sched.Khat[k], sched.Ktilde_full(k)
         G = stk.A + stk.B @ Kt
         W = G @ T @ G.T + Sigma_v
         for sw, Ab, Bb in channels:
             Ph, Ps = Ab + Bb @ Kh, Ab + Bb @ Kt
-            W = W + sw * (Ph @ S @ Ph.T + Ph @ C @ Ps.T
-                          + Ps @ C.T @ Ph.T + Ps @ T @ Ps.T)
-        T_ref = Wcc * W
+            W = W + sw * (Ph @ S @ Ph.T + Ps @ T @ Ps.T)
         T_next = states[k + 1].T
-        assert np.linalg.norm(T_next - T_ref) <= 1e-12 * np.linalg.norm(T_ref)
+        for i, s in enumerate(model.subsystems):
+            r = slice(noff[i], noff[i + 1])
+            W_read = T_next[r, r] / (1.0 - s.p)
+            assert (np.linalg.norm(W_read - W[r, r])
+                    <= 1e-12 * np.linalg.norm(W[r, r]))
 
 
 @pytest.mark.parametrize("make", [make_scalar_decoupled, make_scalar_coupled])
@@ -152,15 +169,12 @@ def test_exact_cost_is_deterministic():
 def test_moment_psd_invariants():
     model = make_random_definite(np.random.default_rng(43), L=2, N=6)
     vm, stk, _, sched = solve_all(model)
+    off = off_block_mask(stk.n_offsets)
     for ms in propagate_moments(vm, stk, sched):
         for M in (ms.S, ms.T):
             eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
             assert eigs.min() >= -psd_tolerance(eigs)
-        block = np.block([[ms.S, ms.C], [ms.C.T, ms.T]])
-        eigs = np.linalg.eigvalsh(0.5 * (block + block.T))
-        assert eigs.min() >= -psd_tolerance(eigs)
-        if ms.k == 0:
-            assert np.array_equal(ms.mean_xtilde, np.zeros(stk.NL))
+        assert not ms.T[off].any()
 
 
 def test_stationarity_at_optimal_scalar():
@@ -244,3 +258,40 @@ def test_costate_telescoping_scalar(make):
     vm, stk, sol, sched = solve_all(make())
     rep = costate_moments(vm, stk, sched, sol)
     assert rep.max_relative_residual <= 1e-8
+
+
+# The full referee carries C = E[Xhat Xtilde'], both means and a dense T;
+# the package's oracle proves C and E[Xtilde] zero and T block diagonal for
+# any gain schedule, and propagates only S and T.
+REFEREE_INSTANCES = {
+    "unequal-blocks": make_unequal_blocks,
+    "scalar-coupled-N5": lambda: make_scalar_coupled(N=5),
+    "seed11-L3-N8": lambda: make_random_definite(np.random.default_rng(11), L=3, N=8),
+    "seed12-L2-N8": lambda: make_random_definite(np.random.default_rng(12), L=2, N=8),
+    "seed13-L4-N5": lambda: make_random_definite(np.random.default_rng(13), L=4, N=5),
+    "p1-seed14-L3-N6": lambda: perfect_channel(14, L=3, N=6),
+}
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["synthesized", "perturbed"])
+@pytest.mark.parametrize("make", list(REFEREE_INSTANCES.values()),
+                         ids=list(REFEREE_INSTANCES))
+def test_reduced_oracle_matches_full_referee(make, perturb):
+    vm, stk, _, sched = solve_all(make())
+    if perturb:
+        rng = np.random.default_rng(53)
+        sched.Khat += 0.05 * rng.standard_normal(sched.Khat.shape)
+        for Kt in sched.Ktilde:
+            Kt += 0.05 * rng.standard_normal(Kt.shape)
+    off = off_block_mask(stk.n_offsets)
+    full = list(priced_moments_full(vm, stk, sched))
+    reduced = list(propagate_moments(vm, stk, sched))
+    assert len(reduced) == len(full) == vm.model.N + 2
+    for (ref, _), ms in zip(full, reduced):
+        assert np.array_equal(ref.C, np.zeros_like(ref.C))
+        assert np.array_equal(ref.mean_xtilde, np.zeros(stk.NL))
+        assert not ref.T[off].any()
+        assert_rel_close(ms.S, ref.S)
+        assert_rel_close(ms.T, ref.T)
+    stages, terminal = stage_costs(vm, stk, sched)
+    assert_rel_close(stages + [terminal], [c for _, c in full])

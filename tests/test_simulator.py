@@ -135,6 +135,16 @@ def test_horizon_contract():
     assert short.mean_sq_norms.shape == (4, 1)
     with pytest.raises(ValueError):
         simulate(vm, stk, sched, seed=0, trials=0)
+    # a schedule read from a file can cover fewer steps in one Ktilde^i
+    # than in Khat; both consumers must refuse it before running
+    vm, stk, sched = solve_all(make_unequal_blocks())
+    sched.Ktilde[1] = sched.Ktilde[1][:3]
+    with pytest.raises(HorizonMismatch, match="Ktilde\\^2"):
+        simulate(vm, stk, sched, seed=0, trials=10)
+    with pytest.raises(HorizonMismatch, match="Ktilde\\^2"):
+        exact_cost(vm, stk, sched)
+    short = simulate(vm, stk, sched, seed=0, trials=10, horizon=2)
+    assert short.horizon == 2
 
 
 def test_nonfinite_states_reported_and_run_continues():
