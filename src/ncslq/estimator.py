@@ -7,8 +7,12 @@ the nominal dynamics using the remote-computable input components:
     xhat_{k+1}^i = gamma * x_{k+1}^i
                  + (1 - gamma) * (A^i xhat_k^i + B^i uhat_k^i + B^{i0} u_k^0)
 
-All functions broadcast over leading batch dimensions, so the same code
-serves single paths and vectorized Monte Carlo blocks.
+All functions broadcast over leading batch dimensions.  They are the
+per-subsystem reference form of the estimator: the tests check them
+against the closed-form error recursion, and the benchmark's trace wraps
+update_estimate by name.  The Monte Carlo simulator does not call them; it
+runs the same line for all subsystems at once in stacked form (see
+ncslq.simulator).
 """
 from __future__ import annotations
 

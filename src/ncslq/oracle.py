@@ -91,7 +91,7 @@ def propagate_moments(model, stacked, gain_schedule):
     """Yield MomentState for k = 0..N+1 under the given gains."""
     model = _unwrap(model)
     N = model.N
-    gain_schedule.check_horizon(N)
+    Ktilde = gain_schedule.Ktilde_stacked(N)
     NL = stacked.NL
     noff = stacked.n_offsets
     p = np.diag(stacked.p_diag)[:, None]
@@ -104,8 +104,7 @@ def propagate_moments(model, stacked, gain_schedule):
     A, B, Sw = stacked.A, stacked.B, stacked.Sw
     for k in range(N + 1):
         yield MomentState(k=k, S=S, T=T)
-        Kh = gain_schedule.Khat[k]
-        Kt = gain_schedule.Ktilde_full(k)
+        Kh, Kt = gain_schedule.Khat[k], Ktilde[k]
         F = A + B @ Kh
         G = A + B @ Kt
         Phi = stacked.Abar + stacked.Bbar @ Kh
@@ -120,13 +119,13 @@ def _priced_moments(model, stacked, gain_schedule):
     """Yield (MomentState, cost) for k = 0..N+1: the exact expected stage
     cost at k <= N, then the terminal cost."""
     Q, R, PT = model.Q, model.R, model.P_terminal
+    Ktilde = gain_schedule.Ktilde_stacked(model.N)
     for ms in propagate_moments(model, stacked, gain_schedule):
         XX = ms.state_second_moment
         if ms.k == model.N + 1:
             yield ms, float(np.trace(PT @ XX))
             return
-        Kh = gain_schedule.Khat[ms.k]
-        Kt = gain_schedule.Ktilde_full(ms.k)
+        Kh, Kt = gain_schedule.Khat[ms.k], Ktilde[ms.k]
         UU = Kh @ ms.S @ Kh.T + Kt @ ms.T @ Kt.T
         yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))
 

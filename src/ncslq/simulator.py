@@ -5,6 +5,29 @@ randomness from an independent generator keyed by (seed, b), and block
 partial sums are combined in block order, so the results are bit-identical
 regardless of how many worker threads process the blocks.  Worker count is
 capped by the NCS_THREADS environment variable.
+
+A block advances all of its trials and all subsystems in one stacked step
+per time index.  With Kt the stacked error gain at step k
+(GainSchedule.Ktilde_stacked, zero in the remote input's rows),
+
+    Uhat = Xhat Khat',   U = Uhat + (X - Xhat) Kt',
+    X' = X A' + U B' + diag(w) (X Abar' + U Bbar') + V,
+    Xhat' = Gamma' o X' + (1 - Gamma') o (Xhat A' + Uhat B').
+
+The last line is estimator.update_estimate for every subsystem at once:
+since Kt has zero remote rows, Uhat holds u^0 as well as every uhat^i, so
+Uhat B' supplies B^i uhat^i + B^{i0} u^0.  A step draws all w^i, all v^i
+and all gamma^i in three generator calls that yield the same values as
+the documented per-subsystem draw order (see _simulate_block).
+
+Every product of a (trials x N_L) or (trials x M_L) array runs as a stack
+of row panels (_panel_matmul), each small enough for OpenBLAS to compute
+on the calling thread.  A whole-block product is large enough for OpenBLAS
+to spread over threads of its own, which then compete with the
+simulator's workers for the same cores.  The panels are used whatever the
+worker count, so that every run makes the same BLAS calls: OpenBLAS may
+choose its kernel by the product's shape, and the rows of a panel need not
+equal, bit for bit, the same rows of a whole-block product.
 """
 from __future__ import annotations
 
@@ -15,20 +38,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimator
 from .model import HorizonMismatch, ModelError, _unwrap, stack, validate
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
 BLOCK_TRIALS = 8192
+# OpenBLAS computes a dgemm on the calling thread when m * n * k is at most
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default)
+BLAS_SERIAL_MNK = 1 << 18
 
 
 def thread_count():
-    """Worker parallelism cap (NCS_THREADS, default: machine parallelism)."""
+    """Worker parallelism cap (NCS_THREADS, default: machine parallelism).
+
+    Raises ValueError when NCS_THREADS is set to anything but a positive
+    integer.
+    """
     env = os.environ.get("NCS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"NCS_THREADS must be a positive integer, got {env!r}")
+    return n
+
+
+def _panel_matmul(X, M):
+    """X @ M, computed as a stack of row panels of X.
+
+    Each panel's product has at most BLAS_SERIAL_MNK multiply-adds, so the
+    BLAS computes it on the calling thread; the rows left over form one
+    last, smaller product.
+    """
+    T, n = X.shape
+    rows = max(1, BLAS_SERIAL_MNK // (n * M.shape[1]))
+    if T <= rows:
+        return X @ M
+    q = T // rows
+    head = q * rows
+    out = np.empty((T, M.shape[1]))
+    np.matmul(X[:head].reshape(q, rows, n), M,
+              out=out[:head].reshape(q, rows, M.shape[1]))
+    if head < T:
+        np.matmul(X[head:], M, out=out[head:])
+    return out
 
 
 def _chol_factors(model):
@@ -91,91 +147,103 @@ class SimulationSummary:
         }
 
 
-def _simulate_block(model, stacked, gain_schedule, N, rng, trials, base_trial,
+def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
                     chol_x0, chol_v, retain):
     """Roll `trials` paths with one generator; returns block partials.
 
     Draw order per block is fixed: x_0^i then gamma_0^i for each subsystem
     i in turn; then at each step k, w_k^1..w_k^L, then v_k^1..v_k^L, then
-    the next arrivals gamma_{k+1}^1..gamma_{k+1}^L.
+    the next arrivals gamma_{k+1}^1..gamma_{k+1}^L.  A step takes them in
+    three calls: a standard-normal (L, trials) array whose row i is w^i, a
+    standard-normal vector of trials * N_L values that holds v^1..v^L in
+    turn (a C-ordered (trials, n_i) array each), and a uniform (L, trials)
+    array whose row i is gamma^i.  The generator fills each call in order,
+    so the draws are the same values as one call per subsystem.
     """
-    L = len(model.subsystems)
+    subs = model.subsystems
+    L = len(subs)
+    NL = stacked.NL
     noff = stacked.n_offsets
-    mu = np.concatenate([s.mu for s in model.subsystems])
+    sizes = np.diff(noff)
+
+    def columns(rows):
+        # (L, trials) per-subsystem values spread over each subsystem's
+        # state columns, as a (trials, N_L) array
+        return np.repeat(rows, sizes, axis=0).T
+
+    p = np.array(stacked.p)[:, None]
+    sd_w = np.sqrt([s.sigma_w for s in subs])[:, None]
+    mu = np.concatenate([s.mu for s in subs])
     X = np.tile(mu, (trials, 1))
-    gamma = np.empty((trials, L))
-    for i, s in enumerate(model.subsystems):
-        r = slice(noff[i], noff[i + 1])
-        X[:, r] += rng.standard_normal((trials, s.n)) @ chol_x0[i].T
-        gamma[:, i] = rng.random(trials) < s.p
-    xhat = [estimator.init_estimate(gamma[:, i], X[:, noff[i]:noff[i + 1]], s.mu)
-            for i, s in enumerate(model.subsystems)]
+    arrived = np.empty((L, trials), dtype=bool)
+    for i, s in enumerate(subs):
+        X[:, noff[i]:noff[i + 1]] += rng.standard_normal((trials, s.n)) @ chol_x0[i].T
+        arrived[i] = rng.random(trials) < s.p
+    Xhat = np.where(columns(arrived), X, mu)
     costs = np.zeros(trials)
     sq_norms = np.zeros((N + 2, L))
-    gamma_sum = gamma.sum(axis=0)
+    gamma_sum = arrived.sum(axis=1)
     nonfinite = []
-    Xs = np.empty((N + 2, trials, stacked.NL)) if retain else None
-    Xhs = np.empty((N + 2, trials, stacked.NL)) if retain else None
+    Xs = np.empty((N + 2, trials, NL)) if retain else None
+    Xhs = np.empty((N + 2, trials, NL)) if retain else None
     Us = np.empty((N + 1, trials, stacked.ML)) if retain else None
     Gs = np.empty((N + 2, trials, L)) if retain else None
     stage_rec = np.empty((N + 1, trials)) if retain else None
     Q, R, PT = model.Q, model.R, model.P_terminal
-    A, B, Abar, Bbar = stacked.A, stacked.B, stacked.Abar, stacked.Bbar
+    At, Bt, Abt, Bbt = stacked.A.T, stacked.B.T, stacked.Abar.T, stacked.Bbar.T
+    mm = _panel_matmul
     seen_bad = np.zeros(trials, dtype=bool)
-    for k in range(N + 1):
-        Xhat = np.concatenate(xhat, axis=1)
-        Xt = X - Xhat
-        for i in range(L):
-            r = slice(noff[i], noff[i + 1])
-            sq_norms[k, i] = (X[:, r] ** 2).sum(axis=1).sum()
-        bad = ~np.isfinite(X).all(axis=1) & ~seen_bad
-        if bad.any():
+
+    def norms_and_overflow(k):
+        col_sq = np.einsum("ti,ti->i", X, X)
+        sq_norms[k] = np.add.reduceat(col_sq, noff[:-1])
+        # a non-finite entry makes its column's sum non-finite, so the
+        # row-by-row search runs only when some column sum is
+        if not np.isfinite(col_sq).all():
+            bad = ~np.isfinite(X).all(axis=1) & ~seen_bad
             nonfinite.extend((base_trial + int(t), k) for t in np.nonzero(bad)[0])
-            seen_bad |= bad
-        Kh = gain_schedule.Khat[k]
-        Uhat = Xhat @ Kh.T
-        U = Uhat.copy()
-        for i in range(L):
-            c = slice(stacked.m_offsets[i + 1], stacked.m_offsets[i + 2])
-            r = slice(noff[i], noff[i + 1])
-            U[:, c] += Xt[:, r] @ gain_schedule.Ktilde[i][k].T
-        stage = (np.einsum("ti,ti->t", X @ Q, X)
-                 + np.einsum("ti,ti->t", U @ R, U))
+            seen_bad[bad] = True
+
+    for k in range(N + 1):
+        norms_and_overflow(k)
+        Uhat = mm(Xhat, Khat[k].T)
+        U = mm(X - Xhat, Ktilde[k].T)
+        U += Uhat
+        stage = (np.einsum("ti,ti->t", mm(X, Q), X)
+                 + np.einsum("ti,ti->t", mm(U, R), U))
         costs += stage
         if retain:
-            Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, gamma, stage
+            Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, arrived.T, stage
+        # the estimator's prediction for every subsystem at once; Uhat
+        # holds u^0 too, since Ktilde has zero remote rows
+        Xhat = mm(Xhat, At)
+        Xhat += mm(Uhat, Bt)
+        del Uhat
         # plant step; w^i scales subsystem i's columns of the noise term,
-        # which is built in place and freed at once so that the step holds
-        # a single extra (trials, N_L) array
-        Xn = X @ A.T + U @ B.T
-        noise = X @ Abar.T
-        noise += U @ Bbar.T
-        for i, s in enumerate(model.subsystems):
-            w = rng.standard_normal(trials) * math.sqrt(s.sigma_w)
-            noise[:, noff[i]:noff[i + 1]] *= w[:, None]
+        # which is built in place and freed before v is drawn
+        Xn = mm(X, At)
+        Xn += mm(U, Bt)
+        noise = mm(X, Abt)
+        noise += mm(U, Bbt)
+        noise *= columns(rng.standard_normal((L, trials)) * sd_w)
         Xn += noise
         del noise
-        for i, s in enumerate(model.subsystems):
-            r = slice(noff[i], noff[i + 1])
-            Xn[:, r] += rng.standard_normal((trials, s.n)) @ chol_v[i].T
-        gamma = np.empty((trials, L))
-        for i, s in enumerate(model.subsystems):
-            gamma[:, i] = rng.random(trials) < s.p
-        gamma_sum += gamma.sum(axis=0)
-        u0 = U[:, 0:stacked.m_offsets[1]]
-        xhat = [estimator.update_estimate(
-                    s, xhat[i], Uhat[:, stacked.m_offsets[i + 1]:stacked.m_offsets[i + 2]],
-                    u0, gamma[:, i], Xn[:, noff[i]:noff[i + 1]])
-                for i, s in enumerate(model.subsystems)]
+        v = rng.standard_normal(trials * NL)
+        for i in range(L):
+            Xn[:, noff[i]:noff[i + 1]] += (
+                v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
+                @ chol_v[i].T)
+        del v
+        arrived = rng.random((L, trials)) < p
+        gamma_sum += arrived.sum(axis=1)
+        np.copyto(Xhat, Xn, where=columns(arrived))
         X = Xn
-    for i in range(L):
-        r = slice(noff[i], noff[i + 1])
-        sq_norms[N + 1, i] = (X[:, r] ** 2).sum(axis=1).sum()
-    terminal = np.einsum("ti,ti->t", X @ PT, X)
+    norms_and_overflow(N + 1)
+    terminal = np.einsum("ti,ti->t", mm(X, PT), X)
     costs += terminal
     traces = []
     if retain:
-        Xs[N + 1], Xhs[N + 1], Gs[N + 1] = X, np.concatenate(xhat, axis=1), gamma
+        Xs[N + 1], Xhs[N + 1], Gs[N + 1] = X, Xhat, arrived.T
         for t in range(trials):
             traces.append(SimulationTrace(
                 trial=base_trial + t, X=Xs[:, t].copy(), Xhat=Xhs[:, t].copy(),
@@ -204,7 +272,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     N = model.N if horizon is None else int(horizon)
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
-    gain_schedule.check_horizon(N)
+    Ktilde = gain_schedule.Ktilde_stacked(N)
     chol_x0, chol_v = _chol_factors(model)
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
@@ -212,8 +280,8 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     def run(block):
         b, nt = block
         rng = np.random.default_rng([int(seed), b])
-        return _simulate_block(model, stacked, gain_schedule, N, rng, nt,
-                               b * BLOCK_TRIALS, chol_x0, chol_v, retain_traces)
+        return _simulate_block(model, stacked, gain_schedule.Khat, Ktilde, N, rng,
+                               nt, b * BLOCK_TRIALS, chol_x0, chol_v, retain_traces)
 
     workers = min(thread_count(), len(blocks))
     if workers > 1:

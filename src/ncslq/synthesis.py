@@ -52,14 +52,17 @@ class GainSchedule:
                 raise HorizonMismatch(
                     f"{name} covers {len(K)} steps, horizon needs {N + 1}")
 
-    def Ktilde_full(self, k):
-        """The N_L-input error gain: Ktilde blocks on the (i, i) diagonal,
-        zero rows for the remote input (which cannot see the error)."""
-        K = np.zeros((self.ML, self.NL))
-        for i in range(self.L):
-            r = slice(self.m_offsets[i + 1], self.m_offsets[i + 2])
-            c = slice(self.n_offsets[i], self.n_offsets[i + 1])
-            K[r, c] = self.Ktilde[i][k]
+    def Ktilde_stacked(self, N):
+        """The N_L-input error gains for k = 0..N as one (N+1, M_L, N_L)
+        array: Ktilde^i on diagonal block (i, i), zero rows for the remote
+        input (which cannot see the error).  Built from the current entries
+        on every call, so edits to Ktilde show in the next one; raises
+        HorizonMismatch unless every gain covers k = 0..N."""
+        self.check_horizon(N)
+        K = np.zeros((N + 1, self.ML, self.NL))
+        for i, Kt in enumerate(self.Ktilde):
+            K[:, self.m_offsets[i + 1]:self.m_offsets[i + 2],
+              self.n_offsets[i]:self.n_offsets[i + 1]] = Kt[:N + 1]
         return K
 
 

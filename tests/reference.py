@@ -143,6 +143,18 @@ def place_blocks_by_loop(subsystem_mats, n_offsets, NL):
     return M
 
 
+def ktilde_full_by_loop(gain_schedule, k):
+    """The N_L-input error gain at step k, placed entry by entry: Ktilde^i
+    on diagonal block (i, i), zero rows for the remote input."""
+    moff, noff = gain_schedule.m_offsets, gain_schedule.n_offsets
+    K = np.zeros((moff[-1], noff[-1]))
+    for i, Kt in enumerate(gain_schedule.Ktilde):
+        for a in range(Kt.shape[1]):
+            for b in range(Kt.shape[2]):
+                K[moff[i + 1] + a, noff[i] + b] = Kt[k, a, b]
+    return K
+
+
 def _unwrap(model):
     return getattr(model, "model", model)
 
@@ -465,7 +477,7 @@ def propagate_moments_full(model, stacked, gain_schedule):
     for k in range(N + 1):
         yield state(k)
         Kh = gain_schedule.Khat[k]
-        Kt = gain_schedule.Ktilde_full(k)
+        Kt = ktilde_full_by_loop(gain_schedule, k)
         F = A + B @ Kh
         G = A + B @ Kt
         Phi = stacked.Abar + stacked.Bbar @ Kh
@@ -492,7 +504,7 @@ def priced_moments_full(model, stacked, gain_schedule):
             yield ms, float(np.trace(PT @ XX))
             return
         Kh = gain_schedule.Khat[ms.k]
-        Kt = gain_schedule.Ktilde_full(ms.k)
+        Kt = ktilde_full_by_loop(gain_schedule, ms.k)
         UU = (Kh @ ms.S @ Kh.T + Kh @ ms.C @ Kt.T
               + Kt @ ms.C.T @ Kh.T + Kt @ ms.T @ Kt.T)
         yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))

@@ -97,9 +97,10 @@ def test_masked_noise_moment_equals_per_channel_sums():
                                    noff, stk.NL)
     channels = dense_noise_channels(vm)
     states = list(propagate_moments(vm, stk, sched))
+    Ktilde = sched.Ktilde_stacked(model.N)
     for k in range(model.N + 1):
         S, T = states[k].S, states[k].T
-        Kh, Kt = sched.Khat[k], sched.Ktilde_full(k)
+        Kh, Kt = sched.Khat[k], Ktilde[k]
         G = stk.A + stk.B @ Kt
         W = G @ T @ G.T + Sigma_v
         for sw, Ab, Bb in channels:

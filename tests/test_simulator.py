@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
-                   exact_cost)
+from ncslq import (NetworkModel, SubsystemModel, gains, simulate, simulator,
+                   solve_cre, exact_cost)
 from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
-                             with_dropout)
+                             thread_count, with_dropout)
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_random_definite, make_scalar_coupled,
@@ -75,6 +75,45 @@ def test_determinism_across_thread_counts():
     assert np.array_equal(a.mean_sq_norms, b.mean_sq_norms)
 
 
+def test_determinism_across_thread_counts_multi_block(monkeypatch):
+    # three blocks, the last a partial one, of a model with unequal blocks:
+    # one worker and two workers must give the same summary
+    vm, stk, sched = solve_all(make_unequal_blocks(N=8))
+    trials = 2 * simulator.BLOCK_TRIALS + 3
+    out = []
+    for n in ("1", "2"):
+        monkeypatch.setenv("NCS_THREADS", n)
+        out.append(simulate(vm, stk, sched, seed=13, trials=trials).to_dict())
+    assert out[0] == out[1]
+
+
+def test_thread_count_from_env(monkeypatch):
+    monkeypatch.setenv("NCS_THREADS", "3")
+    assert thread_count() == 3
+    monkeypatch.setenv("NCS_THREADS", "")
+    assert thread_count() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_thread_count_rejects_malformed_env(monkeypatch, value):
+    monkeypatch.setenv("NCS_THREADS", value)
+    with pytest.raises(ValueError, match=f"NCS_THREADS.*'{value}'"):
+        thread_count()
+    vm, stk, sched = solve_all(make_scalar_coupled(N=2))
+    with pytest.raises(ValueError, match="NCS_THREADS"):
+        simulate(vm, stk, sched, seed=0, trials=10)
+
+
+@pytest.mark.parametrize("trials", [50, 256, 300],
+                         ids=["no_split", "exact_panels", "remainder"])
+def test_panel_matmul_equals_whole_product(monkeypatch, trials):
+    rng = np.random.default_rng(17)
+    K = rng.standard_normal((22, 30))
+    monkeypatch.setattr(simulator, "BLAS_SERIAL_MNK", 64 * K.size)  # 64-row panels
+    X = rng.standard_normal((trials, 30))
+    assert np.array_equal(simulator._panel_matmul(X, K.T), X @ K.T)
+
+
 def test_trace_cost_decomposition_and_retention():
     model = make_scalar_coupled(N=5)
     vm, stk, sched = solve_all(model)
@@ -90,11 +129,15 @@ def test_trace_cost_decomposition_and_retention():
         assert np.array_equal(tr.Xhat[got], tr.X[got])
 
 
-def test_paths_match_per_subsystem_rollout():
-    # unequal blocks make a misplaced w^i scaling or block offset show
+@pytest.mark.parametrize("serial_mnk", [None, 150], ids=["whole", "panels"])
+def test_paths_match_per_subsystem_rollout(monkeypatch, serial_mnk):
+    # unequal blocks make a misplaced w^i scaling or block offset show; the
+    # small panel bound splits every product into row panels and a remainder
+    if serial_mnk is not None:
+        monkeypatch.setattr(simulator, "BLAS_SERIAL_MNK", serial_mnk)
     model = make_unequal_blocks(N=8)
     vm, stk, sched = solve_all(model)
-    trials = 4
+    trials = 5
     summary = simulate(vm, stk, sched, seed=5, trials=trials, retain_traces=True)
     X, Xhat, U, stage, terminal = rollout_by_loop(vm, sched, seed=5, trials=trials)
 

@@ -6,6 +6,7 @@ from ncslq.oracle import exact_cost
 
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, validated_pair)
+from reference import ktilde_full_by_loop
 
 
 def solve_all(model, mode="definite"):
@@ -51,7 +52,11 @@ def test_zero_coupling_zero_gains():
 def test_ktilde_full_layout():
     model = make_random_definite(np.random.default_rng(29), L=2, N=2)
     _, _, _, sched = solve_all(model)
-    K = sched.Ktilde_full(0)
+    Ks = sched.Ktilde_stacked(sched.N)
+    assert Ks.shape == (sched.N + 1, sched.ML, sched.NL)
+    for k in range(sched.N + 1):
+        assert np.array_equal(Ks[k], ktilde_full_by_loop(sched, k))
+    K = Ks[0]
     m0 = sched.m_offsets[1]
     assert not K[:m0, :].any()          # remote rows cannot see the error
     for i in range(2):
@@ -61,6 +66,11 @@ def test_ktilde_full_layout():
         other = K[r, :].copy()
         other[:, c] = 0.0
         assert not other.any()          # off-diagonal error coupling is zero
+    # built from the current entries: an in-place edit shows in the next call
+    sched.Ktilde[1][2][0, 0] += 1.0
+    assert sched.Ktilde_stacked(sched.N)[2][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
+    # a shorter horizon takes the leading steps
+    assert np.array_equal(sched.Ktilde_stacked(1), sched.Ktilde_stacked(sched.N)[:2])
 
 
 def test_scaling_invariance():
