@@ -14,7 +14,7 @@ from .riccati import (CRESolution, GeneralizedCRESolution, RiccatiError,
                       solve_cre, solve_generalized)
 from .synthesis import GainSchedule, gains, optimal_cost
 from .estimator import init_estimate, update_estimate
-from .oracle import (MomentState, costate_moments, exact_cost,
+from .oracle import (MomentState, cost_gradient, costate_moments, exact_cost,
                      propagate_moments, stationarity_check)
 from .simulator import (SimulationSummary, SimulationTrace, decay_time,
                         simulate, sweep_dropout)

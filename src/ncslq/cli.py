@@ -149,7 +149,8 @@ def cmd_check(args, outdir):
     report["definiteness"] = {"ok": defin.ok,
                               "violations": [list(v) for v in defin.violations]}
 
-    # stationarity of the synthesized gains under the exact-cost oracle
+    # stationarity of the synthesized gains under the exact-cost oracle,
+    # in every gain entry
     stat = oracle.stationarity_check(vm, st, sched)
     report["stationarity"] = {
         "ok": stat.stationary,
@@ -167,8 +168,8 @@ def cmd_check(args, outdir):
         "max_relative_residual": cm.max_relative_residual,
     }
 
-    # closed-form cost vs oracle; the probe's base cost is the oracle at
-    # the synthesized gains, which it restores entry by entry
+    # closed-form cost vs oracle; the probe's cost is exact_cost at the
+    # synthesized gains
     formula = optimal_cost(sol, vm)
     exact = stat.cost
     rel = abs(formula - exact) / (1.0 + abs(exact))

@@ -74,6 +74,11 @@ def _check_pd(M, name):
         raise DefinitenessViolation(f"{name} is not PD (eigenvalue {eigs.min():g})")
 
 
+def _check_finite(M, name):
+    if not np.all(np.isfinite(M)):
+        raise ModelError(f"{name} has a non-finite entry")
+
+
 def _as_matrix(M, name, shape):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape != shape:
@@ -209,8 +214,9 @@ def _unwrap(model):
 def validate(model, mode="definite"):
     """Check a NetworkModel for structural and definiteness errors.
 
-    `definite` mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard
-    weighting assumptions).  `indefinite` mode requires symmetry only and
+    Every matrix, vector and noise variance must be finite.  `definite`
+    mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard weighting
+    assumptions).  `indefinite` mode requires symmetry only and
     tags the instance for the generalized (pseudo-inverse) recursion.
     The caller's model is left untouched: the returned ValidatedModel holds
     a copy whose symmetric weights and covariances are exactly symmetric.
@@ -224,6 +230,9 @@ def validate(model, mode="definite"):
         raise DimensionMismatch("horizon N must be >= 0")
     NL, ML = model.n_total, model.m_total
     for s in model.subsystems:
+        for name in ("A", "Abar", "B", "Bbar", "B0", "Bbar0", "sigma_w",
+                     "Sigma_v", "mu", "Sigma_x0"):
+            _check_finite(getattr(s, name), f"{name}^{s.index}")
         if s.B0.shape[1] != model.m0:
             raise DimensionMismatch(
                 f"B^{s.index}0 has {s.B0.shape[1]} columns, expected m0={model.m0}")
@@ -235,6 +244,8 @@ def validate(model, mode="definite"):
         s.Sigma_x0 = symmetrized(s.Sigma_x0, f"Sigma_x0^{s.index}")
         _check_psd(s.Sigma_v, f"Sigma_v^{s.index}")
         _check_psd(s.Sigma_x0, f"Sigma_x0^{s.index}")
+    for name in ("Q", "R", "P_terminal"):
+        _check_finite(getattr(model, name), name)
     if model.Q.shape != (NL, NL):
         raise DimensionMismatch(f"Q has shape {model.Q.shape}, expected {(NL, NL)}")
     if model.R.shape != (ML, ML):

@@ -45,12 +45,38 @@ w^i and gamma^i are independent across subsystems and steps.
 
   and E[Xtilde_{k+1}] = (I - p) E[D_k] = 0.
 
-The cost then needs E[X X'] = S + T and E[U U'] = Khat S Khat' + Kt T Kt'.
+The cost then needs E[X X'] = S + T and E[U U'] = Khat S Khat' + Kt T Kt',
+priced as the Frobenius products <Q, S_k + T_k> + <R Khat_k, Khat_k S_k>
++ <R Kt_k, Kt_k T_k> per stage and <P_T, S_{N+1} + T_{N+1}> at the end.
 The reduction does not depend on how the gains were computed.
+
+Adjoint.  Given the gains, J is linear in (S_k, T_k), with V_k = dJ/dS_k
+and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
+<V, p * W> + <Vt, (1 - p) * W> = <Y, W> for symmetric W, with
+
+    Y = sym(p * V_{k+1} + (1 - p) * Vt_{k+1}),
+
+the noise term of W prices with Sw * Y.  Let (Lambda, Xi, Z) be the
+Riccati kernel's coefficients (riccati._step's Lambda, Psi and G) at the
+value V_{k+1} and noise weight Sw * Y, and (Lt, Xt, Zt) those at Y and
+Sw * Y.  Then
+
+    V_k  = sym(Z  + Khat_k' Lambda Khat_k + Khat_k' Xi + Xi' Khat_k),
+    Vt_k = sym(Zt + Kt_k' Lt Kt_k + Kt_k' Xt + Xt' Kt_k),
+    dJ/dKhat_k = 2 (Lambda Khat_k + Xi) S_k,
+    dJ/dKt_k   = 2 (Lt Kt_k + Xt) T_k,
+
+and dJ/dKtilde^i_k is block (i, i) of the last: the input rows of u^i and
+the state columns of subsystem i.  On diagonal block i, Y is
+p_i [V_{k+1}]_ii + (1 - p_i) [Vt_{k+1}]_ii.  Neither S_k nor V_{k+1}
+depends on Khat_k, so J is an exact quadratic in any single entry (r, c) of
+Khat_k, with second derivative 2 Lambda_rr (S_k)_cc; for Kt_k it is
+2 (Lt)_rr (T_k)_cc.
 
 This module is the quantitative stand-in for the equilibrium (stationarity)
 condition of the underlying forward-backward system: a candidate gain
-schedule is optimal iff the exact cost is stationary in every gain entry.
+schedule is optimal iff the exact cost is stationary in every gain entry,
+which one forward and one backward pass give exactly (cost_gradient).
 The costate audit prices the state with the stacked value matrices P_k of
 a solved recursion (riccati.CRESolution).
 """
@@ -62,6 +88,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import _unwrap
+from .riccati import _step, _sym
+from .synthesis import GainSchedule
 
 
 def _blockdiag(blocks, NL, noff):
@@ -87,11 +115,9 @@ class MomentState:
         return self.S + self.T
 
 
-def propagate_moments(model, stacked, gain_schedule):
-    """Yield MomentState for k = 0..N+1 under the given gains."""
-    model = _unwrap(model)
+def _moments(model, stacked, Khat, Ktilde):
+    """propagate_moments on the stacked gain arrays Khat and Ktilde."""
     N = model.N
-    Ktilde = gain_schedule.Ktilde_stacked(N)
     NL = stacked.NL
     noff = stacked.n_offsets
     p = np.diag(stacked.p_diag)[:, None]
@@ -104,7 +130,7 @@ def propagate_moments(model, stacked, gain_schedule):
     A, B, Sw = stacked.A, stacked.B, stacked.Sw
     for k in range(N + 1):
         yield MomentState(k=k, S=S, T=T)
-        Kh, Kt = gain_schedule.Khat[k], Ktilde[k]
+        Kh, Kt = Khat[k], Ktilde[k]
         F = A + B @ Kh
         G = A + B @ Kt
         Phi = stacked.Abar + stacked.Bbar @ Kh
@@ -115,24 +141,33 @@ def propagate_moments(model, stacked, gain_schedule):
     yield MomentState(k=N + 1, S=S, T=T)
 
 
-def _priced_moments(model, stacked, gain_schedule):
+def propagate_moments(model, stacked, gain_schedule):
+    """Yield MomentState for k = 0..N+1 under the given gains."""
+    model = _unwrap(model)
+    yield from _moments(model, stacked, gain_schedule.Khat,
+                        gain_schedule.Ktilde_stacked(model.N))
+
+
+def _priced_moments(model, stacked, Khat, Ktilde):
     """Yield (MomentState, cost) for k = 0..N+1: the exact expected stage
-    cost at k <= N, then the terminal cost."""
+    cost <Q, S + T> + <R Khat, Khat S> + <R Kt, Kt T> at k <= N, then the
+    terminal cost <P_T, S + T>."""
     Q, R, PT = model.Q, model.R, model.P_terminal
-    Ktilde = gain_schedule.Ktilde_stacked(model.N)
-    for ms in propagate_moments(model, stacked, gain_schedule):
+    for ms in _moments(model, stacked, Khat, Ktilde):
         XX = ms.state_second_moment
         if ms.k == model.N + 1:
-            yield ms, float(np.trace(PT @ XX))
+            yield ms, float(np.vdot(PT, XX))
             return
-        Kh, Kt = gain_schedule.Khat[ms.k], Ktilde[ms.k]
-        UU = Kh @ ms.S @ Kh.T + Kt @ ms.T @ Kt.T
-        yield ms, float(np.trace(Q @ XX)) + float(np.trace(R @ UU))
+        Kh, Kt = Khat[ms.k], Ktilde[ms.k]
+        yield ms, float(np.vdot(Q, XX) + np.vdot(R @ Kh, Kh @ ms.S)
+                        + np.vdot(R @ Kt, Kt @ ms.T))
 
 
 def stage_costs(model, stacked, gain_schedule):
     """Exact expected stage costs for k = 0..N and the terminal cost."""
-    costs = [c for _, c in _priced_moments(_unwrap(model), stacked, gain_schedule)]
+    model = _unwrap(model)
+    costs = [c for _, c in _priced_moments(
+        model, stacked, gain_schedule.Khat, gain_schedule.Ktilde_stacked(model.N))]
     return costs[:-1], costs[-1]
 
 
@@ -140,6 +175,65 @@ def exact_cost(model, stacked, gain_schedule):
     """Exact expected total cost of the strategy (no sampling involved)."""
     stages, terminal = stage_costs(model, stacked, gain_schedule)
     return math.fsum(stages + [terminal])
+
+
+@dataclass
+class CostGradient:
+    """Exact first and second derivatives of exact_cost in every gain entry.
+
+    `gradient` and `curvature` are laid out as the gain schedule (Khat and
+    each Ktilde^i for k = 0..N); the cost is a quadratic in any single
+    entry, so `curvature` is that quadratic's exact second derivative.
+    """
+
+    cost: float
+    gradient: GainSchedule
+    curvature: GainSchedule
+
+
+def cost_gradient(model, stacked, gain_schedule):
+    """dJ/dKhat_k and dJ/dKtilde^i_k for every k by one forward moment pass
+    and one backward adjoint pass (see the module docstring); the cost is
+    bit-identical to exact_cost.  The schedule is only read."""
+    model = _unwrap(model)
+    N = model.N
+    Khat = gain_schedule.Khat
+    Ktilde = gain_schedule.Ktilde_stacked(N)
+    states, costs = [], []
+    for ms, c in _priced_moments(model, stacked, Khat, Ktilde):
+        states.append(ms)
+        costs.append(c)
+    p = np.diag(stacked.p_diag)[:, None]
+    q = 1.0 - p
+    Q, R, Sw = model.Q, model.R, stacked.Sw
+    moff, noff = gain_schedule.m_offsets, gain_schedule.n_offsets
+    blocks = [(slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1]))
+              for i in range(len(gain_schedule.Ktilde))]
+    dKh = np.zeros((N + 1,) + Khat.shape[1:])
+    ddKh = np.zeros_like(dKh)
+    dKt = [np.zeros((N + 1,) + Kt.shape[1:]) for Kt in gain_schedule.Ktilde]
+    ddKt = [np.zeros_like(d) for d in dKt]
+    V = Vt = _sym(model.P_terminal)
+    for k in range(N, -1, -1):
+        S, T = states[k].S, states[k].T
+        Kh, Kt = Khat[k], Ktilde[k]
+        Y = _sym(p * V + q * Vt)
+        Pw = Sw * Y
+        Lam, Xi, Z = _step(V, Pw, stacked, Q, R)
+        Lt, Xt, Zt = _step(Y, Pw, stacked, Q, R)
+        H, Ht = Lam @ Kh + Xi, Lt @ Kt + Xt
+        dKh[k] = 2.0 * H @ S
+        ddKh[k] = 2.0 * np.outer(np.diag(Lam), np.diag(S))
+        gt = 2.0 * Ht @ T
+        ct = 2.0 * np.outer(np.diag(Lt), np.diag(T))
+        for i, blk in enumerate(blocks):
+            dKt[i][k], ddKt[i][k] = gt[blk], ct[blk]
+        V = _sym(Z + Kh.T @ (H + Xi))
+        Vt = _sym(Zt + Kt.T @ (Ht + Xt))
+    layout = dict(N=N, n_offsets=noff, m_offsets=moff)
+    return CostGradient(cost=math.fsum(costs),
+                        gradient=GainSchedule(Khat=dKh, Ktilde=dKt, **layout),
+                        curvature=GainSchedule(Khat=ddKh, Ktilde=ddKt, **layout))
 
 
 @dataclass
@@ -158,66 +252,48 @@ class CostateCheck:
         return self.max_abs_derivative <= self.threshold
 
 
-def _gain_entries(gain_schedule):
-    """All tunable gain entries as (label, getter, setter) triples."""
-    out = []
-    N = gain_schedule.N
-    for k in range(N + 1):
-        Kh = gain_schedule.Khat[k]
-        for r in range(Kh.shape[0]):
-            for c in range(Kh.shape[1]):
-                out.append((f"Khat[{k}][{r},{c}]", ("Khat", k, r, c)))
-        for i, Kt in enumerate(gain_schedule.Ktilde):
-            for r in range(Kt.shape[1]):
-                for c in range(Kt.shape[2]):
-                    out.append((f"Ktilde{i + 1}[{k}][{r},{c}]", ("Ktilde", k, r, c, i)))
-    return out
+def _flat(sched):
+    """Every entry of a schedule in probe order: step by step, Khat
+    row-major, then each Ktilde^i row-major."""
+    steps = len(sched.Khat)
+    return np.concatenate(
+        [sched.Khat.reshape(steps, -1)]
+        + [Kt.reshape(steps, -1) for Kt in sched.Ktilde], axis=1).ravel()
 
 
-def _entry_ref(gain_schedule, key):
-    if key[0] == "Khat":
-        _, k, r, c = key
-        return gain_schedule.Khat[k], (r, c)
-    _, k, r, c, i = key
-    return gain_schedule.Ktilde[i][k], (r, c)
+def _entry_labels(sched, idx):
+    """Labels Khat[k][r,c] / Ktilde{i}[k][r,c] of the flat indices idx."""
+    cols = np.array([sched.Khat.shape[2]] + [Kt.shape[2] for Kt in sched.Ktilde])
+    sizes = [sched.Khat[0].size] + [Kt[0].size for Kt in sched.Ktilde]
+    starts = np.cumsum([0] + sizes)
+    step, e = np.divmod(idx, starts[-1])
+    block = np.searchsorted(starts, e, side="right") - 1
+    row, col = np.divmod(e - starts[block], cols[block])
+    return [f"Khat[{k}][{r},{c}]" if b == 0 else f"Ktilde{b}[{k}][{r},{c}]"
+            for k, b, r, c in zip(step.tolist(), block.tolist(),
+                                  row.tolist(), col.tolist())]
 
 
-def stationarity_check(model, stacked, gain_schedule, max_entries=500, rng_seed=0):
-    """Central-difference derivative of exact_cost in every gain entry.
+def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed=0):
+    """The exact derivative of exact_cost in every gain entry (cost_gradient).
 
-    The cost is an exact quadratic in each entry, so central differences
-    are exact up to round-off; the per-entry step is 1e-5 (1 + |entry|).
-    When the schedule has more than `max_entries` entries, a seeded random
-    subset of that size is probed.
+    With `max_entries` set and exceeded, a seeded random subset of that
+    size is reported, drawn over the entries in probe order (_flat).
+    min_second_difference is the least exact second derivative reported.
     """
     model = _unwrap(model)
-    base = exact_cost(model, stacked, gain_schedule)
-    entries = _gain_entries(gain_schedule)
-    if len(entries) > max_entries:
+    cg = cost_gradient(model, stacked, gain_schedule)
+    d, dd = _flat(cg.gradient), _flat(cg.curvature)
+    idx = np.arange(d.size)
+    if max_entries is not None and d.size > max_entries:
         rng = np.random.default_rng(rng_seed)
-        idx = rng.choice(len(entries), size=max_entries, replace=False)
-        entries = [entries[j] for j in sorted(idx)]
-    max_d = 0.0
-    min_dd = math.inf
-    derivs = []
-    for label, key in entries:
-        M, (r, c) = _entry_ref(gain_schedule, key)
-        orig = M[r, c]
-        eps = 1e-5 * (1.0 + abs(orig))
-        M[r, c] = orig + eps
-        up = exact_cost(model, stacked, gain_schedule)
-        M[r, c] = orig - eps
-        dn = exact_cost(model, stacked, gain_schedule)
-        M[r, c] = orig
-        d = (up - dn) / (2.0 * eps)
-        dd = (up - 2.0 * base + dn) / (eps * eps)
-        derivs.append((label, d))
-        max_d = max(max_d, abs(d))
-        min_dd = min(min_dd, dd)
+        idx = np.sort(rng.choice(d.size, size=max_entries, replace=False))
+    d, dd = d[idx], dd[idx]
     return CostateCheck(
-        cost=base, max_abs_derivative=max_d,
-        threshold=1e-6 * (1.0 + abs(base)), entries_probed=len(entries),
-        min_second_difference=min_dd, derivatives=derivs)
+        cost=cg.cost, max_abs_derivative=float(np.abs(d).max(initial=0.0)),
+        threshold=1e-6 * (1.0 + abs(cg.cost)), entries_probed=len(idx),
+        min_second_difference=float(dd.min(initial=math.inf)),
+        derivatives=list(zip(_entry_labels(cg.gradient, idx), d.tolist())))
 
 
 @dataclass
@@ -250,7 +326,8 @@ def costate_moments(model, stacked, gain_schedule, sol):
     noff = stacked.n_offsets
     Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], stacked.NL, noff)
     stages, V = [], []
-    for ms, cost in _priced_moments(model, stacked, gain_schedule):
+    for ms, cost in _priced_moments(model, stacked, gain_schedule.Khat,
+                                    gain_schedule.Ktilde_stacked(N)):
         stages.append(cost)
         V.append(float(np.trace(sol.P[ms.k] @ ms.state_second_moment)))
     stages.pop()  # the terminal cost enters through V[N+1]

@@ -101,16 +101,17 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _step(P1, plant, Sw, Q, R):
+def _step(P1, Pw, plant, Q, R):
     """Coefficients of one backward step from the value matrix P1 = P_{k+1}.
 
     `plant` carries A, B, Abar, Bbar (a StackedModel or a SubsystemModel)
-    and Sw is its noise-variance mask, a matrix or a scalar.  Returns
-    (Lambda, Psi, Q + A'P1 A + Abar'Pw Abar) with Pw = Sw * P1; the step's
-    value matrix is the last minus Psi' Lambda^{-1} Psi.
+    and Pw is the noise weight, already masked by the plant's noise
+    variances: Sw * P1 in both recursions here, Sw * Y in the oracle's
+    adjoint pass (oracle.cost_gradient).  Returns
+    (Lambda, Psi, Q + A'P1 A + Abar'Pw Abar); the step's value matrix is the
+    last minus Psi' Lambda^{-1} Psi.
     """
     A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
-    Pw = Sw * P1
     Lam = R + B.T @ P1 @ B + Bbar.T @ Pw @ Bbar
     Psi = B.T @ P1 @ A + Bbar.T @ Pw @ Abar
     G = Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar
@@ -140,12 +141,14 @@ def solve_cre(stacked, model):
         sol.P_sub[i][N + 1] = PT[r, r]
     Q, R = model.Q, model.R
     for k in range(N, -1, -1):
-        Lam, Psi, G = _step(sol.P[k + 1], stacked, stacked.Sw, Q, R)
+        P1 = sol.P[k + 1]
+        Lam, Psi, G = _step(P1, stacked.Sw * P1, stacked, Q, R)
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
         sol.P[k] = _sym(G - Psi.T @ solve_checked(
             Lam, Psi, lambda rc: SingularLambda(k, rc)))
         for i, (s, Qii, Rii) in enumerate(subs):
-            Pi, Om, Gi = _step(sol.P_sub[i][k + 1], s, s.sigma_w, Qii, Rii)
+            P1i = sol.P_sub[i][k + 1]
+            Pi, Om, Gi = _step(P1i, s.sigma_w * P1i, s, Qii, Rii)
             sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
             sol.P_sub[i][k] = _sym(Gi - Om.T @ solve_checked(
                 Pi, Om, lambda rc: SingularPi(k, i + 1, rc)))
@@ -181,7 +184,8 @@ def solve_generalized(stacked, model):
         M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
     out.Delta[N + 1] = model.P_terminal
     for k in range(N, -1, -1):
-        Ups, Mk, G = _step(out.Delta[k + 1], stacked, stacked.Sw, Q, R)
+        D1 = out.Delta[k + 1]
+        Ups, Mk, G = _step(D1, stacked.Sw * D1, stacked, Q, R)
         Ups = _sym(Ups)
         eigs = np.linalg.eigvalsh(Ups)
         out.upsilon_psd[k] = bool(eigs.min() >= -psd_tolerance(eigs))

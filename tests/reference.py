@@ -8,17 +8,21 @@ single-subsystem reductions of them) keep every family the package folds
 into its one symmetric kernel, so they check that fold independently.  The
 full moment system (propagate_moments_full) carries the cross moment and
 the means that the package's oracle proves zero and drops, so it checks
-that reduction.  The estimator-state helpers at the end are the one
-exception: they drive the package's estimator step, which is what the
-closed-form error recursion next to them checks.
+that reduction.  Two helpers are exceptions: the estimator-state helpers
+drive the package's estimator step, which is what the closed-form error
+recursion next to them checks, and stationarity_by_differences takes
+central differences of the package's exact_cost, which is what the
+adjoint gradient (oracle.cost_gradient) must reproduce.
 """
 import itertools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from ncslq.estimator import init_estimate, update_estimate
+from ncslq.oracle import CostateCheck, exact_cost
 
 
 def hand_recursion_scalar(A, B1, B0, Abar, Bbar1, Bbar0, sw, p, Q, R, PT, N):
@@ -560,3 +564,67 @@ def initial_state(model, gamma0, x0):
     xhat = [init_estimate(gamma0[i], x0[i], s.mu)
             for i, s in enumerate(model.subsystems)]
     return EstimatorState(k=0, xhat=xhat)
+
+
+def _gain_entries(gain_schedule):
+    """All tunable gain entries as (label, key) pairs."""
+    out = []
+    N = gain_schedule.N
+    for k in range(N + 1):
+        Kh = gain_schedule.Khat[k]
+        for r in range(Kh.shape[0]):
+            for c in range(Kh.shape[1]):
+                out.append((f"Khat[{k}][{r},{c}]", ("Khat", k, r, c)))
+        for i, Kt in enumerate(gain_schedule.Ktilde):
+            for r in range(Kt.shape[1]):
+                for c in range(Kt.shape[2]):
+                    out.append((f"Ktilde{i + 1}[{k}][{r},{c}]", ("Ktilde", k, r, c, i)))
+    return out
+
+
+def _entry_ref(gain_schedule, key):
+    if key[0] == "Khat":
+        _, k, r, c = key
+        return gain_schedule.Khat[k], (r, c)
+    _, k, r, c, i = key
+    return gain_schedule.Ktilde[i][k], (r, c)
+
+
+def stationarity_by_differences(model, stacked, gain_schedule, max_entries=500,
+                                rng_seed=0):
+    """Central-difference derivative of exact_cost in every gain entry.
+
+    The cost is an exact quadratic in each entry, so central differences
+    are exact up to round-off; the per-entry step is 1e-5 (1 + |entry|).
+    When the schedule has more than `max_entries` entries, a seeded random
+    subset of that size is probed.  Each entry is moved in place and put
+    back.
+    """
+    model = _unwrap(model)
+    base = exact_cost(model, stacked, gain_schedule)
+    entries = _gain_entries(gain_schedule)
+    if len(entries) > max_entries:
+        rng = np.random.default_rng(rng_seed)
+        idx = rng.choice(len(entries), size=max_entries, replace=False)
+        entries = [entries[j] for j in sorted(idx)]
+    max_d = 0.0
+    min_dd = math.inf
+    derivs = []
+    for label, key in entries:
+        M, (r, c) = _entry_ref(gain_schedule, key)
+        orig = M[r, c]
+        eps = 1e-5 * (1.0 + abs(orig))
+        M[r, c] = orig + eps
+        up = exact_cost(model, stacked, gain_schedule)
+        M[r, c] = orig - eps
+        dn = exact_cost(model, stacked, gain_schedule)
+        M[r, c] = orig
+        d = (up - dn) / (2.0 * eps)
+        dd = (up - 2.0 * base + dn) / (eps * eps)
+        derivs.append((label, d))
+        max_d = max(max_d, abs(d))
+        min_dd = min(min_dd, dd)
+    return CostateCheck(
+        cost=base, max_abs_derivative=max_d,
+        threshold=1e-6 * (1.0 + abs(base)), entries_probed=len(entries),
+        min_second_difference=min_dd, derivatives=derivs)

@@ -94,6 +94,15 @@ def test_missing_config_is_input_error(tmp_path):
                 "solve"]) == 1
 
 
+def test_nonfinite_config_is_input_error(tmp_path, capsys):
+    doc = model_to_dict(make_scalar_coupled(N=3))
+    doc["subsystems"][0]["sigma_w"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert run(["--config", path, "--out", tmp_path, "solve"]) == 1
+    assert "sigma_w^1 has a non-finite entry" in capsys.readouterr().err
+
+
 def test_simulate_byte_identical(scalar_config, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -167,6 +176,8 @@ def test_check_passes_on_scalar(scalar_config, tmp_path):
     assert doc["costate_telescoping"]["ok"]
     assert doc["cost_formula_vs_oracle"]["ok"]
     assert doc["monte_carlo_vs_oracle"]["ok"]
+    # every gain entry is probed: Khat is 2 x 1 and Ktilde^1 1 x 1 at k = 0..5
+    assert doc["stationarity"]["entries_probed"] == 6 * (2 * 1 + 1 * 1)
 
 
 def test_check_fails_on_coupled_with_exit_3(coupled_config, tmp_path, capsys):

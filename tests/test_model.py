@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncslq import (DefinitenessViolation, DimensionMismatch, NetworkModel,
-                   ProbabilityOutOfRange, SubsystemModel, load_config,
+from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
+                   NetworkModel, ProbabilityOutOfRange, SubsystemModel, load_config,
                    model_from_dict, model_to_dict, stack, validate)
 
 from conftest import (SEC5_CONFIG, make_random_definite, make_scalar_coupled,
@@ -123,6 +125,23 @@ def test_negative_sigma_w_rejected():
     model = two_subsystem_model()
     model.subsystems[1].sigma_w = -0.1
     with pytest.raises(DefinitenessViolation, match="sigma_w"):
+        validate(model)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["A", "Sigma_v", "mu", "sigma_w", "Q", "R",
+                                   "P_terminal"])
+def test_nonfinite_entry_rejected(field, value):
+    # left through, NaN in Sigma_v or mu gave NaN costs and NaN or inf in
+    # sigma_w, Q or A surfaced as SingularLambda
+    model = make_scalar_coupled(N=3)
+    owner = model if field in ("Q", "R", "P_terminal") else model.subsystems[0]
+    if field == "sigma_w":
+        owner.sigma_w = value
+    else:
+        getattr(owner, field).flat[0] = value
+    name = field if owner is model else f"{field}^1"
+    with pytest.raises(ModelError, match=re.escape(f"{name} has a non-finite entry")):
         validate(model)
 
 

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
-                   costate_moments, exact_cost, propagate_moments,
-                   stationarity_check)
+                   cost_gradient, costate_moments, exact_cost,
+                   propagate_moments, stationarity_check)
 from ncslq.model import psd_tolerance
 from ncslq.oracle import stage_costs
 from ncslq.synthesis import GainSchedule
@@ -13,7 +15,7 @@ from conftest import (make_random_definite, make_scalar_coupled,
                       validated_pair)
 from reference import (bernoulli_weights, dense_noise_channels,
                        place_blocks_by_loop, priced_moments_full,
-                       quadrature_cost)
+                       quadrature_cost, stationarity_by_differences)
 
 
 def solve_all(model):
@@ -209,6 +211,97 @@ def test_stationarity_zero_problem():
     assert chk.max_abs_derivative == 0.0
 
 
+def perturbed(sched, seed=53, scale=0.05):
+    rng = np.random.default_rng(seed)
+    sched.Khat += scale * rng.standard_normal(sched.Khat.shape)
+    for Kt in sched.Ktilde:
+        Kt += scale * rng.standard_normal(Kt.shape)
+    return sched
+
+
+GRADIENT_INSTANCES = {
+    **{f"seed{s}": (lambda s=s: make_random_definite(np.random.default_rng(s)))
+       for s in range(20)},
+    "scalar-coupled-N5": lambda: make_scalar_coupled(N=5),
+    "scalar-decoupled-N5": lambda: make_scalar_decoupled(N=5),
+    "unequal-blocks": make_unequal_blocks,
+}
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["synthesized", "perturbed"])
+@pytest.mark.parametrize("make", list(GRADIENT_INSTANCES.values()),
+                         ids=list(GRADIENT_INSTANCES))
+def test_gradient_matches_central_differences(make, perturb):
+    # central-difference round-off is about eps |J| / h, about 1e-11 |J|, so
+    # the bound scales with 1 + |J|; relative to |d| it fails on tiny entries
+    vm, stk, _, sched = solve_all(make())
+    if perturb:
+        perturbed(sched)
+    cg = cost_gradient(vm, stk, sched)
+    assert cg.cost == exact_cost(vm, stk, sched)
+    chk = stationarity_check(vm, stk, sched)
+    ref = stationarity_by_differences(vm, stk, sched, max_entries=10**9)
+    assert [label for label, _ in chk.derivatives] == [
+        label for label, _ in ref.derivatives]
+    got = np.array([d for _, d in chk.derivatives])
+    fd = np.array([d for _, d in ref.derivatives])
+    assert np.abs(got - fd).max() <= 1e-8 * (1.0 + abs(ref.cost))
+    assert chk.entries_probed == ref.entries_probed == got.size
+    assert chk.cost == cg.cost
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_scalar_coupled(N=3), make_unequal_blocks,
+    lambda: make_random_definite(np.random.default_rng(7), L=2, N=3),
+], ids=["scalar-coupled-N3", "unequal-blocks", "seed7-L2-N3"])
+def test_curvature_matches_five_point_fit(make):
+    # the cost is a quadratic in any single entry, so the five-point second
+    # difference at a wide step is exact up to round-off
+    vm, stk, _, sched = solve_all(make())
+    perturbed(sched)
+    cg = cost_gradient(vm, stk, sched)
+    N = vm.model.N
+    work = copy.deepcopy(sched)
+    targets = [(work.Khat, cg.curvature.Khat)] + list(
+        zip(work.Ktilde, cg.curvature.Ktilde))
+    for K, curv in targets:
+        for k, r, c in np.ndindex(N + 1, *K.shape[1:]):
+            orig = K[k, r, c]
+            h = 0.1 * (1.0 + abs(orig))
+            J = []
+            for t in (-2, -1, 0, 1, 2):
+                K[k, r, c] = orig + t * h
+                J.append(exact_cost(vm, stk, work))
+            K[k, r, c] = orig
+            fit = (-J[0] + 16 * J[1] - 30 * J[2] + 16 * J[3] - J[4]) / (12 * h * h)
+            assert abs(curv[k, r, c] - fit) <= 1e-9 * abs(fit), (k, r, c)
+
+
+def test_capped_check_reports_the_seeded_subset():
+    vm, stk, _, sched = solve_all(
+        make_random_definite(np.random.default_rng(11), L=3, N=8))
+    perturbed(sched)
+    ref = stationarity_by_differences(vm, stk, sched, max_entries=8, rng_seed=3)
+    chk = stationarity_check(vm, stk, sched, max_entries=8, rng_seed=3)
+    assert chk.entries_probed == 8
+    assert [lb for lb, _ in chk.derivatives] == [lb for lb, _ in ref.derivatives]
+    scale = 1e-8 * (1.0 + abs(ref.cost))
+    for (_, d), (_, d_ref) in zip(chk.derivatives, ref.derivatives):
+        assert abs(d - d_ref) <= scale
+    assert abs(chk.max_abs_derivative - ref.max_abs_derivative) <= scale
+
+
+def test_check_leaves_the_schedule_untouched():
+    vm, stk, _, sched = solve_all(make_unequal_blocks())
+    perturbed(sched)
+    before = copy.deepcopy(sched)
+    stationarity_check(vm, stk, sched, max_entries=5)
+    stationarity_check(vm, stk, sched)
+    assert np.array_equal(sched.Khat, before.Khat)
+    for Kt, Kt_before in zip(sched.Ktilde, before.Ktilde):
+        assert np.array_equal(Kt, Kt_before)
+
+
 def test_random_perturbations_never_beat_optimum():
     model = make_scalar_decoupled(N=4)
     vm, stk, _, sched = solve_all(model)
@@ -280,10 +373,7 @@ REFEREE_INSTANCES = {
 def test_reduced_oracle_matches_full_referee(make, perturb):
     vm, stk, _, sched = solve_all(make())
     if perturb:
-        rng = np.random.default_rng(53)
-        sched.Khat += 0.05 * rng.standard_normal(sched.Khat.shape)
-        for Kt in sched.Ktilde:
-            Kt += 0.05 * rng.standard_normal(Kt.shape)
+        perturbed(sched)
     off = off_block_mask(stk.n_offsets)
     full = list(priced_moments_full(vm, stk, sched))
     reduced = list(propagate_moments(vm, stk, sched))

@@ -73,7 +73,7 @@ def test_masked_step_equals_per_channel_sums():
     channels = dense_noise_channels(vm)
     for k in range(vm.model.N + 1):
         P1 = sol.P[k + 1]
-        Lam, Psi, G = _step(P1, stk, stk.Sw, Q, R)
+        Lam, Psi, G = _step(P1, stk.Sw * P1, stk, Q, R)
         Lam_ref = R + B.T @ P1 @ B + sum(s * Bb.T @ P1 @ Bb for s, _, Bb in channels)
         Psi_ref = B.T @ P1 @ A + sum(s * Bb.T @ P1 @ Ab for s, Ab, Bb in channels)
         G_ref = Q + A.T @ P1 @ A + sum(s * Ab.T @ P1 @ Ab for s, Ab, _ in channels)
