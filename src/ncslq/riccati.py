@@ -19,22 +19,35 @@ matrix is the symmetric part of what the step computes, so P_k = P_k'
 exactly: left alone, the antisymmetric round-off of the stacked P_k grows
 step by step on long horizons.
 
+Each coefficient matrix is factored exactly once.  The solve that closes a
+step, Lambda_k^{-1} Psi_k, is minus the remote gain, so the step stores
+Khat_k = -Lambda_k^{-1} Psi_k and forms P_k = G + Psi' Khat_k from it; the
+same holds for Ktilde_k^i and P_k^i.  The solves go straight to LAPACK
+(getrf, lange, gecon, getrs): the matrices are 2x2 to about 30x30, where the
+per-call overhead of scipy's LU factor and solve wrappers costs more than
+the factorization.
+
 Also provided: the generalized recursion for indefinite weights, the same
 step with a Moore-Penrose pseudo-inverse.  The additive-noise and
 single-subsystem reductions live in the test suite as independent oracles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .model import _unwrap, psd_tolerance
 
 # Reciprocal condition number below which a coefficient matrix is declared
 # singular (the solvability condition fails).
 RCOND_SINGULAR = 1e-12
+
+# Double-precision LU factorization, 1-norm, condition estimate and LU solve.
+_getrf, _lange, _gecon, _getrs = get_lapack_funcs(
+    ("getrf", "lange", "gecon", "getrs"), (np.zeros((1, 1)),))
 
 
 class RiccatiError(RuntimeError):
@@ -58,16 +71,16 @@ def solve_checked(M, rhs, exc_factory):
 
     Raises exc_factory(rcond) when the estimated reciprocal condition
     number falls below RCOND_SINGULAR or is not finite, which is also how
-    a diverged (non-finite) M is reported.
+    a diverged (non-finite) M is reported.  The result is bit-identical to
+    solving with scipy.linalg's LU factor and solve functions, which call
+    the same LAPACK routines behind a per-call overhead.
     """
     M = np.asarray(M, dtype=float)
-    anorm = np.linalg.norm(M, 1)
-    lu, piv = lu_factor(M, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if not np.isfinite(rcond) or rcond < RCOND_SINGULAR:
+    lu, piv, _ = _getrf(M)
+    rcond, _ = _gecon(lu, _lange("1", M))
+    if not math.isfinite(rcond) or rcond < RCOND_SINGULAR:
         raise exc_factory(rcond)
-    return lu_solve((lu, piv), rhs, check_finite=False)
+    return _getrs(lu, piv, rhs)[0]
 
 
 @dataclass
@@ -75,8 +88,13 @@ class CRESolution:
     """Time-indexed solution of the coupled recursions.
 
     Value arrays run k = 0..N+1 (index N+1 holds the terminal condition);
-    coefficient arrays run k = 0..N.  Per-subsystem entries are lists over
-    i = 0..L-1 (subsystem i+1 in 1-based labelling).
+    coefficient and gain arrays run k = 0..N.  Per-subsystem entries are
+    lists over i = 0..L-1 (subsystem i+1 in 1-based labelling).
+
+    Khat and Ktilde are the gains Khat_k = -Lambda_k^{-1} Psi_k and
+    Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these
+    solves to form P_k and P_k^i, so it keeps them, and synthesis.gains reads
+    them without factoring any coefficient matrix again.
     """
 
     N: int
@@ -91,6 +109,8 @@ class CRESolution:
     Psi: np.ndarray                    # (N+1, ML, NL)
     Pi: list[np.ndarray]               # each (N+1, m_i, m_i)
     Omega: list[np.ndarray]            # each (N+1, m_i, n_i)
+    Khat: np.ndarray                   # (N+1, ML, NL)
+    Ktilde: list[np.ndarray]           # each (N+1, m_i, n_i)
 
     @property
     def L_count(self):
@@ -112,14 +132,30 @@ def _step(P1, Pw, plant, Q, R):
     last minus Psi' Lambda^{-1} Psi.
     """
     A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
-    Lam = R + B.T @ P1 @ B + Bbar.T @ Pw @ Bbar
-    Psi = B.T @ P1 @ A + Bbar.T @ Pw @ Abar
+    # the left products shared by Lambda and Psi; B.T @ P1 @ B evaluates as
+    # (B.T @ P1) @ B, so forming them once changes no bit
+    BtP, BbtPw = B.T @ P1, Bbar.T @ Pw
+    Lam = R + BtP @ B + BbtPw @ Bbar
+    Psi = BtP @ A + BbtPw @ Abar
     G = Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar
     return Lam, Psi, G
 
 
+def _store_gains(sol, k):
+    """Factor Lambda_k and each Pi_k^i of `sol` once, storing
+    Khat_k = -Lambda_k^{-1} Psi_k and Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.
+
+    Raises SingularLambda or SingularPi, in that order, naming the step."""
+    sol.Khat[k] = -solve_checked(sol.Lambda[k], sol.Psi[k],
+                                 lambda rc: SingularLambda(k, rc))
+    for i in range(sol.L_count):
+        sol.Ktilde[i][k] = -solve_checked(
+            sol.Pi[i][k], sol.Omega[i][k], lambda rc: SingularPi(k, i + 1, rc))
+
+
 def solve_cre(stacked, model):
-    """Solve the coupled recursions backward from k = N to 0."""
+    """Solve the coupled recursions backward from k = N to 0, keeping the
+    gains that close each step."""
     model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     noff = stacked.n_offsets
@@ -133,6 +169,8 @@ def solve_cre(stacked, model):
         Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
         Pi=[np.zeros((N + 1, s.m, s.m)) for s in model.subsystems],
         Omega=[np.zeros((N + 1, s.m, s.n)) for s in model.subsystems],
+        Khat=np.zeros((N + 1, ML, NL)),
+        Ktilde=[np.zeros((N + 1, s.m, s.n)) for s in model.subsystems],
     )
     PT = _sym(model.P_terminal)
     sol.P[N + 1] = PT
@@ -144,14 +182,16 @@ def solve_cre(stacked, model):
         P1 = sol.P[k + 1]
         Lam, Psi, G = _step(P1, stacked.Sw * P1, stacked, Q, R)
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.P[k] = _sym(G - Psi.T @ solve_checked(
-            Lam, Psi, lambda rc: SingularLambda(k, rc)))
+        G_sub = []
         for i, (s, Qii, Rii) in enumerate(subs):
             P1i = sol.P_sub[i][k + 1]
-            Pi, Om, Gi = _step(P1i, s.sigma_w * P1i, s, Qii, Rii)
-            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
-            sol.P_sub[i][k] = _sym(Gi - Om.T @ solve_checked(
-                Pi, Om, lambda rc: SingularPi(k, i + 1, rc)))
+            sol.Pi[i][k], sol.Omega[i][k], Gi = _step(
+                P1i, s.sigma_w * P1i, s, Qii, Rii)
+            G_sub.append(Gi)
+        _store_gains(sol, k)
+        sol.P[k] = _sym(G + Psi.T @ sol.Khat[k])
+        for i, Gi in enumerate(G_sub):
+            sol.P_sub[i][k] = _sym(Gi + sol.Omega[i][k].T @ sol.Ktilde[i][k])
     return sol
 
 
@@ -210,8 +250,8 @@ def check_definiteness(sol, model):
     """Verify Pi_k^i > 0 and P_k^i >= 0 for all k, i.
 
     P_k^i is additionally rebuilt through its completed-square closed form
-    (with the local feedback g = -Pi^{-1} Omega), which also certifies
-    positive semidefiniteness structurally.
+    with the stored local gain g = Ktilde_k^i = -Pi^{-1} Omega, which also
+    certifies positive semidefiniteness structurally, at the gain in use.
     """
     model = _unwrap(model)
     rep = DefinitenessReport()
@@ -228,7 +268,7 @@ def check_definiteness(sol, model):
             if eigs.min() < -psd_tolerance(eigs):
                 rep.violations.append(("P", k, i + 1, float(eigs.min())))
             # completed-square closed form
-            g = -np.linalg.solve(Pi, sol.Omega[i][k])
+            g = sol.Ktilde[i][k]
             P1 = sol.P_sub[i][k + 1]
             Acl = s.A + s.B @ g
             Abcl = s.Abar + s.Bbar @ g
@@ -238,9 +278,10 @@ def check_definiteness(sol, model):
             rep.closed_form_error = max(
                 rep.closed_form_error,
                 float(np.linalg.norm(rebuilt - stored) / scale))
-    # the rebuild routes through solve(Pi) and a different summation order,
-    # so its roundoff is amplified by the conditioning of Pi; 1e-8 relative
-    # still separates rounding from any structural violation by many decades
+    # the rebuild routes through the solve with Pi and a different summation
+    # order, so its roundoff is amplified by the conditioning of Pi; 1e-8
+    # relative still separates rounding from any structural violation by many
+    # decades
     if rep.closed_form_error > 1e-8:
         rep.violations.append(("closed_form", -1, -1, rep.closed_form_error))
     return rep

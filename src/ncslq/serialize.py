@@ -58,9 +58,13 @@ def cre_to_dict(sol):
 
 
 def cre_from_dict(doc):
-    from .riccati import CRESolution
+    """Plain document -> CRESolution.  The document carries no gains, so
+    each step's Lambda_k and Pi_k^i are factored here once, by the solve that
+    solve_cre makes; the rebuilt gains are bit-identical to the stored ones."""
+    from .riccati import CRESolution, _store_gains
     arr = lambda x: np.asarray(x, dtype=float)
-    return CRESolution(
+    Psi, Omega = arr(doc["Psi"]), [arr(x) for x in doc["Omega"]]
+    sol = CRESolution(
         N=int(doc["N"]),
         NL=len(doc["P"][0]), ML=len(doc["Lambda"][0]),
         n_offsets=[int(v) for v in doc["n_offsets"]],
@@ -68,9 +72,14 @@ def cre_from_dict(doc):
         p=[float(v) for v in doc["p"]],
         P=arr(doc["P"]),
         P_sub=[arr(x) for x in doc["P_sub"]],
-        Lambda=arr(doc["Lambda"]), Psi=arr(doc["Psi"]),
-        Pi=[arr(x) for x in doc["Pi"]], Omega=[arr(x) for x in doc["Omega"]],
+        Lambda=arr(doc["Lambda"]), Psi=Psi,
+        Pi=[arr(x) for x in doc["Pi"]], Omega=Omega,
+        Khat=np.zeros_like(Psi),
+        Ktilde=[np.zeros_like(Om) for Om in Omega],
     )
+    for k in range(sol.N + 1):
+        _store_gains(sol, k)
+    return sol
 
 
 def gains_to_dict(sched):

@@ -8,7 +8,8 @@ where U_k stacks (u_k^0, u_k^1, ..., u_k^L) at m_offsets and Utilde_k is
 zero in the remote input u_k^0, which cannot see the estimation error.
 Khat_k = -Lambda_k^{-1} Psi_k acts on the remote estimate and the local
 error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the
-per-subsystem family.
+per-subsystem family.  riccati.solve_cre computes and stores both while it
+closes each step, so `gains` only copies them into a GainSchedule.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HorizonMismatch, _unwrap
-from .riccati import SingularLambda, SingularPi, solve_checked
 
 
 @dataclass
@@ -67,19 +67,13 @@ class GainSchedule:
 
 
 def gains(sol):
-    """Materialize the full gain schedule from a CRE solution."""
-    N = sol.N
-    Khat = np.zeros((N + 1, sol.ML, sol.NL))
-    Ktilde = [np.zeros_like(Om) for Om in sol.Omega]
-    for k in range(N + 1):
-        Khat[k] = -solve_checked(
-            sol.Lambda[k], sol.Psi[k], lambda rc: SingularLambda(k, rc))
-        for i in range(sol.L_count):
-            Ktilde[i][k] = -solve_checked(
-                sol.Pi[i][k], sol.Omega[i][k],
-                lambda rc: SingularPi(k, i + 1, rc))
-    return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde,
-                        n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
+    """The gain schedule of a CRE solution: copies of the Khat and Ktilde^i
+    that solve_cre stored, so editing the schedule leaves `sol` unchanged.
+    Nothing is factored here."""
+    return GainSchedule(N=sol.N, Khat=sol.Khat.copy(),
+                        Ktilde=[Kt.copy() for Kt in sol.Ktilde],
+                        n_offsets=list(sol.n_offsets),
+                        m_offsets=list(sol.m_offsets))
 
 
 def _symmetric_part(M, name, rtol=1e-9):

@@ -8,11 +8,14 @@ single-subsystem reductions of them) keep every family the package folds
 into its one symmetric kernel, so they check that fold independently.  The
 full moment system (propagate_moments_full) carries the cross moment and
 the means that the package's oracle proves zero and drops, so it checks
-that reduction.  Two helpers are exceptions: the estimator-state helpers
+that reduction.  Three helpers are exceptions: the estimator-state helpers
 drive the package's estimator step, which is what the closed-form error
-recursion next to them checks, and stationarity_by_differences takes
+recursion next to them checks; stationarity_by_differences takes
 central differences of the package's exact_cost, which is what the
-adjoint gradient (oracle.cost_gradient) must reproduce.
+adjoint gradient (oracle.cost_gradient) must reproduce; and
+gains_by_refactoring factors every stored coefficient matrix again through
+the package's solve_checked, which is what the gains that solve_cre keeps
+must equal bit for bit.
 """
 import itertools
 import math
@@ -23,6 +26,8 @@ import numpy as np
 
 from ncslq.estimator import init_estimate, update_estimate
 from ncslq.oracle import CostateCheck, exact_cost
+from ncslq.riccati import SingularLambda, SingularPi, solve_checked
+from ncslq.synthesis import GainSchedule
 
 
 def hand_recursion_scalar(A, B1, B0, Abar, Bbar1, Bbar0, sw, p, Q, R, PT, N):
@@ -157,6 +162,24 @@ def ktilde_full_by_loop(gain_schedule, k):
             for b in range(Kt.shape[2]):
                 K[moff[i + 1] + a, noff[i] + b] = Kt[k, a, b]
     return K
+
+
+def gains_by_refactoring(sol):
+    """The gain schedule with every Lambda_k and Pi_k^i of a CRE solution
+    factored again, step by step, rather than read from sol.Khat and
+    sol.Ktilde."""
+    N = sol.N
+    Khat = np.zeros((N + 1, sol.ML, sol.NL))
+    Ktilde = [np.zeros_like(Om) for Om in sol.Omega]
+    for k in range(N + 1):
+        Khat[k] = -solve_checked(
+            sol.Lambda[k], sol.Psi[k], lambda rc: SingularLambda(k, rc))
+        for i in range(sol.L_count):
+            Ktilde[i][k] = -solve_checked(
+                sol.Pi[i][k], sol.Omega[i][k],
+                lambda rc: SingularPi(k, i + 1, rc))
+    return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde,
+                        n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
 
 
 def _unwrap(model):

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from ncslq import (NetworkModel, SingularLambda, SubsystemModel,
                    check_definiteness, solve_cre, solve_generalized)
-from ncslq.riccati import _step, solve_checked
+from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
@@ -198,7 +201,6 @@ def test_generalized_flags_match_independent_eigenvalues():
         assert gen.upsilon_psd[k] == (eigs.min() >= -psd_tolerance(eigs))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_lambda_detected():
     model = make_scalar_coupled(N=1)
     model.R = np.zeros((2, 2))
@@ -232,6 +234,64 @@ def test_solve_checked_well_conditioned():
     rhs = np.array([[2.0], [8.0]])
     out = solve_checked(M, rhs, lambda rc: SingularLambda(0, rc))
     assert np.allclose(out, [[1.0], [2.0]])
+
+
+def test_solve_checked_equals_scipy_lu_solve():
+    # the direct LAPACK calls are the routines behind lu_factor / lu_solve,
+    # so the solution must agree bit for bit
+    rng = np.random.default_rng(41)
+    fail = lambda rc: SingularLambda(0, rc)
+    for n in range(1, 31):
+        M = rng.standard_normal((n, n)) + n * np.eye(n)
+        for rhs in (rng.standard_normal((n, 3)), rng.standard_normal(n)):
+            out = solve_checked(M, rhs, fail)
+            ref = lu_solve(lu_factor(M), rhs)
+            assert out.shape == ref.shape
+            assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),            # exactly singular
+    np.zeros((3, 3)),
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),         # diverged: non-finite
+    np.array([[np.inf, 1.0], [1.0, 1.0]]),
+    np.array([[-np.inf, 0.0], [0.0, np.nan]]),
+], ids=["rank1", "zero", "nan", "inf", "inf_nan"])
+def test_solve_checked_raises_with_rcond(M):
+    seen = []
+
+    def fail(rc):
+        seen.append(rc)
+        return SingularLambda(7, rc)
+
+    with pytest.raises(SingularLambda) as info:
+        solve_checked(M, np.ones((len(M), 2)), fail)
+    assert info.value.k == 7
+    assert len(seen) == 1 and info.value.rcond is seen[0]
+    rc = info.value.rcond
+    assert not math.isfinite(rc) or rc < RCOND_SINGULAR
+    if np.isfinite(M).all():
+        assert rc == 0.0
+
+
+def test_step_equals_three_operand_form():
+    # _step shares B'P1 and Bbar'Pw between Lambda and Psi; Python evaluates
+    # B.T @ P1 @ B as (B.T @ P1) @ B, so no bit may move
+    vm, stk, sol = solve(make_unequal_blocks())
+    model = vm.model
+    plants = [(stk, stk.Sw, model.Q, model.R, sol.P)] + [
+        (s, s.sigma_w, model.Q_block(i + 1, i + 1),
+         model.R_block(i + 1, i + 1), sol.P_sub[i])
+        for i, s in enumerate(model.subsystems)]
+    for plant, Sw, Q, R, P in plants:
+        A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
+        for k in range(model.N + 1):
+            P1 = P[k + 1]
+            Pw = Sw * P1
+            Lam, Psi, G = _step(P1, Pw, plant, Q, R)
+            assert np.array_equal(Lam, R + B.T @ P1 @ B + Bbar.T @ Pw @ Bbar)
+            assert np.array_equal(Psi, B.T @ P1 @ A + Bbar.T @ Pw @ Abar)
+            assert np.array_equal(G, Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar)
 
 
 def test_definiteness_reduces_to_R_block():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ncslq import gains, optimal_cost, solve_cre
+from ncslq import gains, optimal_cost, serialize, solve_cre
 from ncslq.oracle import exact_cost
 
 from conftest import (make_random_definite, make_scalar_coupled,
-                      make_scalar_decoupled, validated_pair)
-from reference import ktilde_full_by_loop
+                      make_scalar_decoupled, make_unequal_blocks,
+                      validated_pair)
+from reference import gains_by_refactoring, ktilde_full_by_loop
 
 
 def solve_all(model, mode="definite"):
@@ -25,6 +26,37 @@ def test_gains_reproduce_from_solution():
             ref = -np.linalg.solve(sol.Pi[i][k], sol.Omega[i][k])
             assert np.max(np.abs(sched.Ktilde[i][k] - ref)) <= (
                 1e-12 * (1 + np.max(np.abs(ref))))
+
+
+def _assert_same_gains(a, b):
+    assert np.array_equal(a.Khat, b.Khat)
+    assert len(a.Ktilde) == len(b.Ktilde)
+    for Ka, Kb in zip(a.Ktilde, b.Ktilde):
+        assert np.array_equal(Ka, Kb)
+
+
+GAIN_MODELS = {
+    "unequal_blocks": make_unequal_blocks(),
+    "scalar_coupled": make_scalar_coupled(N=5),
+    "scalar_decoupled": make_scalar_decoupled(N=5),
+    **{f"random_{seed}": make_random_definite(np.random.default_rng(seed))
+       for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", GAIN_MODELS)
+def test_stored_gains_equal_refactored_gains(name):
+    # solve_cre keeps the solves that close each step; factoring every
+    # Lambda_k and Pi_k^i again must give the same bits, and so must the
+    # gains that cre_from_dict rebuilds from a document without them
+    _, _, sol, sched = solve_all(GAIN_MODELS[name])
+    _assert_same_gains(sched, gains_by_refactoring(sol))
+    back = serialize.cre_from_dict(serialize.cre_to_dict(sol))
+    _assert_same_gains(gains(back), sched)
+    # the schedule is a copy: editing it leaves the solution as it was
+    sched.Khat[0] += 1.0
+    sched.Ktilde[0][0] += 1.0
+    _assert_same_gains(gains(sol), gains_by_refactoring(sol))
 
 
 def test_frozen_scalar_gains():
