@@ -43,16 +43,18 @@ def _build_parser():
     parser.add_argument("--mode", choices=["definite", "indefinite"],
                         default="definite")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve")
+    sub.add_parser("solve").set_defaults(run=cmd_solve)
     sim = sub.add_parser("simulate")
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--retain-traces", action="store_true")
     sim.add_argument("--horizon", type=int, default=None)
-    sub.add_parser("evaluate")
-    sub.add_parser("check")
+    sim.set_defaults(run=cmd_simulate)
+    sub.add_parser("evaluate").set_defaults(run=cmd_evaluate)
+    sub.add_parser("check").set_defaults(run=cmd_check)
     swp = sub.add_parser("sweep")
     swp.add_argument("--p", type=float, action="append", default=[])
     swp.add_argument("--trials", type=int, default=1000)
+    swp.set_defaults(run=cmd_sweep)
     return parser
 
 
@@ -60,6 +62,14 @@ def _load(args):
     model = load_config(args.config)
     vm = validate(model, mode=args.mode)
     return vm, stack(vm)
+
+
+def _solved(args):
+    """The configured instance, solved: (ValidatedModel, StackedModel,
+    CRESolution, GainSchedule)."""
+    vm, st = _load(args)
+    sol = solve_cre(st, vm)
+    return vm, st, sol, gains(sol)
 
 
 def cmd_solve(args, outdir):
@@ -95,8 +105,7 @@ def cmd_simulate(args, outdir):
     if args.trials < 1:
         print("trials >= 1 required", file=sys.stderr)
         return EXIT_INPUT
-    vm, st = _load(args)
-    sched = gains(solve_cre(st, vm))
+    vm, st, _, sched = _solved(args)
     summary = simulator.simulate(vm, st, sched, args.seed, args.trials,
                                  retain_traces=args.retain_traces,
                                  horizon=args.horizon)
@@ -127,9 +136,7 @@ def _write_trace(path, tr):
 
 
 def cmd_evaluate(args, outdir):
-    vm, st = _load(args)
-    sol = solve_cre(st, vm)
-    sched = gains(sol)
+    vm, st, sol, sched = _solved(args)
     serialize.dump({
         "exact_cost": oracle.exact_cost(vm, st, sched),
         "formula_cost": optimal_cost(sol, vm),
@@ -139,11 +146,8 @@ def cmd_evaluate(args, outdir):
 
 def cmd_check(args, outdir):
     """Full invariant suite; exit 3 if any named invariant fails."""
-    vm, st = _load(args)
+    vm, st, sol, sched = _solved(args)
     report = {}
-
-    sol = solve_cre(st, vm)
-    sched = gains(sol)
 
     defin = check_definiteness(sol, vm)
     report["definiteness"] = {"ok": defin.ok,
@@ -222,17 +226,7 @@ def main(argv=None):
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if args.command == "solve":
-            return cmd_solve(args, outdir)
-        if args.command == "simulate":
-            return cmd_simulate(args, outdir)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, outdir)
-        if args.command == "check":
-            return cmd_check(args, outdir)
-        if args.command == "sweep":
-            return cmd_sweep(args, outdir)
-        return EXIT_INPUT
+        return args.run(args, outdir)
     except (SingularLambda, SingularPi) as exc:
         print(f"solvability failure: {exc}", file=sys.stderr)
         return EXIT_SOLVABILITY

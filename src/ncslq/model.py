@@ -214,7 +214,8 @@ def _unwrap(model):
 def validate(model, mode="definite"):
     """Check a NetworkModel for structural and definiteness errors.
 
-    Every matrix, vector and noise variance must be finite.  `definite`
+    Every matrix, vector and noise variance must be finite, and every
+    subsystem needs its local input (m_i >= 1; m0 may be 0).  `definite`
     mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard weighting
     assumptions).  `indefinite` mode requires symmetry only and
     tags the instance for the generalized (pseudo-inverse) recursion.
@@ -236,6 +237,9 @@ def validate(model, mode="definite"):
         if s.B0.shape[1] != model.m0:
             raise DimensionMismatch(
                 f"B^{s.index}0 has {s.B0.shape[1]} columns, expected m0={model.m0}")
+        if s.m == 0:
+            raise DimensionMismatch(
+                f"subsystem {s.index} has no local input (B^{s.index} has 0 columns)")
         if not (0.0 <= s.p <= 1.0):
             raise ProbabilityOutOfRange(f"p^{s.index} = {s.p} not in [0, 1]")
         if s.sigma_w < 0.0:
@@ -276,18 +280,20 @@ def validate(model, mode="definite"):
 
 @dataclass
 class StackedModel:
-    """Global block-assembled matrices for the stacked dynamics
+    """The stacked instance: global block-assembled matrices for the dynamics
 
-        X_{k+1} = A X_k + B U_k + diag(w_k) (Abar X_k + Bbar U_k) + V_k
+        X_{k+1} = A X_k + B U_k + diag(w_k) (Abar X_k + Bbar U_k) + V_k,
+        X_0 ~ (mu, Sigma_x0),   V_k ~ (0, Sigma_v),
 
-    where diag(w_k) repeats w_k^i over subsystem i's n_i states.  Abar is
-    block diagonal in Abar^i; block row i of Bbar carries Bbar^{i0} at input
-    block 0 and Bbar^i at input block i.  Subsystem i's noise w^i scales
-    block row i only, which is what makes the stacked dynamics reproduce the
-    subsystem dynamics.  Since the w^i are independent, the noise's second
-    moments are a block-Hadamard product with Sw, which holds sigma_w^i on
-    diagonal block (i,i) and 0 elsewhere: E[diag(w) M diag(w)] = Sw * M for
-    any N_L x N_L matrix M independent of w.
+    where diag(w_k) repeats w_k^i over subsystem i's n_i states.  Abar,
+    Sigma_x0 and Sigma_v are block diagonal in the subsystems' blocks;
+    block row i of Bbar carries Bbar^{i0} at input block 0 and Bbar^i at
+    input block i.  Subsystem i's noise w^i scales block row i only, which
+    is what makes the stacked dynamics reproduce the subsystem dynamics.
+    Since the w^i are independent, the noise's second moments are a
+    block-Hadamard product with Sw, which holds sigma_w^i on diagonal block
+    (i,i) and 0 elsewhere: E[diag(w) M diag(w)] = Sw * M for any N_L x N_L
+    matrix M independent of w.  p_rows holds p_i on subsystem i's rows.
     """
 
     A: np.ndarray             # N_L x N_L block diagonal
@@ -295,22 +301,20 @@ class StackedModel:
     Abar: np.ndarray          # N_L x N_L block diagonal
     Bbar: np.ndarray          # N_L x M_L, block row i nonzero at inputs 0, i
     Sw: np.ndarray            # N_L x N_L, sigma_w^i on diagonal block (i,i)
-    p_diag: np.ndarray        # N_L x N_L diag of p_i I_{n_i}
+    mu: np.ndarray            # N_L, the mu^i in turn
+    Sigma_x0: np.ndarray      # N_L x N_L, Sigma_x0^i on diagonal block (i,i)
+    Sigma_v: np.ndarray       # N_L x N_L, Sigma_v^i on diagonal block (i,i)
+    p_rows: np.ndarray        # N_L, p_i on subsystem i's state rows
     n_offsets: list[int]
     m_offsets: list[int]
     NL: int
     ML: int
     p: list[float]
 
-    def state_slice(self, i):
-        return slice(self.n_offsets[i - 1], self.n_offsets[i])
-
-    def input_slice(self, i):
-        return slice(self.m_offsets[i], self.m_offsets[i + 1])
-
 
 def stack(validated):
-    """Assemble the stacked global matrices from a validated model."""
+    """Assemble the StackedModel of a validated model: the one place that
+    stacks the subsystems' matrices, initial and noise statistics and p_i."""
     model = _unwrap(validated)
     NL, ML = model.n_total, model.m_total
     noff, moff = model.n_offsets, model.m_offsets
@@ -319,7 +323,10 @@ def stack(validated):
     Abar = np.zeros((NL, NL))
     Bbar = np.zeros((NL, ML))
     Sw = np.zeros((NL, NL))
-    p_vec = np.zeros(NL)
+    Sigma_x0 = np.zeros((NL, NL))
+    Sigma_v = np.zeros((NL, NL))
+    mu = np.zeros(NL)
+    p_rows = np.zeros(NL)
     for i, s in enumerate(model.subsystems, start=1):
         r = slice(noff[i - 1], noff[i])
         c = slice(moff[i], moff[i + 1])
@@ -330,11 +337,14 @@ def stack(validated):
         Bbar[r, 0:model.m0] = s.Bbar0
         Bbar[r, c] = s.Bbar
         Sw[r, r] = s.sigma_w
-        p_vec[r] = s.p
+        Sigma_x0[r, r] = s.Sigma_x0
+        Sigma_v[r, r] = s.Sigma_v
+        mu[r] = s.mu
+        p_rows[r] = s.p
     return StackedModel(
-        A=A, B=B, Abar=Abar, Bbar=Bbar, Sw=Sw, p_diag=np.diag(p_vec),
-        n_offsets=noff, m_offsets=moff, NL=NL, ML=ML,
-        p=[s.p for s in model.subsystems])
+        A=A, B=B, Abar=Abar, Bbar=Bbar, Sw=Sw, mu=mu, Sigma_x0=Sigma_x0,
+        Sigma_v=Sigma_v, p_rows=p_rows, n_offsets=noff, m_offsets=moff,
+        NL=NL, ML=ML, p=[s.p for s in model.subsystems])
 
 
 def model_from_dict(doc):

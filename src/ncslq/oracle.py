@@ -83,21 +83,14 @@ a solved recursion (riccati.CRESolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import _unwrap
 from .riccati import _step, _sym
 from .synthesis import GainSchedule
-
-
-def _blockdiag(blocks, NL, noff):
-    M = np.zeros((NL, NL))
-    for i, b in enumerate(blocks):
-        r = slice(noff[i], noff[i + 1])
-        M[r, r] = b
-    return M
 
 
 @dataclass
@@ -116,15 +109,14 @@ class MomentState:
 
 
 def _moments(model, stacked, Khat, Ktilde):
-    """propagate_moments on the stacked gain arrays Khat and Ktilde."""
+    """propagate_moments on the stacked gain arrays Khat and Ktilde.
+
+    The start S_0 = mu mu' + p * Sigma_x0, T_0 = (1 - p) * Sigma_x0 and the
+    noise Sigma_v are the stacked instance's own arrays (model.stack)."""
     N = model.N
-    NL = stacked.NL
-    noff = stacked.n_offsets
-    p = np.diag(stacked.p_diag)[:, None]
+    p = stacked.p_rows[:, None]
     q = 1.0 - p
-    Sigma0 = _blockdiag([s.Sigma_x0 for s in model.subsystems], NL, noff)
-    Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], NL, noff)
-    mu = np.concatenate([s.mu for s in model.subsystems])
+    mu, Sigma0, Sigma_v = stacked.mu, stacked.Sigma_x0, stacked.Sigma_v
     S = np.outer(mu, mu) + p * Sigma0
     T = q * Sigma0
     A, B, Sw = stacked.A, stacked.B, stacked.Sw
@@ -203,12 +195,10 @@ def cost_gradient(model, stacked, gain_schedule):
     for ms, c in _priced_moments(model, stacked, Khat, Ktilde):
         states.append(ms)
         costs.append(c)
-    p = np.diag(stacked.p_diag)[:, None]
+    p = stacked.p_rows[:, None]
     q = 1.0 - p
     Q, R, Sw = model.Q, model.R, stacked.Sw
-    moff, noff = gain_schedule.m_offsets, gain_schedule.n_offsets
-    blocks = [(slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1]))
-              for i in range(len(gain_schedule.Ktilde))]
+    blocks = gain_schedule.Ktilde_blocks
     dKh = np.zeros((N + 1,) + Khat.shape[1:])
     ddKh = np.zeros_like(dKh)
     dKt = [np.zeros((N + 1,) + Kt.shape[1:]) for Kt in gain_schedule.Ktilde]
@@ -230,7 +220,8 @@ def cost_gradient(model, stacked, gain_schedule):
             dKt[i][k], ddKt[i][k] = gt[blk], ct[blk]
         V = _sym(Z + Kh.T @ (H + Xi))
         Vt = _sym(Zt + Kt.T @ (Ht + Xt))
-    layout = dict(N=N, n_offsets=noff, m_offsets=moff)
+    layout = dict(N=N, n_offsets=gain_schedule.n_offsets,
+                  m_offsets=gain_schedule.m_offsets)
     return CostGradient(cost=math.fsum(costs),
                         gradient=GainSchedule(Khat=dKh, Ktilde=dKt, **layout),
                         curvature=GainSchedule(Khat=ddKh, Ktilde=ddKt, **layout))
@@ -245,7 +236,7 @@ class CostateCheck:
     threshold: float
     entries_probed: int
     min_second_difference: float
-    derivatives: list = field(default_factory=list)  # (label, value)
+    derivatives: Sequence = ()    # (label, value) per reported entry
 
     @property
     def stationary(self):
@@ -261,11 +252,11 @@ def _flat(sched):
         + [Kt.reshape(steps, -1) for Kt in sched.Ktilde], axis=1).ravel()
 
 
-def _entry_labels(sched, idx):
-    """Labels Khat[k][r,c] / Ktilde{i}[k][r,c] of the flat indices idx."""
-    cols = np.array([sched.Khat.shape[2]] + [Kt.shape[2] for Kt in sched.Ktilde])
-    sizes = [sched.Khat[0].size] + [Kt[0].size for Kt in sched.Ktilde]
-    starts = np.cumsum([0] + sizes)
+def _entry_labels(shapes, idx):
+    """Labels Khat[k][r,c] / Ktilde{i}[k][r,c] of the flat indices idx of a
+    schedule whose per-step Khat and Ktilde^i have the (rows, cols) shapes."""
+    cols = np.array([c for _, c in shapes])
+    starts = np.cumsum([0] + [r * c for r, c in shapes])
     step, e = np.divmod(idx, starts[-1])
     block = np.searchsorted(starts, e, side="right") - 1
     row, col = np.divmod(e - starts[block], cols[block])
@@ -274,12 +265,36 @@ def _entry_labels(sched, idx):
                                   row.tolist(), col.tolist())]
 
 
+class _Derivatives(Sequence):
+    """The (label, value) pairs of the flat entries idx of a schedule with
+    the given gain shapes (_entry_labels), in order.  A label is formatted
+    only when its pair is read; a slice or an iteration formats its labels
+    in one call."""
+
+    def __init__(self, shapes, idx, values):
+        self._shapes, self._idx, self._values = shapes, idx, values
+
+    def __len__(self):
+        return len(self._idx)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return list(zip(_entry_labels(self._shapes, self._idx[j]),
+                            self._values[j].tolist()))
+        j = range(len(self))[j]
+        return self[j:j + 1][0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+
 def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed=0):
     """The exact derivative of exact_cost in every gain entry (cost_gradient).
 
     With `max_entries` set and exceeded, a seeded random subset of that
     size is reported, drawn over the entries in probe order (_flat).
     min_second_difference is the least exact second derivative reported.
+    `derivatives` labels an entry only when it is read.
     """
     model = _unwrap(model)
     cg = cost_gradient(model, stacked, gain_schedule)
@@ -293,7 +308,8 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
         cost=cg.cost, max_abs_derivative=float(np.abs(d).max(initial=0.0)),
         threshold=1e-6 * (1.0 + abs(cg.cost)), entries_probed=len(idx),
         min_second_difference=float(dd.min(initial=math.inf)),
-        derivatives=list(zip(_entry_labels(cg.gradient, idx), d.tolist())))
+        derivatives=_Derivatives(
+            [K.shape[1:] for K in [cg.gradient.Khat] + cg.gradient.Ktilde], idx, d))
 
 
 @dataclass
@@ -323,15 +339,13 @@ def costate_moments(model, stacked, gain_schedule, sol):
     """Evaluate both sides of the telescoping identity from exact moments."""
     model = _unwrap(model)
     N = model.N
-    noff = stacked.n_offsets
-    Sigma_v = _blockdiag([s.Sigma_v for s in model.subsystems], stacked.NL, noff)
     stages, V = [], []
     for ms, cost in _priced_moments(model, stacked, gain_schedule.Khat,
                                     gain_schedule.Ktilde_stacked(N)):
         stages.append(cost)
         V.append(float(np.trace(sol.P[ms.k] @ ms.state_second_moment)))
     stages.pop()  # the terminal cost enters through V[N+1]
-    noise = [float(np.trace(sol.P[k + 1] @ Sigma_v)) for k in range(N + 1)]
+    noise = [float(np.trace(sol.P[k + 1] @ stacked.Sigma_v)) for k in range(N + 1)]
     residuals = []
     worst = 0.0
     for k in range(N + 1):

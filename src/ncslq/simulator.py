@@ -173,13 +173,12 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
 
     p = np.array(stacked.p)[:, None]
     sd_w = np.sqrt([s.sigma_w for s in subs])[:, None]
-    mu = np.concatenate([s.mu for s in subs])
-    X = np.tile(mu, (trials, 1))
+    X = np.tile(stacked.mu, (trials, 1))
     arrived = np.empty((L, trials), dtype=bool)
     for i, s in enumerate(subs):
         X[:, noff[i]:noff[i + 1]] += rng.standard_normal((trials, s.n)) @ chol_x0[i].T
         arrived[i] = rng.random(trials) < s.p
-    Xhat = np.where(columns(arrived), X, mu)
+    Xhat = np.where(columns(arrived), X, stacked.mu)
     costs = np.zeros(trials)
     sq_norms = np.zeros((N + 2, L))
     gamma_sum = arrived.sum(axis=1)

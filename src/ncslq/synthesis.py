@@ -52,6 +52,14 @@ class GainSchedule:
                 raise HorizonMismatch(
                     f"{name} covers {len(K)} steps, horizon needs {N + 1}")
 
+    @property
+    def Ktilde_blocks(self):
+        """Where each Ktilde^i sits in a stacked error gain: the pair (input
+        rows of u^i, state columns of subsystem i) per subsystem."""
+        moff, noff = self.m_offsets, self.n_offsets
+        return [(slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1]))
+                for i in range(self.L)]
+
     def Ktilde_stacked(self, N):
         """The N_L-input error gains for k = 0..N as one (N+1, M_L, N_L)
         array: Ktilde^i on diagonal block (i, i), zero rows for the remote
@@ -60,9 +68,8 @@ class GainSchedule:
         HorizonMismatch unless every gain covers k = 0..N."""
         self.check_horizon(N)
         K = np.zeros((N + 1, self.ML, self.NL))
-        for i, Kt in enumerate(self.Ktilde):
-            K[:, self.m_offsets[i + 1]:self.m_offsets[i + 2],
-              self.n_offsets[i]:self.n_offsets[i + 1]] = Kt[:N + 1]
+        for (rows, cols), Kt in zip(self.Ktilde_blocks, self.Ktilde):
+            K[:, rows, cols] = Kt[:N + 1]
         return K
 
 

@@ -251,7 +251,7 @@ def solve_two_families(stacked, model):
     sol = _alloc(model, stacked)
     channels = dense_noise_channels(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    p = stacked.p_diag
+    p = np.diag(stacked.p_rows)
     I_p = np.eye(stacked.NL) - p
     for k in range(model.N, -1, -1):
         P1, L1 = sol.P[k + 1], sol.L[k + 1]
@@ -484,7 +484,7 @@ def propagate_moments_full(model, stacked, gain_schedule):
     NL = stacked.NL
     noff = stacked.n_offsets
     Wgg, Wcc, Wgc = bernoulli_weights(model)
-    p_diag = stacked.p_diag
+    p_diag = np.diag(stacked.p_rows)
     I_p = np.eye(NL) - p_diag
     Sigma0 = place_blocks_by_loop([s.Sigma_x0 for s in model.subsystems], noff, NL)
     Sigma_v = place_blocks_by_loop([s.Sigma_v for s in model.subsystems], noff, NL)

@@ -103,6 +103,21 @@ def test_nonfinite_config_is_input_error(tmp_path, capsys):
     assert "sigma_w^1 has a non-finite entry" in capsys.readouterr().err
 
 
+def test_subsystem_without_local_input_is_input_error(tmp_path, capfd):
+    # every subsystem has a local controller; without one the solver would
+    # reach a 0 x 0 Pi^i, so validation names the subsystem instead
+    doc = model_to_dict(make_scalar_coupled(N=3))
+    doc["subsystems"][0]["B"] = doc["subsystems"][0]["Bbar"] = [[]]
+    doc["R"] = [[1.0]]
+    path = tmp_path / "no_local.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "check"):
+        assert run(["--config", path, "--out", tmp_path, command]) == 1
+        out, err = capfd.readouterr()
+        assert "input error: subsystem 1 has no local input" in err
+        assert "illegal value" not in out + err
+
+
 def test_simulate_byte_identical(scalar_config, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -189,6 +204,16 @@ def test_check_fails_on_coupled_with_exit_3(coupled_config, tmp_path, capsys):
     doc = serialize.load(out / "check.json")
     assert not doc["ok"]
     assert not doc["stationarity"]["ok"]
+
+
+def test_check_formats_no_entry_label(scalar_config, tmp_path, monkeypatch):
+    # check.json carries no per-entry derivative, so no label is formatted
+    def no_labels(*args):
+        raise AssertionError("check formatted a gain-entry label")
+    monkeypatch.setattr(ncslq.oracle, "_entry_labels", no_labels)
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "check"]) == 0
+    assert serialize.load(out / "check.json")["stationarity"]["entries_probed"] == 18
 
 
 def test_sweep(scalar_config, tmp_path):

@@ -1,11 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from ncslq import gains, init_estimate, solve_cre, update_estimate
+from ncslq import gains, init_estimate, simulate, solve_cre, update_estimate
 from ncslq.estimator import predict
 
-from conftest import make_scalar_coupled, validated_pair
+from conftest import make_scalar_coupled, make_unequal_blocks, validated_pair
 from reference import EstimatorState, error_recursion, initial_state
 
 
@@ -120,3 +121,35 @@ def test_estimator_is_unbiased_at_scale():
 def test_state_stacking():
     est = EstimatorState(k=0, xhat=[np.array([1.0]), np.array([2.0, 3.0])])
     assert np.array_equal(est.Xhat, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("make", [
+    make_unequal_blocks, lambda: make_scalar_coupled(N=8, p=0.4),
+], ids=["unequal-blocks", "scalar-coupled-p0.4"])
+def test_simulator_estimates_replay_through_update_estimate(make):
+    # the simulator runs the estimator for all subsystems as one stacked
+    # line; every retained path must follow the per-subsystem form, with
+    # Uhat_k = Khat_k Xhat_k supplying uhat^i and u^0
+    vm, stk = validated_pair(make())
+    sched = gains(solve_cre(stk, vm))
+    model = vm.model
+    noff, moff = model.n_offsets, model.m_offsets
+    summary = simulate(vm, stk, sched, seed=4, trials=40, retain_traces=True)
+    assert len(summary.traces) == 40
+    dropped = 0
+    for tr in summary.traces:
+        tol = 1e-12 * (1.0 + np.abs(tr.Xhat).max())
+        for i, s in enumerate(model.subsystems):
+            r = slice(noff[i], noff[i + 1])
+            assert np.array_equal(tr.Xhat[0, r],
+                                  init_estimate(tr.Gamma[0, i], tr.X[0, r], s.mu))
+        for k in range(model.N + 1):
+            Uhat = sched.Khat[k] @ tr.Xhat[k]
+            for i, s in enumerate(model.subsystems):
+                r = slice(noff[i], noff[i + 1])
+                want = update_estimate(s, tr.Xhat[k, r], Uhat[moff[i + 1]:moff[i + 2]],
+                                       Uhat[:moff[1]], tr.Gamma[k + 1, i],
+                                       tr.X[k + 1, r])
+                assert np.abs(tr.Xhat[k + 1, r] - want).max() <= tol, (tr.trial, k, i)
+                dropped += tr.Gamma[k + 1, i] == 0
+    assert dropped > 0

@@ -53,7 +53,10 @@ def test_stack_single_block():
     assert np.array_equal(st_.Abar, s.Abar)
     assert np.array_equal(st_.Bbar, np.hstack([s.Bbar0, s.Bbar]))
     assert np.array_equal(st_.Sw, [[s.sigma_w]])
-    assert np.array_equal(st_.p_diag, [[s.p]])
+    assert np.array_equal(st_.p_rows, [s.p])
+    assert np.array_equal(st_.mu, s.mu)
+    assert np.array_equal(st_.Sigma_x0, s.Sigma_x0)
+    assert np.array_equal(st_.Sigma_v, s.Sigma_v)
 
 
 def test_stack_two_subsystems_against_loop_oracle():
@@ -96,15 +99,61 @@ def test_noise_confined_to_block_rows():
 
 
 def test_p_diag_identity_iff_perfect_channel():
+    # p per state row (StackedModel.p_rows) is all ones iff every channel
+    # is perfect
     model = two_subsystem_model()
     _, st_ = validated_pair(model)
-    d = np.diag(st_.p_diag)
+    d = st_.p_rows
     assert np.all((d >= 0) & (d <= 1))
-    assert not np.array_equal(st_.p_diag, np.eye(3))
+    assert not np.array_equal(st_.p_rows, np.ones(3))
     for s in model.subsystems:
         s.p = 1.0
     _, st1 = validated_pair(model)
-    assert np.array_equal(st1.p_diag, np.eye(3))
+    assert np.array_equal(st1.p_rows, np.ones(3))
+
+
+def assert_stacked_statistics(model, st_):
+    """mu is the mu^i in turn; Sigma_x0 and Sigma_v hold Sigma^i on
+    diagonal block i and exact zeros elsewhere; p_rows holds p_i on
+    subsystem i's rows."""
+    subs = model.subsystems
+    noff = model.n_offsets
+    assert np.array_equal(st_.mu, np.concatenate([s.mu for s in subs]))
+    assert np.array_equal(st_.p_rows, np.repeat([s.p for s in subs], np.diff(noff)))
+    for name in ("Sigma_x0", "Sigma_v"):
+        M = getattr(st_, name)
+        assert M.shape == (st_.NL, st_.NL)
+        for i, s in enumerate(subs, start=1):
+            r = model.state_slice(i)
+            assert np.array_equal(M[r, r], getattr(s, name))
+            for j in range(1, model.L + 1):
+                if j != i:
+                    assert not M[r, model.state_slice(j)].any()
+
+
+def test_stack_carries_initial_and_noise_statistics():
+    vm, st_ = validated_pair(two_subsystem_model())
+    assert_stacked_statistics(vm.model, st_)
+    assert np.array_equal(st_.p_rows, [0.7, 0.4, 0.4])
+
+
+def test_subsystem_without_local_input_rejected():
+    model = two_subsystem_model()
+    s2 = model.subsystems[1]
+    s2.B = s2.Bbar = np.zeros((2, 0))
+    model.R = np.eye(2)
+    with pytest.raises(DimensionMismatch, match="subsystem 2 has no local input"):
+        validate(model)
+
+
+def test_empty_remote_input_accepted():
+    model = two_subsystem_model()
+    for s in model.subsystems:
+        s.B0 = s.Bbar0 = np.zeros((s.n, 0))
+    model.m0 = 0
+    model.R = np.eye(2)
+    vm, st_ = validated_pair(model)
+    assert st_.B.shape == (3, 2)
 
 
 def test_probability_out_of_range():
@@ -234,3 +283,4 @@ def test_random_instances_validate_and_round_trip(seed):
     assert np.array_equal(st_.Sw, place_blocks_by_loop(
         [s.sigma_w * np.ones((s.n, s.n)) for s in subs], noff, st_.NL))
     assert_noise_confined_to_block_rows(vm.model, st_)
+    assert_stacked_statistics(vm.model, st_)

@@ -13,9 +13,10 @@ from ncslq.synthesis import GainSchedule
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_unequal_blocks,
                       validated_pair)
-from reference import (bernoulli_weights, dense_noise_channels,
-                       place_blocks_by_loop, priced_moments_full,
-                       quadrature_cost, stationarity_by_differences)
+from reference import (_entry_ref, _gain_entries, bernoulli_weights,
+                       dense_noise_channels, place_blocks_by_loop,
+                       priced_moments_full, quadrature_cost,
+                       stationarity_by_differences)
 
 
 def solve_all(model):
@@ -289,6 +290,31 @@ def test_capped_check_reports_the_seeded_subset():
     for (_, d), (_, d_ref) in zip(chk.derivatives, ref.derivatives):
         assert abs(d - d_ref) <= scale
     assert abs(chk.max_abs_derivative - ref.max_abs_derivative) <= scale
+
+
+@pytest.mark.parametrize("cap", [None, 17], ids=["all", "capped"])
+def test_lazy_derivatives_equal_the_eager_pairs(cap):
+    # stationarity_check formats a label only when its pair is read; every
+    # way of reading gives the pairs of labelling each entry up front
+    vm, stk, _, sched = solve_all(make_unequal_blocks())
+    perturbed(sched)
+    chk = stationarity_check(vm, stk, sched, max_entries=cap, rng_seed=5)
+    grad = cost_gradient(vm, stk, sched).gradient
+    entries = _gain_entries(grad)
+    if cap is not None:
+        pick = np.random.default_rng(5).choice(len(entries), size=cap, replace=False)
+        entries = [entries[j] for j in sorted(pick)]
+    eager = []
+    for label, key in entries:
+        M, rc = _entry_ref(grad, key)
+        eager.append((label, float(M[rc])))
+    lazy = chk.derivatives
+    assert len(lazy) == len(eager) == chk.entries_probed
+    assert list(lazy) == eager
+    assert lazy[:] == eager and lazy[3:9] == eager[3:9] and lazy[::-4] == eager[::-4]
+    assert lazy[0] == eager[0] and lazy[-1] == eager[-1] and lazy[5] == eager[5]
+    with pytest.raises(IndexError):
+        lazy[len(eager)]
 
 
 def test_check_leaves_the_schedule_untouched():
