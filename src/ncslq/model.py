@@ -294,6 +294,8 @@ class StackedModel:
     block-Hadamard product with Sw, which holds sigma_w^i on diagonal block
     (i,i) and 0 elsewhere: E[diag(w) M diag(w)] = Sw * M for any N_L x N_L
     matrix M independent of w.  p_rows holds p_i on subsystem i's rows.
+    The arrays are copies of the model's data: stack the model again after
+    changing it.
     """
 
     A: np.ndarray             # N_L x N_L block diagonal
@@ -309,12 +311,10 @@ class StackedModel:
     m_offsets: list[int]
     NL: int
     ML: int
-    p: list[float]
 
 
 def stack(validated):
-    """Assemble the StackedModel of a validated model: the one place that
-    stacks the subsystems' matrices, initial and noise statistics and p_i."""
+    """The StackedModel of a validated model; nothing else stacks its data."""
     model = _unwrap(validated)
     NL, ML = model.n_total, model.m_total
     noff, moff = model.n_offsets, model.m_offsets
@@ -344,7 +344,7 @@ def stack(validated):
     return StackedModel(
         A=A, B=B, Abar=Abar, Bbar=Bbar, Sw=Sw, mu=mu, Sigma_x0=Sigma_x0,
         Sigma_v=Sigma_v, p_rows=p_rows, n_offsets=noff, m_offsets=moff,
-        NL=NL, ML=ML, p=[s.p for s in model.subsystems])
+        NL=NL, ML=ML)
 
 
 def model_from_dict(doc):

@@ -83,7 +83,6 @@ a solved recursion (riccati.CRESolution).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,18 +228,28 @@ def cost_gradient(model, stacked, gain_schedule):
 
 @dataclass
 class CostateCheck:
-    """Results of the gain-space stationarity probe."""
+    """Results of the gain-space stationarity probe.  The reported entries
+    are kept as their flat indices in probe order (_flat) and their exact
+    derivatives; `derivatives` labels them when it is read."""
 
     cost: float
     max_abs_derivative: float
     threshold: float
     entries_probed: int
     min_second_difference: float
-    derivatives: Sequence = ()    # (label, value) per reported entry
+    shapes: list      # (rows, cols) of Khat and of each Ktilde^i per step
+    entries: list     # flat indices of the reported entries
+    values: list      # their derivatives
 
     @property
     def stationary(self):
         return self.max_abs_derivative <= self.threshold
+
+    @property
+    def derivatives(self):
+        """(label, value) per reported entry, in order."""
+        idx = np.array(self.entries, dtype=np.intp)
+        return list(zip(_entry_labels(self.shapes, idx), self.values))
 
 
 def _flat(sched):
@@ -265,36 +274,12 @@ def _entry_labels(shapes, idx):
                                   row.tolist(), col.tolist())]
 
 
-class _Derivatives(Sequence):
-    """The (label, value) pairs of the flat entries idx of a schedule with
-    the given gain shapes (_entry_labels), in order.  A label is formatted
-    only when its pair is read; a slice or an iteration formats its labels
-    in one call."""
-
-    def __init__(self, shapes, idx, values):
-        self._shapes, self._idx, self._values = shapes, idx, values
-
-    def __len__(self):
-        return len(self._idx)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return list(zip(_entry_labels(self._shapes, self._idx[j]),
-                            self._values[j].tolist()))
-        j = range(len(self))[j]
-        return self[j:j + 1][0]
-
-    def __iter__(self):
-        return iter(self[:])
-
-
 def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed=0):
     """The exact derivative of exact_cost in every gain entry (cost_gradient).
 
     With `max_entries` set and exceeded, a seeded random subset of that
     size is reported, drawn over the entries in probe order (_flat).
     min_second_difference is the least exact second derivative reported.
-    `derivatives` labels an entry only when it is read.
     """
     model = _unwrap(model)
     cg = cost_gradient(model, stacked, gain_schedule)
@@ -308,8 +293,8 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
         cost=cg.cost, max_abs_derivative=float(np.abs(d).max(initial=0.0)),
         threshold=1e-6 * (1.0 + abs(cg.cost)), entries_probed=len(idx),
         min_second_difference=float(dd.min(initial=math.inf)),
-        derivatives=_Derivatives(
-            [K.shape[1:] for K in [cg.gradient.Khat] + cg.gradient.Ktilde], idx, d))
+        shapes=[K.shape[1:] for K in [cg.gradient.Khat] + cg.gradient.Ktilde],
+        entries=idx.tolist(), values=d.tolist())
 
 
 @dataclass

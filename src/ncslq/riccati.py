@@ -163,7 +163,7 @@ def solve_cre(stacked, model):
             for i, s in enumerate(model.subsystems)]
     sol = CRESolution(
         N=N, NL=NL, ML=ML, n_offsets=noff, m_offsets=stacked.m_offsets,
-        p=list(stacked.p),
+        p=stacked.p_rows[noff[:-1]].tolist(),
         P=np.zeros((N + 2, NL, NL)),
         P_sub=[np.zeros((N + 2, s.n, s.n)) for s in model.subsystems],
         Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),

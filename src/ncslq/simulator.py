@@ -87,9 +87,9 @@ def _panel_matmul(X, M):
     return out
 
 
-def _chol_factors(model):
-    """Lower-triangular factors of Sigma_x0 and Sigma_v per subsystem;
-    PSD-singular covariances get their negative eigenvalues clipped at 0."""
+def _chol_factors(stacked):
+    """Lower-triangular factors of the diagonal blocks of the stacked Sigma_x0
+    and Sigma_v; PSD-singular blocks get negative eigenvalues clipped at 0."""
     def factor(M):
         try:
             return np.linalg.cholesky(M)
@@ -99,8 +99,9 @@ def _chol_factors(model):
             # rebuild as a (possibly non-triangular) square root; only the
             # product LL' matters for the sampled covariance
             return eigvec * np.sqrt(eigval)
-    return ([factor(s.Sigma_x0) for s in model.subsystems],
-            [factor(s.Sigma_v) for s in model.subsystems])
+    blocks = [slice(lo, hi) for lo, hi in zip(stacked.n_offsets, stacked.n_offsets[1:])]
+    return ([factor(stacked.Sigma_x0[r, r]) for r in blocks],
+            [factor(stacked.Sigma_v[r, r]) for r in blocks])
 
 
 @dataclass
@@ -158,12 +159,12 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     standard-normal vector of trials * N_L values that holds v^1..v^L in
     turn (a C-ordered (trials, n_i) array each), and a uniform (L, trials)
     array whose row i is gamma^i.  The generator fills each call in order,
-    so the draws are the same values as one call per subsystem.
+    so the draws are the same values as one call per subsystem.  Every
+    statistic comes from `stacked`; `model` gives only Q, R and P_terminal.
     """
-    subs = model.subsystems
-    L = len(subs)
     NL = stacked.NL
     noff = stacked.n_offsets
+    L = len(noff) - 1
     sizes = np.diff(noff)
 
     def columns(rows):
@@ -171,13 +172,14 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
         # state columns, as a (trials, N_L) array
         return np.repeat(rows, sizes, axis=0).T
 
-    p = np.array(stacked.p)[:, None]
-    sd_w = np.sqrt([s.sigma_w for s in subs])[:, None]
+    # subsystem i's p_i and sigma_w^i, read at its first state row
+    p = stacked.p_rows[noff[:-1]][:, None]
+    sd_w = np.sqrt(np.diag(stacked.Sw)[noff[:-1]])[:, None]
     X = np.tile(stacked.mu, (trials, 1))
     arrived = np.empty((L, trials), dtype=bool)
-    for i, s in enumerate(subs):
-        X[:, noff[i]:noff[i + 1]] += rng.standard_normal((trials, s.n)) @ chol_x0[i].T
-        arrived[i] = rng.random(trials) < s.p
+    for i in range(L):
+        X[:, noff[i]:noff[i + 1]] += rng.standard_normal((trials, sizes[i])) @ chol_x0[i].T
+        arrived[i] = rng.random(trials) < p[i, 0]
     Xhat = np.where(columns(arrived), X, stacked.mu)
     costs = np.zeros(trials)
     sq_norms = np.zeros((N + 2, L))
@@ -272,7 +274,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
     Ktilde = gain_schedule.Ktilde_stacked(N)
-    chol_x0, chol_v = _chol_factors(model)
+    chol_x0, chol_v = _chol_factors(stacked)
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
 

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ncslq.estimator import init_estimate, update_estimate
-from ncslq.oracle import CostateCheck, exact_cost
+from ncslq.oracle import exact_cost
 from ncslq.riccati import SingularLambda, SingularPi, solve_checked
 from ncslq.synthesis import GainSchedule
 
@@ -621,7 +621,8 @@ def stationarity_by_differences(model, stacked, gain_schedule, max_entries=500,
     are exact up to round-off; the per-entry step is 1e-5 (1 + |entry|).
     When the schedule has more than `max_entries` entries, a seeded random
     subset of that size is probed.  Each entry is moved in place and put
-    back.
+    back.  Returns stationarity_check's numbers, with (label, value) pairs
+    labelled by _gain_entries.
     """
     model = _unwrap(model)
     base = exact_cost(model, stacked, gain_schedule)
@@ -647,7 +648,7 @@ def stationarity_by_differences(model, stacked, gain_schedule, max_entries=500,
         derivs.append((label, d))
         max_d = max(max_d, abs(d))
         min_dd = min(min_dd, dd)
-    return CostateCheck(
+    return SimpleNamespace(
         cost=base, max_abs_derivative=max_d,
         threshold=1e-6 * (1.0 + abs(base)), entries_probed=len(entries),
         min_second_difference=min_dd, derivatives=derivs)

@@ -257,3 +257,23 @@ def test_monte_carlo_matches_oracle_random_model():
     summary = simulate(vm, stk, sched, seed=99, trials=100_000)
     z = abs(summary.cost_mean - exact) / summary.cost_stderr
     assert z <= 3.5, (summary.cost_mean, exact, z)
+
+
+def test_statistics_come_from_the_stacked_instance():
+    # the simulator and the oracle read mu, Sigma_x0, Sigma_v, sigma_w and
+    # p from the stacked instance only, so changing the model after stack
+    # moves neither of them
+    vm, stk, sched = solve_all(make_unequal_blocks())
+    before = simulate(vm, stk, sched, seed=4, trials=300, retain_traces=True)
+    cost = exact_cost(vm, stk, sched)
+    for s in vm.model.subsystems:
+        s.mu = s.mu + 1.0
+        s.Sigma_x0 = 2.0 * s.Sigma_x0
+        s.Sigma_v = 3.0 * s.Sigma_v
+        s.sigma_w += 0.5
+        s.p = 1.0 - s.p
+    after = simulate(vm, stk, sched, seed=4, trials=300, retain_traces=True)
+    assert after.to_dict() == before.to_dict()
+    for a, b in zip(after.traces, before.traces):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Gamma, b.Gamma)
+    assert exact_cost(vm, stk, sched) == cost
