@@ -206,7 +206,9 @@ def cmd_sweep(args, outdir):
     if args.trials < 1:
         print("trials >= 1 required", file=sys.stderr)
         return EXIT_INPUT
-    vm, _ = _load(args)
+    # sweep_dropout stacks the model at each p; this only rejects an
+    # invalid configuration up front
+    vm = validate(load_config(args.config), mode=args.mode)
     records = simulator.sweep_dropout(vm, args.p, args.seed, args.trials,
                                       mode=args.mode)
     doc = {}

@@ -7,27 +7,32 @@ regardless of how many worker threads process the blocks.  Worker count is
 capped by the NCS_THREADS environment variable.
 
 A block advances all of its trials and all subsystems in one stacked step
-per time index.  With Kt the stacked error gain at step k
+per time index.  Its arrays are state-major: column t of X, Xhat and U is
+trial t, and subsystem i's states are the contiguous rows
+n_offsets[i]:n_offsets[i+1].  With Kt the stacked error gain at step k
 (GainSchedule.Ktilde_stacked, zero in the remote input's rows),
 
-    Uhat = Xhat Khat',   U = Uhat + (X - Xhat) Kt',
-    X' = X A' + U B' + diag(w) (X Abar' + U Bbar') + V,
-    Xhat' = Gamma' o X' + (1 - Gamma') o (Xhat A' + Uhat B').
+    Uhat = Khat Xhat,   U = Uhat + Kt (X - Xhat),
+    X' = A X + B U + diag(w) (Abar X + Bbar U) + V,
+    Xhat' = Gamma' o X' + (1 - Gamma') o (A Xhat + B Uhat).
 
 The last line is estimator.update_estimate for every subsystem at once:
 since Kt has zero remote rows, Uhat holds u^0 as well as every uhat^i, so
-Uhat B' supplies B^i uhat^i + B^{i0} u^0.  A step draws all w^i, all v^i
+B Uhat supplies B^i uhat^i + B^{i0} u^0.  A step draws all w^i, all v^i
 and all gamma^i in three generator calls that yield the same values as
-the documented per-subsystem draw order (see _simulate_block).
+the documented per-subsystem draw order (see _simulate_block).  Each
+per-subsystem input acts on a contiguous row block: w^i and gamma^i are
+row i of their draw, repeated over subsystem i's rows, and v^i enters as
+chol(Sigma_v^i) times the transpose of its drawn (trials x n_i) segment.
 
-Every product of a (trials x N_L) or (trials x M_L) array runs as a stack
-of row panels (_panel_matmul), each small enough for OpenBLAS to compute
-on the calling thread.  A whole-block product is large enough for OpenBLAS
-to spread over threads of its own, which then compete with the
-simulator's workers for the same cores.  The panels are used whatever the
-worker count, so that every run makes the same BLAS calls: OpenBLAS may
-choose its kernel by the product's shape, and the rows of a panel need not
-equal, bit for bit, the same rows of a whole-block product.
+Every product of a trials-wide array runs as M @ X over column panels of
+X (_panel_matmul), each small enough for OpenBLAS to compute on the
+calling thread.  A whole-block product is large enough for OpenBLAS to
+spread over threads of its own, which then compete with the simulator's
+workers for the same cores.  The panels are used whatever the worker
+count, so that every run makes the same BLAS calls: OpenBLAS may choose
+its kernel by the product's shape, and the columns of a panel need not
+equal, bit for bit, the same columns of a whole-block product.
 """
 from __future__ import annotations
 
@@ -66,24 +71,26 @@ def thread_count():
     return n
 
 
-def _panel_matmul(X, M):
-    """X @ M, computed as a stack of row panels of X.
+def _panel_matmul(M, X):
+    """M @ X, computed over column panels of X.
 
     Each panel's product has at most BLAS_SERIAL_MNK multiply-adds, so the
-    BLAS computes it on the calling thread; the rows left over form one
-    last, smaller product.
+    BLAS computes it on the calling thread; the columns left over form one
+    last, narrower product.  The equal panels go to the BLAS in one batched
+    call, as strided views of X and of the result.
     """
-    T, n = X.shape
-    rows = max(1, BLAS_SERIAL_MNK // (n * M.shape[1]))
-    if T <= rows:
-        return X @ M
-    q = T // rows
-    head = q * rows
-    out = np.empty((T, M.shape[1]))
-    np.matmul(X[:head].reshape(q, rows, n), M,
-              out=out[:head].reshape(q, rows, M.shape[1]))
+    m, n = M.shape
+    T = X.shape[1]
+    cols = max(1, BLAS_SERIAL_MNK // (m * n))
+    if T <= cols:
+        return M @ X
+    q = T // cols
+    head = q * cols
+    out = np.empty((m, T))
+    np.matmul(M, X[:, :head].reshape(n, q, cols).transpose(1, 0, 2),
+              out=out[:, :head].reshape(m, q, cols).transpose(1, 0, 2))
     if head < T:
-        np.matmul(X[head:], M, out=out[head:])
+        np.matmul(M, X[:, head:], out=out[:, head:])
     return out
 
 
@@ -161,94 +168,99 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     array whose row i is gamma^i.  The generator fills each call in order,
     so the draws are the same values as one call per subsystem.  Every
     statistic comes from `stacked`; `model` gives only Q, R and P_terminal.
+
+    Every array is state-major, (N_L x trials) or (M_L x trials): subsystem
+    i's states are the contiguous rows noff[i]:noff[i+1], and `sub` maps
+    each state row to its subsystem.
     """
     NL = stacked.NL
     noff = stacked.n_offsets
     L = len(noff) - 1
     sizes = np.diff(noff)
-
-    def columns(rows):
-        # (L, trials) per-subsystem values spread over each subsystem's
-        # state columns, as a (trials, N_L) array
-        return np.repeat(rows, sizes, axis=0).T
+    rows = [slice(lo, hi) for lo, hi in zip(noff, noff[1:])]
+    sub = np.repeat(np.arange(L), sizes)
+    mm = _panel_matmul
 
     # subsystem i's p_i and sigma_w^i, read at its first state row
     p = stacked.p_rows[noff[:-1]][:, None]
     sd_w = np.sqrt(np.diag(stacked.Sw)[noff[:-1]])[:, None]
-    X = np.tile(stacked.mu, (trials, 1))
+    X = np.repeat(stacked.mu[:, None], trials, axis=1)
     arrived = np.empty((L, trials), dtype=bool)
     for i in range(L):
-        X[:, noff[i]:noff[i + 1]] += rng.standard_normal((trials, sizes[i])) @ chol_x0[i].T
+        X[rows[i]] += mm(chol_x0[i], rng.standard_normal((trials, sizes[i])).T)
         arrived[i] = rng.random(trials) < p[i, 0]
-    Xhat = np.where(columns(arrived), X, stacked.mu)
+    Xhat = np.where(arrived[sub], X, stacked.mu[:, None])
     costs = np.zeros(trials)
     sq_norms = np.zeros((N + 2, L))
     gamma_sum = arrived.sum(axis=1)
     nonfinite = []
-    Xs = np.empty((N + 2, trials, NL)) if retain else None
-    Xhs = np.empty((N + 2, trials, NL)) if retain else None
-    Us = np.empty((N + 1, trials, stacked.ML)) if retain else None
-    Gs = np.empty((N + 2, trials, L)) if retain else None
+    Xs = np.empty((N + 2, NL, trials)) if retain else None
+    Xhs = np.empty((N + 2, NL, trials)) if retain else None
+    Us = np.empty((N + 1, stacked.ML, trials)) if retain else None
+    Gs = np.empty((N + 2, L, trials)) if retain else None
     stage_rec = np.empty((N + 1, trials)) if retain else None
     Q, R, PT = model.Q, model.R, model.P_terminal
-    At, Bt, Abt, Bbt = stacked.A.T, stacked.B.T, stacked.Abar.T, stacked.Bbar.T
-    mm = _panel_matmul
+    A, B, Abar, Bbar = stacked.A, stacked.B, stacked.Abar, stacked.Bbar
     seen_bad = np.zeros(trials, dtype=bool)
 
+    def quadratic(M, Y):
+        # y' M y for every column y of Y
+        MY = mm(M, Y)
+        MY *= Y
+        return MY.sum(axis=0)
+
     def norms_and_overflow(k):
-        col_sq = np.einsum("ti,ti->i", X, X)
-        sq_norms[k] = np.add.reduceat(col_sq, noff[:-1])
-        # a non-finite entry makes its column's sum non-finite, so the
-        # row-by-row search runs only when some column sum is
-        if not np.isfinite(col_sq).all():
-            bad = ~np.isfinite(X).all(axis=1) & ~seen_bad
+        row_sq = np.einsum("it,it->i", X, X)
+        sq_norms[k] = np.add.reduceat(row_sq, noff[:-1])
+        # a non-finite entry makes its row's sum non-finite, so the
+        # column-by-column search runs only when some row sum is
+        if not np.isfinite(row_sq).all():
+            bad = ~np.isfinite(X).all(axis=0) & ~seen_bad
             nonfinite.extend((base_trial + int(t), k) for t in np.nonzero(bad)[0])
             seen_bad[bad] = True
 
     for k in range(N + 1):
         norms_and_overflow(k)
-        Uhat = mm(Xhat, Khat[k].T)
-        U = mm(X - Xhat, Ktilde[k].T)
+        Uhat = mm(Khat[k], Xhat)
+        U = mm(Ktilde[k], X - Xhat)
         U += Uhat
-        stage = (np.einsum("ti,ti->t", mm(X, Q), X)
-                 + np.einsum("ti,ti->t", mm(U, R), U))
+        stage = quadratic(Q, X) + quadratic(R, U)
         costs += stage
         if retain:
-            Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, arrived.T, stage
+            Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, arrived, stage
         # the estimator's prediction for every subsystem at once; Uhat
         # holds u^0 too, since Ktilde has zero remote rows
-        Xhat = mm(Xhat, At)
-        Xhat += mm(Uhat, Bt)
+        Xhat = mm(A, Xhat)
+        Xhat += mm(B, Uhat)
         del Uhat
-        # plant step; w^i scales subsystem i's columns of the noise term,
+        # plant step; w^i scales subsystem i's rows of the noise term,
         # which is built in place and freed before v is drawn
-        Xn = mm(X, At)
-        Xn += mm(U, Bt)
-        noise = mm(X, Abt)
-        noise += mm(U, Bbt)
-        noise *= columns(rng.standard_normal((L, trials)) * sd_w)
+        Xn = mm(A, X)
+        Xn += mm(B, U)
+        noise = mm(Abar, X)
+        noise += mm(Bbar, U)
+        noise *= (rng.standard_normal((L, trials)) * sd_w)[sub]
         Xn += noise
         del noise
         v = rng.standard_normal(trials * NL)
         for i in range(L):
-            Xn[:, noff[i]:noff[i + 1]] += (
-                v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
-                @ chol_v[i].T)
-        del v
+            v_i = v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
+            Xn[rows[i]] += mm(chol_v[i], v_i.T)
+        del v, v_i
         arrived = rng.random((L, trials)) < p
         gamma_sum += arrived.sum(axis=1)
-        np.copyto(Xhat, Xn, where=columns(arrived))
+        Xhat = np.where(arrived[sub], Xn, Xhat)
         X = Xn
     norms_and_overflow(N + 1)
-    terminal = np.einsum("ti,ti->t", mm(X, PT), X)
+    terminal = quadratic(PT, X)
     costs += terminal
     traces = []
     if retain:
-        Xs[N + 1], Xhs[N + 1], Gs[N + 1] = X, Xhat, arrived.T
+        Xs[N + 1], Xhs[N + 1], Gs[N + 1] = X, Xhat, arrived
         for t in range(trials):
             traces.append(SimulationTrace(
-                trial=base_trial + t, X=Xs[:, t].copy(), Xhat=Xhs[:, t].copy(),
-                U=Us[:, t].copy(), Gamma=Gs[:, t].copy(),
+                trial=base_trial + t, X=Xs[:, :, t].copy(), Xhat=Xhs[:, :, t].copy(),
+                U=Us[:, :, t].copy(), Gamma=Gs[:, :, t].copy(),
                 stage_costs=stage_rec[:, t].copy(), terminal_cost=float(terminal[t])))
     return {
         "cost_sum": math.fsum(costs.tolist()),

@@ -109,6 +109,17 @@ def make_unequal_blocks(N=6):
     return model
 
 
+def make_equal_blocks(N=6):
+    """Seeded three-subsystem instance with equal block sizes (n_i = 3),
+    distinct sigma_w^i and every p_i < 1: the shape in which each
+    subsystem's states form a contiguous row block of the same height."""
+    model = make_random_definite(np.random.default_rng(40), L=3, N=N)
+    assert [s.n for s in model.subsystems] == [3, 3, 3]
+    assert len({s.sigma_w for s in model.subsystems}) == 3
+    assert all(s.p < 1.0 for s in model.subsystems)
+    return model
+
+
 def make_indefinite():
     """Seeded instance whose control weight R is indefinite (shifted by
     -3 I), so the generalized recursion's Upsilon_k is PSD at some steps

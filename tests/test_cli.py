@@ -230,6 +230,24 @@ def test_sweep_empty_p_is_input_error(scalar_config, tmp_path):
     assert run(["--config", scalar_config, "--out", tmp_path, "sweep"]) == 1
 
 
+def test_sweep_validates_the_config_without_stacking_it(scalar_config, tmp_path,
+                                                        monkeypatch, capsys):
+    # sweep_dropout stacks the model at every p, so the command itself only
+    # validates: an invalid config is still an input error
+    doc = model_to_dict(make_scalar_decoupled(N=2))
+    doc["subsystems"][0]["sigma_w"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["--config", bad, "--out", tmp_path, "sweep", "--p", 0.5]) == 1
+    assert "sigma_w^1 has a non-finite entry" in capsys.readouterr().err
+
+    def no_stack(*args):
+        raise AssertionError("sweep stacked the configured model")
+    monkeypatch.setattr(ncslq.cli, "stack", no_stack)
+    assert run(["--config", scalar_config, "--out", tmp_path / "out", "sweep",
+                "--p", 0.5, "--trials", 100]) == 0
+
+
 def test_console_script(scalar_config, tmp_path):
     # the child imports the package from where this process found it, so the
     # test also runs when ncslq is importable only through pytest's pythonpath

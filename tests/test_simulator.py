@@ -10,8 +10,8 @@ from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              thread_count, with_dropout)
 from ncslq.synthesis import GainSchedule
 
-from conftest import (make_random_definite, make_scalar_coupled,
-                      make_unequal_blocks, validated_pair)
+from conftest import (make_equal_blocks, make_random_definite,
+                      make_scalar_coupled, make_unequal_blocks, validated_pair)
 from reference import rollout_by_loop
 
 
@@ -109,9 +109,9 @@ def test_thread_count_rejects_malformed_env(monkeypatch, value):
 def test_panel_matmul_equals_whole_product(monkeypatch, trials):
     rng = np.random.default_rng(17)
     K = rng.standard_normal((22, 30))
-    monkeypatch.setattr(simulator, "BLAS_SERIAL_MNK", 64 * K.size)  # 64-row panels
-    X = rng.standard_normal((trials, 30))
-    assert np.array_equal(simulator._panel_matmul(X, K.T), X @ K.T)
+    monkeypatch.setattr(simulator, "BLAS_SERIAL_MNK", 64 * K.size)  # 64-column panels
+    X = rng.standard_normal((30, trials))    # state-major, C-ordered
+    assert np.array_equal(simulator._panel_matmul(K, X), K @ X)
 
 
 def test_trace_cost_decomposition_and_retention():
@@ -129,13 +129,17 @@ def test_trace_cost_decomposition_and_retention():
         assert np.array_equal(tr.Xhat[got], tr.X[got])
 
 
-@pytest.mark.parametrize("serial_mnk", [None, 150], ids=["whole", "panels"])
-def test_paths_match_per_subsystem_rollout(monkeypatch, serial_mnk):
-    # unequal blocks make a misplaced w^i scaling or block offset show; the
-    # small panel bound splits every product into row panels and a remainder
+@pytest.mark.parametrize("make_model, serial_mnk",
+                         [(make_unequal_blocks, None), (make_unequal_blocks, 150),
+                          (make_equal_blocks, 200)],
+                         ids=["whole", "panels", "equal_blocks_panels"])
+def test_paths_match_per_subsystem_rollout(monkeypatch, make_model, serial_mnk):
+    # unequal blocks make a misplaced w^i scaling or block offset show, and
+    # equal blocks a transposed (L, n) layout; the small panel bounds split
+    # the state and input products into column panels and a remainder
     if serial_mnk is not None:
         monkeypatch.setattr(simulator, "BLAS_SERIAL_MNK", serial_mnk)
-    model = make_unequal_blocks(N=8)
+    model = make_model(N=8)
     vm, stk, sched = solve_all(model)
     trials = 5
     summary = simulate(vm, stk, sched, seed=5, trials=trials, retain_traces=True)
