@@ -9,9 +9,8 @@ from .model import (DefinitenessViolation, DimensionMismatch, ModelError,
                     NetworkModel, ProbabilityOutOfRange, StackedModel,
                     SubsystemModel, ValidatedModel, load_config,
                     model_from_dict, model_to_dict, stack, validate)
-from .riccati import (CRESolution, GeneralizedCRESolution, RiccatiError,
-                      SingularLambda, SingularPi, check_definiteness,
-                      solve_cre, solve_generalized)
+from .riccati import (CRESolution, RiccatiError, SingularLambda, SingularPi,
+                      check_definiteness, solve_cre)
 from .synthesis import GainSchedule, gains, optimal_cost
 from .estimator import init_estimate, update_estimate
 from .oracle import (MomentState, cost_gradient, costate_moments, exact_cost,

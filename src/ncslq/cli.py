@@ -20,7 +20,7 @@ from pathlib import Path
 from . import oracle, serialize, simulator
 from .model import ModelError, load_config, stack, validate
 from .riccati import (RiccatiError, SingularLambda, SingularPi,
-                      check_definiteness, solve_cre, solve_generalized)
+                      check_definiteness, solve_cre)
 from .synthesis import gains, optimal_cost
 
 EXIT_OK = 0
@@ -58,36 +58,22 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    model = load_config(args.config)
-    vm = validate(model, mode=args.mode)
-    return vm, stack(vm)
-
-
 def _solved(args):
     """The configured instance, solved: (ValidatedModel, StackedModel,
     CRESolution, GainSchedule)."""
-    vm, st = _load(args)
+    vm = validate(load_config(args.config), mode=args.mode)
+    st = stack(vm)
     sol = solve_cre(st, vm)
     return vm, st, sol, gains(sol)
 
 
 def cmd_solve(args, outdir):
-    vm, st = _load(args)
+    vm, st, sol, sched = _solved(args)
+    cre = serialize.cre_to_dict(sol)
     if args.mode == "indefinite":
-        gen = solve_generalized(st, vm)
-        serialize.dump({
-            "mode": "indefinite",
-            "Delta": gen.Delta,
-            "Upsilon": gen.Upsilon,
-            "M": gen.M,
-            "upsilon_psd": [bool(v) for v in gen.upsilon_psd],
-        }, outdir / "cre.json")
-        sol = solve_cre(st, vm)
-    else:
-        sol = solve_cre(st, vm)
-        serialize.dump(serialize.cre_to_dict(sol), outdir / "cre.json")
-    sched = gains(sol)
+        # the PSD part of the solvability test for indefinite weights
+        cre.update(mode=args.mode, lambda_psd=sol.lambda_psd)
+    serialize.dump(cre, outdir / "cre.json")
     serialize.dump(serialize.gains_to_dict(sched), outdir / "gains.json")
     doc = {"formula_cost": None,
            "oracle_cost": oracle.exact_cost(vm, st, sched)}

@@ -203,6 +203,11 @@ class ValidatedModel:
     dims: dict = field(default_factory=dict)
 
     def __getattr__(self, name):
+        # copy and pickle rebuild an instance without calling __init__ and
+        # probe it for dunders first; forwarding those, or `model` itself,
+        # to the still unset `model` would recurse
+        if name == "model" or (name.startswith("__") and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self.model, name)
 
 
@@ -217,8 +222,9 @@ def validate(model, mode="definite"):
     Every matrix, vector and noise variance must be finite, and every
     subsystem needs its local input (m_i >= 1; m0 may be 0).  `definite`
     mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard weighting
-    assumptions).  `indefinite` mode requires symmetry only and
-    tags the instance for the generalized (pseudo-inverse) recursion.
+    assumptions).  `indefinite` mode requires symmetry only; the instance
+    goes through the same recursion, whose CRESolution.lambda_psd flags the
+    steps at which Lambda_k is positive semidefinite.
     The caller's model is left untouched: the returned ValidatedModel holds
     a copy whose symmetric weights and covariances are exactly symmetric.
     """

@@ -27,8 +27,10 @@ same holds for Ktilde_k^i and P_k^i.  The solves go straight to LAPACK
 per-call overhead of scipy's LU factor and solve wrappers costs more than
 the factorization.
 
-Also provided: the generalized recursion for indefinite weights, the same
-step with a Moore-Penrose pseudo-inverse.  The additive-noise and
+Both validation modes run this one recursion.  Under indefinite weights
+CRESolution.lambda_psd flags the steps at which Lambda_k is positive
+semidefinite, and a singular Lambda_k stops the solve as in definite mode.
+The generalized (pseudo-inverse) recursion and the additive-noise and
 single-subsystem reductions live in the test suite as independent oracles.
 """
 from __future__ import annotations
@@ -116,6 +118,17 @@ class CRESolution:
     def L_count(self):
         return len(self.P_sub)
 
+    @property
+    def lambda_psd(self):
+        """(N+1,) bool: sym(Lambda_k) >= 0 within psd_tolerance, the
+        positive-semidefinite part of the generalized-Riccati solvability
+        test under indefinite weights, read off Lambda on each access."""
+        flags = np.zeros(len(self.Lambda), dtype=bool)
+        for k, Lam in enumerate(self.Lambda):
+            eigs = np.linalg.eigvalsh(_sym(Lam))
+            flags[k] = eigs.min() >= -psd_tolerance(eigs)
+        return flags
+
 
 def _sym(M):
     return 0.5 * (M + M.T)
@@ -193,45 +206,6 @@ def solve_cre(stacked, model):
         for i, Gi in enumerate(G_sub):
             sol.P_sub[i][k] = _sym(Gi + sol.Omega[i][k].T @ sol.Ktilde[i][k])
     return sol
-
-
-@dataclass
-class GeneralizedCRESolution:
-    """Solution of the generalized recursion for indefinite weights."""
-
-    N: int
-    Delta: np.ndarray          # (N+2, NL, NL), Delta[N+1] = P_terminal
-    Upsilon: np.ndarray        # (N+1, ML, ML)
-    M: np.ndarray              # (N+1, ML, NL)
-    upsilon_psd: np.ndarray    # (N+1,) bool: Upsilon_k >= 0 within tolerance
-
-    @property
-    def all_psd(self):
-        return bool(self.upsilon_psd.all())
-
-
-def solve_generalized(stacked, model):
-    """Backward recursion with pseudo-inverse, valid for symmetric weights.
-
-    Never fails hard: per-step PSD flags for Upsilon_k record whether the
-    solvability condition holds.
-    """
-    model = _unwrap(model)
-    N, NL, ML = model.N, stacked.NL, stacked.ML
-    Q, R = model.Q, model.R
-    out = GeneralizedCRESolution(
-        N=N, Delta=np.zeros((N + 2, NL, NL)), Upsilon=np.zeros((N + 1, ML, ML)),
-        M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
-    out.Delta[N + 1] = model.P_terminal
-    for k in range(N, -1, -1):
-        D1 = out.Delta[k + 1]
-        Ups, Mk, G = _step(D1, stacked.Sw * D1, stacked, Q, R)
-        Ups = _sym(Ups)
-        eigs = np.linalg.eigvalsh(Ups)
-        out.upsilon_psd[k] = bool(eigs.min() >= -psd_tolerance(eigs))
-        out.Upsilon[k], out.M[k] = Ups, Mk
-        out.Delta[k] = _sym(G - Mk.T @ np.linalg.pinv(Ups, rcond=RCOND_SINGULAR) @ Mk)
-    return out
 
 
 @dataclass

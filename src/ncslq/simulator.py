@@ -283,6 +283,8 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     N = model.N if horizon is None else int(horizon)
+    if N < 0:
+        raise HorizonMismatch(f"horizon override {N} is negative")
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
     Ktilde = gain_schedule.Ktilde_stacked(N)

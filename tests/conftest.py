@@ -122,8 +122,9 @@ def make_equal_blocks(N=6):
 
 def make_indefinite():
     """Seeded instance whose control weight R is indefinite (shifted by
-    -3 I), so the generalized recursion's Upsilon_k is PSD at some steps
-    and not at others; it validates in indefinite mode only."""
+    -3 I), so the recursion's Lambda_k is PSD at some steps and not at
+    others while every Lambda_k stays nonsingular; it validates in
+    indefinite mode only."""
     model = make_random_definite(np.random.default_rng(3), L=3, N=60)
     model.R = model.R - 3.0 * np.eye(model.m_total)
     return model

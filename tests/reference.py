@@ -5,7 +5,8 @@ brute-force loops, sharing no code with the package, so that agreement is
 meaningful evidence of correctness.  The two-family recursions (stacked and
 per-subsystem P, H and L = P p + H (I - p), and the additive-noise and
 single-subsystem reductions of them) keep every family the package folds
-into its one symmetric kernel, so they check that fold independently.  The
+into its one symmetric kernel, so they check that fold independently; the
+generalized (pseudo-inverse) recursion checks the p = 1 case of it.  The
 full moment system (propagate_moments_full) carries the cross moment and
 the means that the package's oracle proves zero and drops, so it checks
 that reduction.  Three helpers are exceptions: the estimator-state helpers
@@ -378,6 +379,46 @@ def solve_cre_single(stacked, model):
             if np.linalg.norm(M - M.T) > 1e-9 * scale:
                 raise AssertionError(f"{name}_{k} lost symmetry in the L=1 recursion")
     return sol
+
+
+def solve_generalized(stacked, model):
+    """Generalized recursion for indefinite weights: the stacked recursion
+    at p = 1 with a Moore-Penrose pseudo-inverse in place of the solve,
+
+        Upsilon_k = R + B' D B + sum_i sigma_i Bbold_i' D Bbold_i,
+        M_k       = B' D A + sum_i sigma_i Bbold_i' D Abold_i,
+        Delta_k   = Q + A' D A + sum_i sigma_i Abold_i' D Abold_i
+                    - M_k' Upsilon_k^+ M_k,
+
+    with D = Delta_{k+1}, Delta_{N+1} = P_terminal and the noise priced
+    through the dense per-subsystem channels (dense_noise_channels).  It
+    never fails: upsilon_psd[k] records whether sym(Upsilon_k) is positive
+    semidefinite within 1e-9 (1 + max |eigenvalue|).
+    """
+    model = _unwrap(model)
+    N, NL, ML = model.N, stacked.NL, stacked.ML
+    channels = dense_noise_channels(model)
+    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
+    gen = SimpleNamespace(
+        Delta=np.zeros((N + 2, NL, NL)), Upsilon=np.zeros((N + 1, ML, ML)),
+        M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
+    gen.Delta[N + 1] = model.P_terminal
+    for k in range(N, -1, -1):
+        D1 = gen.Delta[k + 1]
+        nBB = np.zeros_like(R)
+        nBA = np.zeros((ML, NL))
+        nAA = np.zeros_like(Q)
+        for s, Ab, Bb in channels:
+            nBB = nBB + s * Bb.T @ D1 @ Bb
+            nBA = nBA + s * Bb.T @ D1 @ Ab
+            nAA = nAA + s * Ab.T @ D1 @ Ab
+        Ups, Mk = R + B.T @ D1 @ B + nBB, B.T @ D1 @ A + nBA
+        eigs = np.linalg.eigvalsh(0.5 * (Ups + Ups.T))
+        gen.upsilon_psd[k] = eigs.min() >= -1e-9 * (1.0 + np.max(np.abs(eigs)))
+        gen.Upsilon[k], gen.M[k] = Ups, Mk
+        gen.Delta[k] = (Q + A.T @ D1 @ A + nAA
+                        - Mk.T @ np.linalg.pinv(Ups, rcond=1e-12) @ Mk)
+    return gen
 
 
 def rollout_by_loop(model, gain_schedule, seed, trials):

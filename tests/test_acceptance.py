@@ -26,9 +26,8 @@ import time
 import numpy as np
 import pytest
 
-from ncslq import (gains, model_to_dict, simulate, solve_cre,
-                   solve_generalized, exact_cost, costate_moments,
-                   optimal_cost, stationarity_check)
+from ncslq import (gains, model_to_dict, simulate, solve_cre, exact_cost,
+                   costate_moments, optimal_cost, stationarity_check)
 from ncslq.cli import main as cli_main
 from ncslq.model import psd_tolerance
 from ncslq.simulator import sweep_dropout
@@ -37,7 +36,8 @@ from ncslq import serialize
 import conftest
 from conftest import (load_sec5, make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, requires_sec5, validated_pair)
-from reference import solve_cre_additive, solve_cre_single
+from reference import (solve_cre_additive, solve_cre_single,
+                       solve_generalized)
 from test_estimator import rollout
 
 

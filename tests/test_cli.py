@@ -6,6 +6,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,10 +84,47 @@ def test_solve_indefinite_mode_reports_flags(tmp_path):
                 "--mode", "indefinite", "solve"])
     assert code == 0
     doc = serialize.load(out / "cre.json")
-    assert doc["mode"] == "indefinite"
-    assert len(doc["upsilon_psd"]) == model.N + 1
-    # the indefinite R violates the solvability condition at some step
-    assert not all(doc["upsilon_psd"])
+    assert doc["schema"] == 2 and doc["mode"] == "indefinite"
+    flags = doc["lambda_psd"]
+    assert len(flags) == model.N + 1
+    assert all(isinstance(v, bool) for v in flags)
+    # the indefinite R violates the solvability condition at some step and
+    # not at others
+    assert not all(flags) and any(flags)
+    # the document is a loadable schema-2 document: its Lambda_k and Pi_k^i
+    # refactor into the gains that gains.json carries, bit for bit
+    back = gains(serialize.cre_from_dict(doc))
+    sched = serialize.gains_from_dict(serialize.load(out / "gains.json"))
+    assert np.array_equal(back.Khat, sched.Khat)
+    for a, b in zip(back.Ktilde, sched.Ktilde):
+        assert np.array_equal(a, b)
+
+
+def test_solve_indefinite_zero_weights_is_solvability_failure(tmp_path, capsys):
+    # zero Q, R and P_terminal make every Lambda_k zero; indefinite mode
+    # accepts the weights and the solve names the first singular step
+    model = make_scalar_coupled(N=3)
+    model.Q = np.zeros((1, 1))
+    model.R = np.zeros((2, 2))
+    model.P_terminal = np.zeros((1, 1))
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps(model_to_dict(model)))
+    assert run(["--config", config, "--out", tmp_path / "out",
+                "--mode", "indefinite", "solve"]) == 2
+    assert "Lambda_3" in capsys.readouterr().err
+
+
+def test_patch_targets_name_existing_attributes(monkeypatch):
+    # the benchmark wraps package functions at the module attribute their
+    # caller looks them up by; a renamed attribute must fail here
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import workloads
+    stub = SimpleNamespace(wrap=lambda name, f: f)
+    targets = workloads.patch_targets(stub)
+    assert targets
+    for mod, attr, _ in targets:
+        assert hasattr(mod, attr), f"{mod.__name__}.{attr}"
 
 
 def test_missing_config_is_input_error(tmp_path):
@@ -132,6 +170,15 @@ def test_simulate_trials_precondition(scalar_config, tmp_path, capsys):
     assert run(["--config", scalar_config, "--out", tmp_path,
                 "simulate", "--trials", 0]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+def test_simulate_negative_horizon_is_input_error(scalar_config, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "simulate",
+                "--trials", 10, "--horizon", -1]) == 1
+    assert "horizon override -1 is negative" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_simulate_retains_requested_traces(scalar_config, tmp_path):

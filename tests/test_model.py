@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -221,6 +223,15 @@ def test_near_symmetric_input_is_symmetrized():
     assert np.array_equal(vm.model.Q, vm.model.Q.T)
     # the caller's model is not mutated
     assert model.Q[0, 1] == 1e-15 and model.Q[1, 0] == 0.0
+
+
+def test_validated_model_deepcopies_and_pickles():
+    vm = validate(make_scalar_coupled())
+    for back in (copy.deepcopy(vm), pickle.loads(pickle.dumps(vm))):
+        assert back.model is not vm.model
+        assert (back.mode, back.dims) == (vm.mode, vm.dims)
+        # every array and scalar of the model, compared exactly
+        assert model_to_dict(back.model) == model_to_dict(vm.model)
 
 
 def test_config_round_trip(tmp_path):

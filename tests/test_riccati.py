@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 from ncslq import (NetworkModel, SingularLambda, SubsystemModel,
-                   check_definiteness, solve_cre, solve_generalized)
+                   check_definiteness, solve_cre)
 from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
@@ -15,7 +15,7 @@ from conftest import (make_indefinite, make_random_definite,
                       make_unequal_blocks, validated_pair)
 from reference import (dense_noise_channels, hand_recursion_scalar,
                        solve_cre_additive, solve_cre_single,
-                       solve_two_families)
+                       solve_generalized, solve_two_families)
 
 
 def solve(model, mode="definite"):
@@ -175,30 +175,21 @@ def test_perfect_channel_generalized_coincides():
     for k in range(model.N + 2):
         scale = 1.0 + np.max(np.abs(sol.P[k]))
         assert np.max(np.abs(gen.Delta[k] - sol.P[k])) / scale <= 1e-9
-    assert gen.all_psd
-
-
-def test_generalized_zero_weights():
-    model = make_scalar_coupled(N=3)
-    model.Q = np.zeros((1, 1))
-    model.R = np.zeros((2, 2))
-    model.P_terminal = np.zeros((1, 1))
-    vm, stk = validated_pair(model, mode="indefinite")
-    gen = solve_generalized(stk, vm)
-    assert not gen.Delta.any() and not gen.Upsilon.any()
-    assert gen.all_psd
+    assert gen.upsilon_psd.all()
 
 
 def test_generalized_flags_match_independent_eigenvalues():
     model = make_indefinite()
-    vm, stk = validated_pair(model, mode="indefinite")
-    gen = solve_generalized(stk, vm)
-    # both flag values occur, so the comparison below is not vacuous
-    assert gen.upsilon_psd.any() and not gen.upsilon_psd.all()
-    from ncslq.model import psd_tolerance
+    vm, stk, sol = solve(model, mode="indefinite")
+    flags = sol.lambda_psd
+    assert flags.shape == (model.N + 1,)
+    # both flag values occur, so the comparisons below are not vacuous
+    assert flags.any() and not flags.all()
     for k in range(model.N + 1):
-        eigs = np.linalg.eigvalsh(0.5 * (gen.Upsilon[k] + gen.Upsilon[k].T))
-        assert gen.upsilon_psd[k] == (eigs.min() >= -psd_tolerance(eigs))
+        eigs = np.linalg.eigvalsh(0.5 * (sol.Lambda[k] + sol.Lambda[k].T))
+        assert flags[k] == (eigs.min() >= -1e-9 * (1.0 + np.max(np.abs(eigs))))
+    # the pseudo-inverse recursion's Upsilon_k gives the same flags
+    assert np.array_equal(flags, solve_generalized(stk, vm).upsilon_psd)
 
 
 def test_singular_lambda_detected():

@@ -177,6 +177,9 @@ def test_horizon_contract():
     vm, stk, sched = solve_all(model)
     with pytest.raises(HorizonMismatch):
         simulate(vm, stk, sched, seed=0, trials=10, horizon=4)
+    for bad in (-1, -3):
+        with pytest.raises(HorizonMismatch, match=f"{bad} is negative"):
+            simulate(vm, stk, sched, seed=0, trials=10, horizon=bad)
     short = simulate(vm, stk, sched, seed=0, trials=10, horizon=2)
     assert short.horizon == 2
     assert short.mean_sq_norms.shape == (4, 1)

@@ -7,7 +7,8 @@ from ncslq.oracle import exact_cost
 from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_unequal_blocks,
                       validated_pair)
-from reference import gains_by_refactoring, ktilde_full_by_loop
+from reference import (gains_by_refactoring, ktilde_full_by_loop,
+                       solve_generalized)
 
 
 def solve_all(model, mode="definite"):
@@ -144,7 +145,6 @@ def test_optimal_cost_matches_oracle_on_scalar():
 def test_perfect_channel_khat_matches_full_information_gain():
     # with p = 1 the generalized recursion's feedback is the classical
     # full-information gain, and Khat must coincide with it
-    from ncslq import solve_generalized
     model = make_random_definite(np.random.default_rng(37), L=2, N=3)
     for s in model.subsystems:
         s.p = 1.0
