@@ -59,8 +59,9 @@ def _build_parser():
 
 
 def _solved(args):
-    """The configured instance, solved: (ValidatedModel, StackedModel,
-    CRESolution, GainSchedule)."""
+    """The configured instance, validated once and solved: (ValidatedModel,
+    StackedModel, CRESolution, GainSchedule); the ValidatedModel is the
+    NetworkModel every layer reads."""
     vm = validate(load_config(args.config), mode=args.mode)
     st = stack(vm)
     sol = solve_cre(st, vm)
@@ -75,15 +76,9 @@ def cmd_solve(args, outdir):
         cre.update(mode=args.mode, lambda_psd=sol.lambda_psd)
     serialize.dump(cre, outdir / "cre.json")
     serialize.dump(serialize.gains_to_dict(sched), outdir / "gains.json")
-    doc = {"formula_cost": None,
-           "oracle_cost": oracle.exact_cost(vm, st, sched)}
-    try:
-        doc["formula_cost"] = optimal_cost(sol, vm)
-    except RuntimeError as exc:
-        # closed form undefined when the recursion degrades numerically
-        # (possible under indefinite weights); the oracle value stands alone
-        doc["formula_error"] = str(exc)
-    serialize.dump(doc, outdir / "cost.json")
+    serialize.dump({"formula_cost": optimal_cost(sol, vm),
+                    "oracle_cost": oracle.exact_cost(vm, st, sched)},
+                   outdir / "cost.json")
     return EXIT_OK
 
 
@@ -192,11 +187,8 @@ def cmd_sweep(args, outdir):
     if args.trials < 1:
         print("trials >= 1 required", file=sys.stderr)
         return EXIT_INPUT
-    # sweep_dropout stacks the model at each p; this only rejects an
-    # invalid configuration up front
-    vm = validate(load_config(args.config), mode=args.mode)
-    records = simulator.sweep_dropout(vm, args.p, args.seed, args.trials,
-                                      mode=args.mode)
+    records = simulator.sweep_dropout(load_config(args.config), args.p,
+                                      args.seed, args.trials, mode=args.mode)
     doc = {}
     for rec in records:
         entry = {k: v for k, v in rec.items() if k not in ("summary", "p")}

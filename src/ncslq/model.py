@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -195,25 +195,15 @@ class NetworkModel:
 
 
 @dataclass
-class ValidatedModel:
-    """A NetworkModel that passed `validate`, with its dimension table."""
+class ValidatedModel(NetworkModel):
+    """A NetworkModel that passed `validate`, in the mode it was checked in."""
 
-    model: NetworkModel
     mode: str                 # "definite" or "indefinite"
-    dims: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        # copy and pickle rebuild an instance without calling __init__ and
-        # probe it for dunders first; forwarding those, or `model` itself,
-        # to the still unset `model` would recurse
-        if name == "model" or (name.startswith("__") and name.endswith("__")):
-            raise AttributeError(name)
-        return getattr(self.model, name)
-
-
-def _unwrap(model):
-    """The NetworkModel behind a ValidatedModel, or the model itself."""
-    return model.model if isinstance(model, ValidatedModel) else model
+    @property
+    def model(self):
+        """The validated NetworkModel: the instance itself."""
+        return self
 
 
 def validate(model, mode="definite"):
@@ -225,12 +215,13 @@ def validate(model, mode="definite"):
     assumptions).  `indefinite` mode requires symmetry only; the instance
     goes through the same recursion, whose CRESolution.lambda_psd flags the
     steps at which Lambda_k is positive semidefinite.
-    The caller's model is left untouched: the returned ValidatedModel holds
-    a copy whose symmetric weights and covariances are exactly symmetric.
+    The caller's model is left untouched: the returned ValidatedModel is
+    built from a copy of its data, whose symmetric weights and covariances
+    are made exactly symmetric.
     """
     if mode not in ("definite", "indefinite"):
         raise ValueError(f"unknown mode {mode!r}")
-    model = copy.deepcopy(_unwrap(model))
+    model = copy.deepcopy(model)
     if not model.subsystems:
         raise DimensionMismatch("model has no subsystems")
     if model.N < 0:
@@ -270,18 +261,8 @@ def validate(model, mode="definite"):
         _check_psd(model.Q, "Q")
         _check_pd(model.R, "R")
         _check_psd(model.P_terminal, "P_terminal")
-    dims = {
-        "L": model.L,
-        "n": [s.n for s in model.subsystems],
-        "m": [s.m for s in model.subsystems],
-        "m0": model.m0,
-        "N_L": NL,
-        "M_L": ML,
-        "n_offsets": model.n_offsets,
-        "m_offsets": model.m_offsets,
-        "N": model.N,
-    }
-    return ValidatedModel(model=model, mode=mode, dims=dims)
+    return ValidatedModel(mode=mode, **{f.name: getattr(model, f.name)
+                                        for f in fields(NetworkModel)})
 
 
 @dataclass
@@ -319,9 +300,8 @@ class StackedModel:
     ML: int
 
 
-def stack(validated):
+def stack(model):
     """The StackedModel of a validated model; nothing else stacks its data."""
-    model = _unwrap(validated)
     NL, ML = model.n_total, model.m_total
     noff, moff = model.n_offsets, model.m_offsets
     A = np.zeros((NL, NL))

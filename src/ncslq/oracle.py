@@ -87,7 +87,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _unwrap
 from .riccati import _step, _sym
 from .synthesis import GainSchedule
 
@@ -134,7 +133,6 @@ def _moments(model, stacked, Khat, Ktilde):
 
 def propagate_moments(model, stacked, gain_schedule):
     """Yield MomentState for k = 0..N+1 under the given gains."""
-    model = _unwrap(model)
     yield from _moments(model, stacked, gain_schedule.Khat,
                         gain_schedule.Ktilde_stacked(model.N))
 
@@ -156,7 +154,6 @@ def _priced_moments(model, stacked, Khat, Ktilde):
 
 def stage_costs(model, stacked, gain_schedule):
     """Exact expected stage costs for k = 0..N and the terminal cost."""
-    model = _unwrap(model)
     costs = [c for _, c in _priced_moments(
         model, stacked, gain_schedule.Khat, gain_schedule.Ktilde_stacked(model.N))]
     return costs[:-1], costs[-1]
@@ -186,7 +183,6 @@ def cost_gradient(model, stacked, gain_schedule):
     """dJ/dKhat_k and dJ/dKtilde^i_k for every k by one forward moment pass
     and one backward adjoint pass (see the module docstring); the cost is
     bit-identical to exact_cost.  The schedule is only read."""
-    model = _unwrap(model)
     N = model.N
     Khat = gain_schedule.Khat
     Ktilde = gain_schedule.Ktilde_stacked(N)
@@ -281,7 +277,6 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
     size is reported, drawn over the entries in probe order (_flat).
     min_second_difference is the least exact second derivative reported.
     """
-    model = _unwrap(model)
     cg = cost_gradient(model, stacked, gain_schedule)
     d, dd = _flat(cg.gradient), _flat(cg.curvature)
     idx = np.arange(d.size)
@@ -322,7 +317,6 @@ class CostateMomentsReport:
 
 def costate_moments(model, stacked, gain_schedule, sol):
     """Evaluate both sides of the telescoping identity from exact moments."""
-    model = _unwrap(model)
     N = model.N
     stages, V = [], []
     for ms, cost in _priced_moments(model, stacked, gain_schedule.Khat,

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .model import _unwrap, psd_tolerance
+from .model import psd_tolerance
 
 # Reciprocal condition number below which a coefficient matrix is declared
 # singular (the solvability condition fails).
@@ -169,7 +169,6 @@ def _store_gains(sol, k):
 def solve_cre(stacked, model):
     """Solve the coupled recursions backward from k = N to 0, keeping the
     gains that close each step."""
-    model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     noff = stacked.n_offsets
     subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1))
@@ -227,7 +226,6 @@ def check_definiteness(sol, model):
     with the stored local gain g = Ktilde_k^i = -Pi^{-1} Omega, which also
     certifies positive semidefiniteness structurally, at the gain in use.
     """
-    model = _unwrap(model)
     rep = DefinitenessReport()
     for i, s in enumerate(model.subsystems):
         Qii = model.Q_block(i + 1, i + 1)

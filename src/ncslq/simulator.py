@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import HorizonMismatch, ModelError, _unwrap, stack, validate
+from .model import HorizonMismatch, ProbabilityOutOfRange, stack, validate
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
@@ -279,7 +279,6 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     Deterministic in (seed, trials): the block decomposition and each
     block's generator depend only on the seed and the block index.
     """
-    model = _unwrap(model)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     N = model.N if horizon is None else int(horizon)
@@ -329,38 +328,36 @@ def decay_time(traj, fraction=0.1):
     return int(below[0]) if below.size else None
 
 
-def with_dropout(model, p):
-    """Copy of the model with every uplink probability replaced by p."""
-    import copy
-    model = _unwrap(model)
-    out = copy.deepcopy(model)
-    for s in out.subsystems:
-        s.p = float(p)
-    return out
-
-
 def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     """Re-solve, re-synthesize, and simulate for each dropout setting.
 
-    Returns a list of per-p records; a setting that the model or the solver
-    rejects (ModelError, RiccatiError) is recorded and the sweep continues.
+    Every subsystem's uplink probability is set to p.  Each p must lie in
+    [0, 1], or ProbabilityOutOfRange names it before anything is solved.
+    The model is validated (in `mode`) and stacked once; p then replaces
+    the stacked instance's p_rows, the only place the solver and the
+    simulator read it.  Returns a list of per-p records; a setting that
+    the solver rejects (RiccatiError) is recorded and the sweep continues.
     Any other error, such as trials < 1, propagates.
     """
-    model = _unwrap(model)
+    for p in p_values:
+        if not 0.0 <= p <= 1.0:
+            raise ProbabilityOutOfRange(f"sweep p = {p} not in [0, 1]")
+    vm = validate(model, mode=mode)
+    st = stack(vm)
     out = []
     for p in p_values:
         rec = {"p": float(p)}
+        st_p = replace(st, p_rows=np.full(st.NL, float(p)))
         try:
-            m_p = validate(with_dropout(model, p), mode=mode)
-            st = stack(m_p)
-            sched = synthesize_gains(solve_cre(st, m_p))
-            summary = simulate(m_p, st, sched, seed, trials)
+            sol = solve_cre(st_p, vm)
+        except RiccatiError as exc:
+            rec["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            summary = simulate(vm, st_p, synthesize_gains(sol), seed, trials)
             x1 = summary.mean_sq_norms[:, 0]
             rec.update(
                 cost_mean=summary.cost_mean, cost_stderr=summary.cost_stderr,
                 x1_traj=x1.tolist(), decay_time_x1=decay_time(x1),
                 summary=summary)
-        except (ModelError, RiccatiError) as exc:
-            rec["error"] = f"{type(exc).__name__}: {exc}"
         out.append(rec)
     return out

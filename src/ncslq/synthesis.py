@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HorizonMismatch, _unwrap
+from .model import HorizonMismatch
 
 
 @dataclass
@@ -105,7 +105,6 @@ def optimal_cost(sol, model):
     A solution read from a file may carry asymmetric value matrices, so
     P_0^i is checked for symmetry before use.
     """
-    model = _unwrap(model)
     total = 0.0
     for i, s in enumerate(model.subsystems):
         P0 = _symmetric_part(sol.P_sub[i][0], f"P_0^{i + 1}")

@@ -151,6 +151,7 @@ def scalar_coupled():
 
 
 def validated_pair(model, mode="definite"):
-    """(ValidatedModel, StackedModel) in one call."""
+    """(ValidatedModel, StackedModel) in one call; the ValidatedModel is
+    itself the validated NetworkModel."""
     vm = validate(model, mode=mode)
     return vm, stack(vm)

@@ -18,7 +18,8 @@ from ncslq.cli import main
 from ncslq import serialize
 
 from conftest import (make_indefinite, make_scalar_coupled,
-                      make_scalar_decoupled, validated_pair)
+                      make_scalar_decoupled, make_unequal_blocks,
+                      validated_pair)
 
 
 @pytest.fixture
@@ -125,6 +126,20 @@ def test_patch_targets_name_existing_attributes(monkeypatch):
     assert targets
     for mod, attr, _ in targets:
         assert hasattr(mod, attr), f"{mod.__name__}.{attr}"
+
+
+def test_instance_stats_reads_the_validated_model(monkeypatch):
+    # the benchmark's per-instance digest reads vm.model.L, vm.model.N and
+    # sol.P_sub; a model type without them must fail here
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    import instances
+    vm, st = validated_pair(make_unequal_blocks(N=5))
+    sol = solve_cre(st, vm)
+    rec = instances.instance_stats(vm, st, sol, gains(sol))
+    assert (rec["L"], rec["N"]) == (vm.L, 5)
+    assert rec["max_P0_norm"] > 0.0
+    assert math.isfinite(rec["oracle_cost"]) and "formula_cost" in rec
 
 
 def test_missing_config_is_input_error(tmp_path):
@@ -279,8 +294,9 @@ def test_sweep_empty_p_is_input_error(scalar_config, tmp_path):
 
 def test_sweep_validates_the_config_without_stacking_it(scalar_config, tmp_path,
                                                         monkeypatch, capsys):
-    # sweep_dropout stacks the model at every p, so the command itself only
-    # validates: an invalid config is still an input error
+    # the command hands the loaded model to sweep_dropout, which validates
+    # and stacks it once with its own stack: an invalid config is still an
+    # input error, and the command never calls cli.stack
     doc = model_to_dict(make_scalar_decoupled(N=2))
     doc["subsystems"][0]["sigma_w"] = math.nan
     bad = tmp_path / "nan.json"
@@ -293,6 +309,16 @@ def test_sweep_validates_the_config_without_stacking_it(scalar_config, tmp_path,
     monkeypatch.setattr(ncslq.cli, "stack", no_stack)
     assert run(["--config", scalar_config, "--out", tmp_path / "out", "sweep",
                 "--p", 0.5, "--trials", 100]) == 0
+
+
+@pytest.mark.parametrize("bad", ["1.5", "nan"])
+def test_sweep_p_out_of_range_is_input_error(scalar_config, tmp_path, capsys,
+                                            bad):
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "sweep",
+                "--p", 0.5, "--p", bad, "--trials", 100]) == 1
+    assert f"p = {bad} not in [0, 1]" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
 
 
 def test_console_script(scalar_config, tmp_path):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
-                   NetworkModel, ProbabilityOutOfRange, SubsystemModel, load_config,
-                   model_from_dict, model_to_dict, stack, validate)
+                   NetworkModel, ProbabilityOutOfRange, SubsystemModel,
+                   ValidatedModel, load_config, model_from_dict, model_to_dict,
+                   stack, validate)
 
 from conftest import (SEC5_CONFIG, make_random_definite, make_scalar_coupled,
                       requires_sec5, validated_pair)
@@ -41,10 +42,10 @@ def two_subsystem_model():
 
 def test_identity_single_dimensions():
     vm = validate(identity_single())
-    assert vm.dims["N_L"] == 1
-    assert vm.dims["M_L"] == 2
-    assert vm.dims["n_offsets"] == [0, 1]
-    assert vm.dims["m_offsets"] == [0, 1, 2]
+    assert vm.n_total == 1
+    assert vm.m_total == 2
+    assert vm.n_offsets == [0, 1]
+    assert vm.m_offsets == [0, 1, 2]
 
 
 def test_stack_single_block():
@@ -229,9 +230,22 @@ def test_validated_model_deepcopies_and_pickles():
     vm = validate(make_scalar_coupled())
     for back in (copy.deepcopy(vm), pickle.loads(pickle.dumps(vm))):
         assert back.model is not vm.model
-        assert (back.mode, back.dims) == (vm.mode, vm.dims)
+        assert back.mode == vm.mode
         # every array and scalar of the model, compared exactly
         assert model_to_dict(back.model) == model_to_dict(vm.model)
+
+
+def test_validated_model_is_a_network_model():
+    model = two_subsystem_model()
+    before = model_to_dict(model)
+    vm = validate(model, mode="indefinite")
+    assert isinstance(vm, ValidatedModel) and isinstance(vm, NetworkModel)
+    assert vm.model is vm
+    assert vm.mode == "indefinite"
+    # validation copies: the caller's model and its arrays are untouched
+    assert vm is not model and vm.Q is not model.Q
+    assert vm.subsystems[0] is not model.subsystems[0]
+    assert model_to_dict(model) == before
 
 
 def test_config_round_trip(tmp_path):

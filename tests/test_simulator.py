@@ -4,10 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from ncslq import (NetworkModel, SubsystemModel, gains, simulate, simulator,
-                   solve_cre, exact_cost)
+from ncslq import (NetworkModel, ProbabilityOutOfRange, SubsystemModel, gains,
+                   simulate, simulator, solve_cre, exact_cost)
 from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
-                             thread_count, with_dropout)
+                             thread_count)
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_equal_blocks, make_random_definite,
@@ -212,13 +212,6 @@ def test_nonfinite_states_reported_and_run_continues():
     assert all(step == 2 for _, step in summary.nonfinite)
 
 
-def test_with_dropout_copies():
-    model = make_scalar_coupled(N=2, p=0.5)
-    out = with_dropout(model, 0.9)
-    assert out.subsystems[0].p == 0.9
-    assert model.subsystems[0].p == 0.5
-
-
 def test_sweep_single_value_equals_simulate():
     model = make_scalar_coupled(N=4)
     recs = sweep_dropout(model, [0.5], seed=5, trials=500)
@@ -229,8 +222,10 @@ def test_sweep_single_value_equals_simulate():
 
 
 def test_sweep_perfect_channel_matches_oracle():
-    model = make_scalar_coupled(N=4)
+    model = make_scalar_coupled(N=4, p=0.5)
     recs = sweep_dropout(model, [1.0], seed=9, trials=20000)
+    # the sweep sets p on its own stacked copy, never on the caller's model
+    assert model.subsystems[0].p == 0.5
     vm, stk, sched = solve_all(make_scalar_coupled(N=4, p=1.0))
     exact = exact_cost(vm, stk, sched)
     z = abs(recs[0]["cost_mean"] - exact) / recs[0]["cost_stderr"]
@@ -241,17 +236,49 @@ def test_sweep_perfect_channel_matches_oracle():
         assert np.array_equal(tr.X, tr.Xhat)
 
 
-def test_sweep_continues_past_failures():
+@pytest.mark.parametrize("bad", [2.0, -0.1, math.nan])
+def test_sweep_rejects_p_out_of_range_before_solving(bad, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("sweep solved before checking p")
+    monkeypatch.setattr(simulator, "solve_cre", no_solve)
+    with pytest.raises(ProbabilityOutOfRange, match=f"p = {bad}"):
+        sweep_dropout(make_scalar_coupled(N=2), [0.5, bad], seed=0, trials=100)
+
+
+def test_sweep_records_solver_failures_and_continues():
+    # zero weights validate in indefinite mode, and Lambda_N = 0 is
+    # singular whatever p is
     model = make_scalar_coupled(N=2)
-    model.subsystems[0].p = 0.5
-    recs = sweep_dropout(model, [2.0, 0.5], seed=0, trials=100)
-    assert "error" in recs[0]
-    assert "cost_mean" in recs[1]
+    model.Q, model.R, model.P_terminal = (np.zeros_like(model.Q),
+                                          np.zeros_like(model.R),
+                                          np.zeros_like(model.P_terminal))
+    recs = sweep_dropout(model, [0.2, 0.5, 1.0], seed=0, trials=100,
+                         mode="indefinite")
+    assert [rec["p"] for rec in recs] == [0.2, 0.5, 1.0]
+    for rec in recs:
+        assert rec["error"].startswith("SingularLambda"), rec
+        assert "cost_mean" not in rec
+
+
+def test_sweep_validates_and_stacks_once(monkeypatch):
+    calls = {"validate": 0, "stack": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(simulator, "validate", counted("validate", simulator.validate))
+    monkeypatch.setattr(simulator, "stack", counted("stack", simulator.stack))
+    recs = sweep_dropout(make_scalar_coupled(N=3), [0.2, 0.6, 1.0], seed=0,
+                         trials=50)
+    assert all("cost_mean" in rec for rec in recs)
+    assert calls == {"validate": 1, "stack": 1}
 
 
 def test_sweep_propagates_errors_other_than_model_and_solver():
-    # only ModelError and RiccatiError are recorded per p; a bad argument
-    # is the caller's fault and must not be swallowed
+    # only a RiccatiError is recorded per p; a bad argument is the
+    # caller's fault and must not be swallowed
     model = make_scalar_coupled(N=2)
     with pytest.raises(ValueError, match="trials"):
         sweep_dropout(model, [0.5], seed=0, trials=0)
