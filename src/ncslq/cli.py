@@ -19,8 +19,7 @@ from pathlib import Path
 
 from . import oracle, serialize, simulator
 from .model import ModelError, load_config, stack, validate
-from .riccati import (RiccatiError, SingularLambda, SingularPi,
-                      check_definiteness, solve_cre)
+from .riccati import RiccatiError, check_definiteness, solve_cre
 from .synthesis import gains, optimal_cost
 
 EXIT_OK = 0
@@ -207,11 +206,8 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         return args.run(args, outdir)
-    except (SingularLambda, SingularPi) as exc:
-        print(f"solvability failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVABILITY
     except RiccatiError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"solvability failure: {exc}", file=sys.stderr)
         return EXIT_SOLVABILITY
     except (ModelError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

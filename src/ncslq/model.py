@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -146,8 +147,12 @@ class NetworkModel:
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         self.P_terminal = np.atleast_2d(np.asarray(self.P_terminal, dtype=float))
-        self.m0 = int(self.m0)
-        self.N = int(self.N)
+        for name, label in (("m0", "m0"), ("N", "horizon N")):
+            value = getattr(self, name)
+            # int() would truncate 2.7 or True silently
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DimensionMismatch(f"{label} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
 
     @property
     def L(self):
@@ -350,6 +355,8 @@ def model_from_dict(doc):
             Q=doc["Q"], R=doc["R"], P_terminal=doc["P_terminal"])
     except KeyError as exc:
         raise DimensionMismatch(f"configuration missing key {exc}") from exc
+    except TypeError as exc:
+        raise DimensionMismatch(f"malformed configuration: {exc}") from exc
 
 
 def model_to_dict(model):

@@ -97,11 +97,12 @@ class CRESolution:
     Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these
     solves to form P_k and P_k^i, so it keeps them, and synthesis.gains reads
     them without factoring any coefficient matrix again.
+
+    solve_cre is the only producer: serialize.cre_to_dict writes a solution
+    out as cre.json, and nothing reads that document back.
     """
 
     N: int
-    NL: int
-    ML: int
     n_offsets: list[int]
     m_offsets: list[int]
     p: list[float]
@@ -113,10 +114,6 @@ class CRESolution:
     Omega: list[np.ndarray]            # each (N+1, m_i, n_i)
     Khat: np.ndarray                   # (N+1, ML, NL)
     Ktilde: list[np.ndarray]           # each (N+1, m_i, n_i)
-
-    @property
-    def L_count(self):
-        return len(self.P_sub)
 
     @property
     def lambda_psd(self):
@@ -154,18 +151,6 @@ def _step(P1, Pw, plant, Q, R):
     return Lam, Psi, G
 
 
-def _store_gains(sol, k):
-    """Factor Lambda_k and each Pi_k^i of `sol` once, storing
-    Khat_k = -Lambda_k^{-1} Psi_k and Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.
-
-    Raises SingularLambda or SingularPi, in that order, naming the step."""
-    sol.Khat[k] = -solve_checked(sol.Lambda[k], sol.Psi[k],
-                                 lambda rc: SingularLambda(k, rc))
-    for i in range(sol.L_count):
-        sol.Ktilde[i][k] = -solve_checked(
-            sol.Pi[i][k], sol.Omega[i][k], lambda rc: SingularPi(k, i + 1, rc))
-
-
 def solve_cre(stacked, model):
     """Solve the coupled recursions backward from k = N to 0, keeping the
     gains that close each step."""
@@ -174,7 +159,7 @@ def solve_cre(stacked, model):
     subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1))
             for i, s in enumerate(model.subsystems)]
     sol = CRESolution(
-        N=N, NL=NL, ML=ML, n_offsets=noff, m_offsets=stacked.m_offsets,
+        N=N, n_offsets=noff, m_offsets=stacked.m_offsets,
         p=stacked.p_rows[noff[:-1]].tolist(),
         P=np.zeros((N + 2, NL, NL)),
         P_sub=[np.zeros((N + 2, s.n, s.n)) for s in model.subsystems],
@@ -193,17 +178,17 @@ def solve_cre(stacked, model):
     for k in range(N, -1, -1):
         P1 = sol.P[k + 1]
         Lam, Psi, G = _step(P1, stacked.Sw * P1, stacked, Q, R)
-        sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        G_sub = []
+        # Lambda_k is factored before any Pi_k^i, so SingularLambda is
+        # raised before SingularPi at the same step
+        Khat = -solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc))
+        sol.Lambda[k], sol.Psi[k], sol.Khat[k] = Lam, Psi, Khat
+        sol.P[k] = _sym(G + Psi.T @ Khat)
         for i, (s, Qii, Rii) in enumerate(subs):
             P1i = sol.P_sub[i][k + 1]
-            sol.Pi[i][k], sol.Omega[i][k], Gi = _step(
-                P1i, s.sigma_w * P1i, s, Qii, Rii)
-            G_sub.append(Gi)
-        _store_gains(sol, k)
-        sol.P[k] = _sym(G + Psi.T @ sol.Khat[k])
-        for i, Gi in enumerate(G_sub):
-            sol.P_sub[i][k] = _sym(Gi + sol.Omega[i][k].T @ sol.Ktilde[i][k])
+            Pi, Om, Gi = _step(P1i, s.sigma_w * P1i, s, Qii, Rii)
+            Kt = -solve_checked(Pi, Om, lambda rc: SingularPi(k, i + 1, rc))
+            sol.Pi[i][k], sol.Omega[i][k], sol.Ktilde[i][k] = Pi, Om, Kt
+            sol.P_sub[i][k] = _sym(Gi + Om.T @ Kt)
     return sol
 
 

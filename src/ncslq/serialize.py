@@ -43,7 +43,8 @@ CRE_SCHEMA = 2
 
 
 def cre_to_dict(sol):
-    """CRESolution -> plain document keyed by k (and subsystem)."""
+    """CRESolution -> plain document keyed by k (and subsystem).  cre.json is
+    an output only: the package writes it and never reads it back."""
     return {
         "schema": CRE_SCHEMA,
         "N": sol.N,
@@ -55,31 +56,6 @@ def cre_to_dict(sol):
         "Lambda": sol.Lambda, "Psi": sol.Psi,
         "Pi": list(sol.Pi), "Omega": list(sol.Omega),
     }
-
-
-def cre_from_dict(doc):
-    """Plain document -> CRESolution.  The document carries no gains, so
-    each step's Lambda_k and Pi_k^i are factored here once, by the solve that
-    solve_cre makes; the rebuilt gains are bit-identical to the stored ones."""
-    from .riccati import CRESolution, _store_gains
-    arr = lambda x: np.asarray(x, dtype=float)
-    Psi, Omega = arr(doc["Psi"]), [arr(x) for x in doc["Omega"]]
-    sol = CRESolution(
-        N=int(doc["N"]),
-        NL=len(doc["P"][0]), ML=len(doc["Lambda"][0]),
-        n_offsets=[int(v) for v in doc["n_offsets"]],
-        m_offsets=[int(v) for v in doc["m_offsets"]],
-        p=[float(v) for v in doc["p"]],
-        P=arr(doc["P"]),
-        P_sub=[arr(x) for x in doc["P_sub"]],
-        Lambda=arr(doc["Lambda"]), Psi=Psi,
-        Pi=[arr(x) for x in doc["Pi"]], Omega=Omega,
-        Khat=np.zeros_like(Psi),
-        Ktilde=[np.zeros_like(Om) for Om in Omega],
-    )
-    for k in range(sol.N + 1):
-        _store_gains(sol, k)
-    return sol
 
 
 def gains_to_dict(sched):

@@ -83,13 +83,6 @@ def gains(sol):
                         m_offsets=list(sol.m_offsets))
 
 
-def _symmetric_part(M, name, rtol=1e-9):
-    scale = max(np.linalg.norm(M), 1e-300)
-    if np.linalg.norm(M - M.T) > rtol * scale:
-        raise RuntimeError(f"{name} is asymmetric beyond tolerance; solver inconsistency")
-    return 0.5 * (M + M.T)
-
-
 def optimal_cost(sol, model):
     """Closed-form expected cost of the synthesized strategy.
 
@@ -102,12 +95,11 @@ def optimal_cost(sol, model):
     This is the cost of the block-diagonal (implementable) strategy; it is
     exact when the subsystems are dynamically decoupled from the remote
     input and its noise terms, and is cross-checked against the moment oracle.
-    A solution read from a file may carry asymmetric value matrices, so
-    P_0^i is checked for symmetry before use.
+    solve_cre stores every P_k^i exactly symmetric, so P_0^i is read as is.
     """
     total = 0.0
     for i, s in enumerate(model.subsystems):
-        P0 = _symmetric_part(sol.P_sub[i][0], f"P_0^{i + 1}")
+        P0 = sol.P_sub[i][0]
         total += float(s.mu @ P0 @ s.mu)
         total += float(np.trace(s.Sigma_x0 @ P0))
         for k in range(model.N + 1):

@@ -130,6 +130,37 @@ def make_indefinite():
     return model
 
 
+def make_singular_pi():
+    """The coupled scalar instance at N = 3 with its local input cut off
+    (B = Bbar = 0) and zero weight on it, R = [[1, 1], [1, 0]]: Lambda_3 is
+    invertible but Pi_3^1 = 0.  R is indefinite, so it validates in
+    indefinite mode only."""
+    model = make_scalar_coupled(N=3)
+    sub = model.subsystems[0]
+    sub.B = np.zeros((1, 1))
+    sub.Bbar = np.zeros((1, 1))
+    model.R = np.array([[1.0, 1.0], [1.0, 0.0]])
+    return model
+
+
+def _with_sigma_w(doc, value):
+    subs = [dict(doc["subsystems"][0], sigma_w=value)] + doc["subsystems"][1:]
+    return dict(doc, subsystems=subs)
+
+
+# Malformed model documents by case: (edit of a valid document, text the
+# ModelError must contain).  Each must be rejected, neither truncated by
+# int() nor left to fail as a bare TypeError.
+MALFORMED_CONFIGS = {
+    "horizon_float": (lambda d: dict(d, horizon=2.7), "horizon N must be an integer"),
+    "horizon_bool": (lambda d: dict(d, horizon=True), "horizon N must be an integer"),
+    "m0_float": (lambda d: dict(d, m0=1.5), "m0 must be an integer"),
+    "subsystems_int": (lambda d: dict(d, subsystems=5), "malformed configuration"),
+    "top_level_list": (lambda d: [d], "malformed configuration"),
+    "sigma_w_list": (lambda d: _with_sigma_w(d, [1, 2]), "malformed configuration"),
+}
+
+
 def load_sec5(N=None):
     """The paper's three-subsystem Sec. 5 benchmark (see requires_sec5);
     its printed weights are indefinite, so it validates in indefinite mode

@@ -170,12 +170,12 @@ def gains_by_refactoring(sol):
     factored again, step by step, rather than read from sol.Khat and
     sol.Ktilde."""
     N = sol.N
-    Khat = np.zeros((N + 1, sol.ML, sol.NL))
+    Khat = np.zeros_like(sol.Psi)
     Ktilde = [np.zeros_like(Om) for Om in sol.Omega]
     for k in range(N + 1):
         Khat[k] = -solve_checked(
             sol.Lambda[k], sol.Psi[k], lambda rc: SingularLambda(k, rc))
-        for i in range(sol.L_count):
+        for i in range(len(sol.Pi)):
             Ktilde[i][k] = -solve_checked(
                 sol.Pi[i][k], sol.Omega[i][k],
                 lambda rc: SingularPi(k, i + 1, rc))

@@ -17,9 +17,10 @@ from ncslq import (gains, load_config, model_to_dict, simulate, solve_cre,
 from ncslq.cli import main
 from ncslq import serialize
 
-from conftest import (make_indefinite, make_scalar_coupled,
-                      make_scalar_decoupled, make_unequal_blocks,
-                      validated_pair)
+from conftest import (MALFORMED_CONFIGS, make_indefinite, make_scalar_coupled,
+                      make_scalar_decoupled, make_singular_pi,
+                      make_unequal_blocks, validated_pair)
+from reference import gains_by_refactoring
 
 
 @pytest.fixture
@@ -58,10 +59,12 @@ def test_solve_round_trips(scalar_config, tmp_path):
     sched = gains(sol)
     doc = serialize.load(out / "cre.json")
     assert doc["schema"] == 2
-    back = serialize.cre_from_dict(doc)
-    assert np.array_equal(back.P, sol.P)
-    assert np.array_equal(back.Lambda, sol.Lambda)
-    assert np.array_equal(back.P_sub[0], sol.P_sub[0])
+    # cre.json is an output: its values are the solution's, bit for bit
+    assert np.array_equal(doc["P"], sol.P)
+    assert np.array_equal(doc["Lambda"], sol.Lambda)
+    assert len(doc["P_sub"]) == len(sol.P_sub)
+    for a, b in zip(doc["P_sub"], sol.P_sub):
+        assert np.array_equal(a, b)
     gback = serialize.gains_from_dict(serialize.load(out / "gains.json"))
     assert np.array_equal(gback.Khat, sched.Khat)
     assert np.array_equal(gback.Ktilde[0], sched.Ktilde[0])
@@ -92,9 +95,17 @@ def test_solve_indefinite_mode_reports_flags(tmp_path):
     # the indefinite R violates the solvability condition at some step and
     # not at others
     assert not all(flags) and any(flags)
-    # the document is a loadable schema-2 document: its Lambda_k and Pi_k^i
-    # refactor into the gains that gains.json carries, bit for bit
-    back = gains(serialize.cre_from_dict(doc))
+    # the coefficients are the in-memory solution's, bit for bit, and
+    # factoring its Lambda_k and Pi_k^i again gives the gains of gains.json
+    vm, stk = validated_pair(model, mode="indefinite")
+    sol = solve_cre(stk, vm)
+    assert np.array_equal(doc["Lambda"], sol.Lambda)
+    assert np.array_equal(doc["Psi"], sol.Psi)
+    for name in ("Pi", "Omega"):
+        assert len(doc[name]) == model.L
+        for a, b in zip(doc[name], getattr(sol, name)):
+            assert np.array_equal(a, b)
+    back = gains_by_refactoring(sol)
     sched = serialize.gains_from_dict(serialize.load(out / "gains.json"))
     assert np.array_equal(back.Khat, sched.Khat)
     for a, b in zip(back.Ktilde, sched.Ktilde):
@@ -113,6 +124,14 @@ def test_solve_indefinite_zero_weights_is_solvability_failure(tmp_path, capsys):
     assert run(["--config", config, "--out", tmp_path / "out",
                 "--mode", "indefinite", "solve"]) == 2
     assert "Lambda_3" in capsys.readouterr().err
+
+
+def test_singular_pi_is_solvability_failure(tmp_path, capsys):
+    config = tmp_path / "singular_pi.json"
+    config.write_text(json.dumps(model_to_dict(make_singular_pi())))
+    assert run(["--config", config, "--out", tmp_path / "out",
+                "--mode", "indefinite", "solve"]) == 2
+    assert "solvability failure: Pi_3^1" in capsys.readouterr().err
 
 
 def test_patch_targets_name_existing_attributes(monkeypatch):
@@ -154,6 +173,17 @@ def test_nonfinite_config_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["--config", path, "--out", tmp_path, "solve"]) == 1
     assert "sigma_w^1 has a non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_config_is_input_error(case, tmp_path, capsys):
+    edit, message = MALFORMED_CONFIGS[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(edit(model_to_dict(make_scalar_coupled(N=3)))))
+    assert run(["--config", path, "--out", tmp_path / "out", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+    assert not (tmp_path / "out" / "cre.json").exists()
 
 
 def test_subsystem_without_local_input_is_input_error(tmp_path, capfd):

@@ -12,8 +12,8 @@ from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
                    ValidatedModel, load_config, model_from_dict, model_to_dict,
                    stack, validate)
 
-from conftest import (SEC5_CONFIG, make_random_definite, make_scalar_coupled,
-                      requires_sec5, validated_pair)
+from conftest import (MALFORMED_CONFIGS, SEC5_CONFIG, make_random_definite,
+                      make_scalar_coupled, requires_sec5, validated_pair)
 from reference import place_blocks_by_loop
 
 
@@ -267,6 +267,22 @@ def test_config_round_trip(tmp_path):
 def test_missing_key_reported():
     with pytest.raises(DimensionMismatch, match="missing key"):
         model_from_dict({"m0": 1, "horizon": 2, "subsystems": [{}]})
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_document_rejected(case):
+    edit, message = MALFORMED_CONFIGS[case]
+    doc = edit(model_to_dict(make_scalar_coupled(N=3)))
+    with pytest.raises(DimensionMismatch, match=message):
+        model_from_dict(doc)
+
+
+def test_numpy_integer_horizon_accepted():
+    doc = model_to_dict(make_scalar_coupled(N=3))
+    doc["horizon"], doc["m0"] = np.int64(3), np.int32(1)
+    model = model_from_dict(doc)
+    assert (model.N, model.m0) == (3, 1)
+    assert type(model.N) is int and type(model.m0) is int
 
 
 @requires_sec5

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from ncslq import (NetworkModel, SingularLambda, SubsystemModel,
+from ncslq import (NetworkModel, SingularLambda, SingularPi, SubsystemModel,
                    check_definiteness, solve_cre)
 from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
-                      make_unequal_blocks, validated_pair)
+                      make_singular_pi, make_unequal_blocks, validated_pair)
 from reference import (dense_noise_channels, hand_recursion_scalar,
                        solve_cre_additive, solve_cre_single,
                        solve_generalized, solve_two_families)
@@ -202,6 +202,15 @@ def test_singular_lambda_detected():
     vm, stk = validated_pair(model, mode="indefinite")
     with pytest.raises(SingularLambda):
         solve_cre(stk, vm)
+
+
+def test_singular_pi_detected():
+    # Lambda_3 is invertible, so the solve reaches Pi_3^1 = 0 and names it
+    vm, stk = validated_pair(make_singular_pi(), mode="indefinite")
+    with pytest.raises(SingularPi) as info:
+        solve_cre(stk, vm)
+    assert (info.value.k, info.value.i) == (3, 1)
+    assert info.value.rcond < RCOND_SINGULAR
 
 
 def test_diverged_recursion_reported_as_singular():
