@@ -305,6 +305,14 @@ class StackedModel:
     ML: int
 
 
+def local_blocks(n_offsets, m_offsets):
+    """Per subsystem, the pair (input rows of u^i, state columns of
+    subsystem i): where its local gain sits in a stacked M_L x N_L gain."""
+    return [(slice(m_offsets[i + 1], m_offsets[i + 2]),
+             slice(n_offsets[i], n_offsets[i + 1]))
+            for i in range(len(n_offsets) - 1)]
+
+
 def stack(model):
     """The StackedModel of a validated model; nothing else stacks its data."""
     NL, ML = model.n_total, model.m_total

@@ -56,29 +56,28 @@ and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
 
     Y = sym(p * V_{k+1} + (1 - p) * Vt_{k+1}),
 
-the noise term of W prices with Sw * Y.  Let (Lambda, Xi, Z) be the
-Riccati kernel's coefficients (riccati._step's Lambda, Psi and G) at the
-value V_{k+1} and noise weight Sw * Y, and (Lt, Xt, Zt) those at Y and
-Sw * Y.  Then
+the noise term of W prices with Sw * Y.  This backward pass is
+riccati.sweep run with the schedule's gains: its P and Pt are V_k and
+Vt_k, and with its coefficients (Lambda, Psi) at V_{k+1} and (Lt, Xt) at Y,
 
-    V_k  = sym(Z  + Khat_k' Lambda Khat_k + Khat_k' Xi + Xi' Khat_k),
-    Vt_k = sym(Zt + Kt_k' Lt Kt_k + Kt_k' Xt + Xt' Kt_k),
-    dJ/dKhat_k = 2 (Lambda Khat_k + Xi) S_k,
-    dJ/dKt_k   = 2 (Lt Kt_k + Xt) T_k,
+    dJ/dKhat_k = 2 (Lambda Khat_k + Psi) S_k = 2 H S_k,
+    dJ/dKt_k   = 2 (Lt Kt_k + Xt) T_k       = 2 Ht T_k,
 
 and dJ/dKtilde^i_k is block (i, i) of the last: the input rows of u^i and
 the state columns of subsystem i.  On diagonal block i, Y is
 p_i [V_{k+1}]_ii + (1 - p_i) [Vt_{k+1}]_ii.  Neither S_k nor V_{k+1}
 depends on Khat_k, so J is an exact quadratic in any single entry (r, c) of
 Khat_k, with second derivative 2 Lambda_rr (S_k)_cc; for Kt_k it is
-2 (Lt)_rr (T_k)_cc.
+2 (Lt)_rr (T_k)_cc.  At the gains riccati.solve_cre picks, H and the
+diagonal blocks of Ht vanish, so the gradient is zero: the solved gains
+are stationary, and V_k, Vt_k are the solution's P_k and Pt_k^i.
 
 This module is the quantitative stand-in for the equilibrium (stationarity)
 condition of the underlying forward-backward system: a candidate gain
 schedule is optimal iff the exact cost is stationary in every gain entry,
 which one forward and one backward pass give exactly (cost_gradient).
-The costate audit prices the state with the stacked value matrices P_k of
-a solved recursion (riccati.CRESolution).
+The costate audit prices the moments with the value matrices P_k and
+Pt_k^i of a solved recursion (riccati.CRESolution).
 """
 from __future__ import annotations
 
@@ -87,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riccati import _step, _sym
+from .riccati import sweep
 from .synthesis import GainSchedule
 
 
@@ -181,45 +180,31 @@ class CostGradient:
 
 def cost_gradient(model, stacked, gain_schedule):
     """dJ/dKhat_k and dJ/dKtilde^i_k for every k by one forward moment pass
-    and one backward adjoint pass (see the module docstring); the cost is
-    bit-identical to exact_cost.  The schedule is only read."""
+    and one backward adjoint pass, riccati.sweep at the schedule's gains
+    (see the module docstring); the cost is bit-identical to exact_cost.
+    The schedule is only read."""
     N = model.N
     Khat = gain_schedule.Khat
     Ktilde = gain_schedule.Ktilde_stacked(N)
-    states, costs = [], []
-    for ms, c in _priced_moments(model, stacked, Khat, Ktilde):
-        states.append(ms)
-        costs.append(c)
-    p = stacked.p_rows[:, None]
-    q = 1.0 - p
-    Q, R, Sw = model.Q, model.R, stacked.Sw
-    blocks = gain_schedule.Ktilde_blocks
-    dKh = np.zeros((N + 1,) + Khat.shape[1:])
-    ddKh = np.zeros_like(dKh)
-    dKt = [np.zeros((N + 1,) + Kt.shape[1:]) for Kt in gain_schedule.Ktilde]
-    ddKt = [np.zeros_like(d) for d in dKt]
-    V = Vt = _sym(model.P_terminal)
-    for k in range(N, -1, -1):
-        S, T = states[k].S, states[k].T
-        Kh, Kt = Khat[k], Ktilde[k]
-        Y = _sym(p * V + q * Vt)
-        Pw = Sw * Y
-        Lam, Xi, Z = _step(V, Pw, stacked, Q, R)
-        Lt, Xt, Zt = _step(Y, Pw, stacked, Q, R)
-        H, Ht = Lam @ Kh + Xi, Lt @ Kt + Xt
-        dKh[k] = 2.0 * H @ S
-        ddKh[k] = 2.0 * np.outer(np.diag(Lam), np.diag(S))
-        gt = 2.0 * Ht @ T
-        ct = 2.0 * np.outer(np.diag(Lt), np.diag(T))
-        for i, blk in enumerate(blocks):
-            dKt[i][k], ddKt[i][k] = gt[blk], ct[blk]
-        V = _sym(Z + Kh.T @ (H + Xi))
-        Vt = _sym(Zt + Kt.T @ (Ht + Xt))
+    priced = list(_priced_moments(model, stacked, Khat, Ktilde))
+    dKh, ddKh = (np.zeros((N + 1,) + Khat.shape[1:]) for _ in range(2))
+    dKt, ddKt = (np.zeros(Ktilde.shape) for _ in range(2))
+    for st in sweep(stacked, model, lambda k, *_: (Khat[k], Ktilde[k])):
+        S, T = priced[st.k][0].S, priced[st.k][0].T
+        dKh[st.k] = 2.0 * st.H @ S
+        ddKh[st.k] = 2.0 * np.outer(np.diag(st.Lam), np.diag(S))
+        dKt[st.k] = 2.0 * st.Ht @ T
+        ddKt[st.k] = 2.0 * np.outer(np.diag(st.Lt), np.diag(T))
     layout = dict(N=N, n_offsets=gain_schedule.n_offsets,
                   m_offsets=gain_schedule.m_offsets)
-    return CostGradient(cost=math.fsum(costs),
-                        gradient=GainSchedule(Khat=dKh, Ktilde=dKt, **layout),
-                        curvature=GainSchedule(Khat=ddKh, Ktilde=ddKt, **layout))
+
+    def per_block(dK, dKt):
+        return GainSchedule(Khat=dK, Ktilde=[
+            dKt[:, r, c] for r, c in gain_schedule.Ktilde_blocks], **layout)
+
+    return CostGradient(cost=math.fsum(c for _, c in priced),
+                        gradient=per_block(dKh, dKt),
+                        curvature=per_block(ddKh, ddKt))
 
 
 @dataclass
@@ -296,16 +281,17 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
 class CostateMomentsReport:
     """Per-step audit of the costate-value telescoping identity.
 
-    costate_value[k] is E[X_k' P_k X_k], with X_k = Xhat_k + Xtilde_k; the
-    identity
+    costate_value[k] is the solution's cost-to-go at the exact moments,
+    <P_k, S_k> + sum_i <Pt_k^i, T_k^i>, and noise_term[k] is
+    sum_i Tr(Sigma_v^i M_{k+1}^i) (CRESolution.M_sub); the identity
 
         costate_value[k] - costate_value[k+1]
-            = E[stage cost at k] - Tr(P_{k+1} Sigma_v)
+            = E[stage cost at k] - noise_term[k]
 
-    telescopes to the total cost.  It holds when the gains are optimal for
-    the stacked cost, e.g. under a perfect channel.  (This scalar sequence
-    is distinct from the stacked additive-noise vector; it is named
-    costate_value to keep the two apart.)
+    telescopes to the total cost.  It holds at the gains the solution was
+    solved with, on any instance; other gains break it.  (This scalar
+    sequence is distinct from the stacked additive-noise vector; it is
+    named costate_value to keep the two apart.)
     """
 
     costate_value: list
@@ -318,13 +304,18 @@ class CostateMomentsReport:
 def costate_moments(model, stacked, gain_schedule, sol):
     """Evaluate both sides of the telescoping identity from exact moments."""
     N = model.N
+    noff = sol.n_offsets
+    rows = [slice(lo, hi) for lo, hi in zip(noff[:-1], noff[1:])]
     stages, V = [], []
     for ms, cost in _priced_moments(model, stacked, gain_schedule.Khat,
                                     gain_schedule.Ktilde_stacked(N)):
         stages.append(cost)
-        V.append(float(np.trace(sol.P[ms.k] @ ms.state_second_moment)))
+        V.append(float(np.vdot(sol.P[ms.k], ms.S) + sum(
+            np.vdot(Pt[ms.k], ms.T[r, r]) for Pt, r in zip(sol.P_sub, rows))))
     stages.pop()  # the terminal cost enters through V[N+1]
-    noise = [float(np.trace(sol.P[k + 1] @ stacked.Sigma_v)) for k in range(N + 1)]
+    M = sol.M_sub
+    noise = [float(sum(np.vdot(stacked.Sigma_v[r, r], Mi[k + 1])
+                       for Mi, r in zip(M, rows))) for k in range(N + 1)]
     residuals = []
     worst = 0.0
     for k in range(N + 1):

@@ -1,31 +1,50 @@
-"""Backward coupled Riccati recursions.
+"""The backward coupled Riccati sweep.
 
-One symmetric kernel is solved from k = N down to 0, for two families:
+For any linear strategy the cost-to-go from step k is
 
-  stacked:        P_k (N_L x N_L) over the full input U, with coefficients
-                  Lambda_k, Psi_k that define the remote gain Khat_k;
-  per-subsystem:  P_k^i (n_i x n_i) over the local input u^i and its own
-                  noise w^i, with coefficients Pi_k^i, Omega_k^i that
-                  define the local error gain Ktilde_k^i.
+    <P_k, S_k> + sum_i <Pt_k^i, T_k^i> + const,
 
-With P = P_{k+1} and Pw = Sw * P, each step forms
-Lambda = R + B'P B + Bbar'Pw Bbar, Psi = B'P A + Bbar'Pw Abar and
-P_k = Q + A'P A + Abar'Pw Abar - Psi' Lambda^{-1} Psi.  In the stacked
-family Sw is the block-diagonal noise-variance mask of model.StackedModel,
-so Pw keeps sigma_i times the diagonal blocks of P: the independent noises
-w^i, each confined to its own block row, price as this one masked term.
-In the per-subsystem family Sw is the scalar sigma_w^i.  Every stored value
-matrix is the symmetric part of what the step computes, so P_k = P_k'
-exactly: left alone, the antisymmetric round-off of the stacked P_k grows
-step by step on long horizons.
+where S_k and T_k are the second moments of the remote estimate and of the
+estimation error (see the oracle module; T_k is block diagonal, so only
+the diagonal blocks Pt_k^i of the error family matter).  The arrival split
+prices subsystem i's next-step innovation with
 
-Each coefficient matrix is factored exactly once.  The solve that closes a
-step, Lambda_k^{-1} Psi_k, is minus the remote gain, so the step stores
-Khat_k = -Lambda_k^{-1} Psi_k and forms P_k = G + Psi' Khat_k from it; the
-same holds for Ktilde_k^i and P_k^i.  The solves go straight to LAPACK
-(getrf, lange, gecon, getrs): the matrices are 2x2 to about 30x30, where the
-per-call overhead of scipy's LU factor and solve wrappers costs more than
-the factorization.
+    M_{k+1}^i = p_i [P_{k+1}]_ii + (1 - p_i) Pt_{k+1}^i,
+
+the diagonal block i of Y = sym(p * P_{k+1} + (1 - p) * Pt_{k+1}), with p
+the column of p_i per state row.  A step of the sweep forms Y, the noise
+weight Pw = Sw * Y (model.StackedModel: the mask keeps the diagonal blocks
+of Y only) and the kernel's coefficients (_step) twice:
+
+  (Lambda, Psi, G)  at P_{k+1}, for the estimate, over the full input U;
+  (Lt, Xt, Gt)      at Y, for the error, whose block of local input rows
+                    u^i and state columns x^i gives Pi_k^i = Lt[u^i, u^i]
+                    and Omega_k^i = Xt[u^i, x^i].
+
+Given the step's remote gain Khat_k and block-diagonal error gain Kt_k,
+with H = Lambda Khat_k + Psi and Ht = Lt Kt_k + Xt,
+
+    P_k  = sym(G  + Khat_k' (H  + Psi)),
+    Pt_k = sym(Gt + Kt_k' (Ht + Xt))
+
+is the cost-to-go's exact backward map.  `sweep` runs it for two callers
+that differ only in how they pick the gains.  solve_cre minimizes: S_k and
+T_k enter the step apart and T_k is block diagonal, so the gains separate
+into Khat_k = -Lambda^{-1} Psi and one Ktilde_k^i = -(Pi_k^i)^{-1}
+Omega_k^i per subsystem.  oracle.cost_gradient passes a given schedule
+and reads H and Ht, the costates of the gradient.  The off-diagonal
+blocks of Pt_k are carried along but change nothing that is read: the
+mask Sw drops them from the noise weight, and through Y they reach only
+blocks of Lt, Xt, Gt and Ht other than the local (u^i, u^i), (u^i, x^i)
+and (x^i, x^i).  At p = 1, M^i = [P]_ii and the estimate family no longer
+sees the error family.
+
+Every stored value matrix is the symmetric part of what the step computes,
+so P_k = P_k' exactly: left alone, the antisymmetric round-off of P_k
+grows step by step on long horizons.  The solves go straight to LAPACK
+(getrf, lange, gecon, getrs): the matrices are 1x1 to about 30x30, where
+the per-call overhead of scipy's LU factor and solve wrappers costs more
+than the factorization.
 
 Both validation modes run this one recursion.  Under indefinite weights
 CRESolution.lambda_psd flags the steps at which Lambda_k is positive
@@ -36,12 +55,13 @@ single-subsystem reductions live in the test suite as independent oracles.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .model import psd_tolerance
+from .model import local_blocks, psd_tolerance
 
 # Reciprocal condition number below which a coefficient matrix is declared
 # singular (the solvability condition fails).
@@ -91,12 +111,14 @@ class CRESolution:
 
     Value arrays run k = 0..N+1 (index N+1 holds the terminal condition);
     coefficient and gain arrays run k = 0..N.  Per-subsystem entries are
-    lists over i = 0..L-1 (subsystem i+1 in 1-based labelling).
+    lists over i = 0..L-1 (subsystem i+1 in 1-based labelling): P_sub[i]
+    is the error family's Pt^i, and Pi[i], Omega[i] and Ktilde[i] are the
+    blocks of the error coefficients and gain at u^i and x^i.
 
     Khat and Ktilde are the gains Khat_k = -Lambda_k^{-1} Psi_k and
     Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these
-    solves to form P_k and P_k^i, so it keeps them, and synthesis.gains reads
-    them without factoring any coefficient matrix again.
+    solves to form P_k and Pt_k^i, so it keeps them, and synthesis.gains
+    reads them without factoring any coefficient matrix again.
 
     solve_cre is the only producer: serialize.cre_to_dict writes a solution
     out as cre.json, and nothing reads that document back.
@@ -116,6 +138,15 @@ class CRESolution:
     Ktilde: list[np.ndarray]           # each (N+1, m_i, n_i)
 
     @property
+    def M_sub(self):
+        """The innovation weights M_k^i = p_i [P_k]_ii + (1 - p_i) Pt_k^i
+        for k = 0..N+1, one (N+2, n_i, n_i) array per subsystem, formed on
+        each access; bit for bit the diagonal blocks of the sweep's Y."""
+        off = self.n_offsets
+        return [p * self.P[:, lo:hi, lo:hi] + (1.0 - p) * Pt
+                for p, lo, hi, Pt in zip(self.p, off[:-1], off[1:], self.P_sub)]
+
+    @property
     def lambda_psd(self):
         """(N+1,) bool: sym(Lambda_k) >= 0 within psd_tolerance, the
         positive-semidefinite part of the generalized-Riccati solvability
@@ -131,17 +162,14 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _step(P1, Pw, plant, Q, R):
-    """Coefficients of one backward step from the value matrix P1 = P_{k+1}.
+def _step(P1, Pw, stacked, Q, R):
+    """Coefficients of one backward step from the value matrix P1.
 
-    `plant` carries A, B, Abar, Bbar (a StackedModel or a SubsystemModel)
-    and Pw is the noise weight, already masked by the plant's noise
-    variances: Sw * P1 in both recursions here, Sw * Y in the oracle's
-    adjoint pass (oracle.cost_gradient).  Returns
-    (Lambda, Psi, Q + A'P1 A + Abar'Pw Abar); the step's value matrix is the
-    last minus Psi' Lambda^{-1} Psi.
+    `stacked` is the StackedModel and Pw the noise weight Sw * Y of the
+    sweep.  Returns (Lambda, Psi, Q + A'P1 A + Abar'Pw Abar) with
+    Lambda = R + B'P1 B + Bbar'Pw Bbar and Psi = B'P1 A + Bbar'Pw Abar.
     """
-    A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
+    A, B, Abar, Bbar = stacked.A, stacked.B, stacked.Abar, stacked.Bbar
     # the left products shared by Lambda and Psi; B.T @ P1 @ B evaluates as
     # (B.T @ P1) @ B, so forming them once changes no bit
     BtP, BbtPw = B.T @ P1, Bbar.T @ Pw
@@ -151,50 +179,69 @@ def _step(P1, Pw, plant, Q, R):
     return Lam, Psi, G
 
 
-def solve_cre(stacked, model):
-    """Solve the coupled recursions backward from k = N to 0, keeping the
-    gains that close each step."""
-    N, NL, ML = model.N, stacked.NL, stacked.ML
-    noff = stacked.n_offsets
-    subs = [(s, model.Q_block(i + 1, i + 1), model.R_block(i + 1, i + 1))
-            for i, s in enumerate(model.subsystems)]
-    sol = CRESolution(
-        N=N, n_offsets=noff, m_offsets=stacked.m_offsets,
-        p=stacked.p_rows[noff[:-1]].tolist(),
-        P=np.zeros((N + 2, NL, NL)),
-        P_sub=[np.zeros((N + 2, s.n, s.n)) for s in model.subsystems],
-        Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
-        Pi=[np.zeros((N + 1, s.m, s.m)) for s in model.subsystems],
-        Omega=[np.zeros((N + 1, s.m, s.n)) for s in model.subsystems],
-        Khat=np.zeros((N + 1, ML, NL)),
-        Ktilde=[np.zeros((N + 1, s.m, s.n)) for s in model.subsystems],
-    )
-    PT = _sym(model.P_terminal)
-    sol.P[N + 1] = PT
-    for i in range(model.L):
-        r = slice(noff[i], noff[i + 1])
-        sol.P_sub[i][N + 1] = PT[r, r]
+# Step k of the backward sweep: the coefficients at P_{k+1} (Lam, Psi) and
+# at Y (Lt, Xt), the gains in use (Khat, and Kt, the M_L x N_L error gain),
+# H = Lam Khat + Psi, Ht = Lt Kt + Xt, and the step's P = P_k and Pt = Pt_k.
+SweepStep = namedtuple("SweepStep", "k Lam Psi Lt Xt Khat Kt H Ht P Pt")
+
+
+def sweep(stacked, model, choose):
+    """Run the backward sweep from P_{N+1} = Pt_{N+1} = sym(P_terminal),
+    yielding a SweepStep for k = N down to 0.  choose(k, Lam, Psi, Lt, Xt)
+    returns the step's gains (Khat_k, Kt_k)."""
+    p = stacked.p_rows[:, None]
+    q = 1.0 - p
     Q, R = model.Q, model.R
-    for k in range(N, -1, -1):
-        P1 = sol.P[k + 1]
-        Lam, Psi, G = _step(P1, stacked.Sw * P1, stacked, Q, R)
+    P = Pt = _sym(model.P_terminal)
+    for k in range(model.N, -1, -1):
+        Y = _sym(p * P + q * Pt)
+        Pw = stacked.Sw * Y
+        Lam, Psi, G = _step(P, Pw, stacked, Q, R)
+        Lt, Xt, Gt = _step(Y, Pw, stacked, Q, R)
+        Khat, Kt = choose(k, Lam, Psi, Lt, Xt)
+        H, Ht = Lam @ Khat + Psi, Lt @ Kt + Xt
+        P, Pt = _sym(G + Khat.T @ (H + Psi)), _sym(Gt + Kt.T @ (Ht + Xt))
+        yield SweepStep(k, Lam, Psi, Lt, Xt, Khat, Kt, H, Ht, P, Pt)
+
+
+def solve_cre(stacked, model):
+    """Solve the coupled recursions backward from k = N to 0: the sweep
+    with the minimizing gains, kept with the coefficients they solve."""
+    N, NL, ML = model.N, stacked.NL, stacked.ML
+    blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
+
+    def minimizing(k, Lam, Psi, Lt, Xt):
         # Lambda_k is factored before any Pi_k^i, so SingularLambda is
-        # raised before SingularPi at the same step
+        # raised before SingularPi at the same step; each Pi_k^i is
+        # factored alone, so its rcond is that block's own
         Khat = -solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc))
-        sol.Lambda[k], sol.Psi[k], sol.Khat[k] = Lam, Psi, Khat
-        sol.P[k] = _sym(G + Psi.T @ Khat)
-        for i, (s, Qii, Rii) in enumerate(subs):
-            P1i = sol.P_sub[i][k + 1]
-            Pi, Om, Gi = _step(P1i, s.sigma_w * P1i, s, Qii, Rii)
-            Kt = -solve_checked(Pi, Om, lambda rc: SingularPi(k, i + 1, rc))
-            sol.Pi[i][k], sol.Omega[i][k], sol.Ktilde[i][k] = Pi, Om, Kt
-            sol.P_sub[i][k] = _sym(Gi + Om.T @ Kt)
-    return sol
+        Kt = np.zeros((ML, NL))
+        for i, (r, c) in enumerate(blocks):
+            Kt[r, c] = -solve_checked(Lt[r, r], Xt[r, c],
+                                      lambda rc: SingularPi(k, i + 1, rc))
+        return Khat, Kt
+
+    # the stacked arrays of the sweep; the error family's are sliced into
+    # per-subsystem blocks at the end
+    P, Pt = (np.zeros((N + 2, NL, NL)) for _ in range(2))
+    Lam, Lt = (np.zeros((N + 1, ML, ML)) for _ in range(2))
+    Psi, Xt, Khat, Kt = (np.zeros((N + 1, ML, NL)) for _ in range(4))
+    P[N + 1] = Pt[N + 1] = _sym(model.P_terminal)
+    for st in sweep(stacked, model, minimizing):
+        P[st.k], Pt[st.k], Lam[st.k], Lt[st.k] = st.P, st.Pt, st.Lam, st.Lt
+        Psi[st.k], Xt[st.k], Khat[st.k], Kt[st.k] = st.Psi, st.Xt, st.Khat, st.Kt
+    return CRESolution(
+        N=N, n_offsets=stacked.n_offsets, m_offsets=stacked.m_offsets,
+        p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=P,
+        P_sub=[Pt[:, c, c].copy() for _, c in blocks], Lambda=Lam, Psi=Psi,
+        Pi=[Lt[:, r, r].copy() for r, _ in blocks],
+        Omega=[Xt[:, r, c].copy() for r, c in blocks], Khat=Khat,
+        Ktilde=[Kt[:, r, c].copy() for r, c in blocks])
 
 
 @dataclass
 class DefinitenessReport:
-    """Eigenvalue audit of the per-subsystem recursion matrices."""
+    """Eigenvalue audit of the error family's recursion matrices."""
 
     violations: list = field(default_factory=list)   # (name, k, i, eigenvalue)
     closed_form_error: float = 0.0                   # worst residual, Eq-style rebuild
@@ -205,14 +252,20 @@ class DefinitenessReport:
 
 
 def check_definiteness(sol, model):
-    """Verify Pi_k^i > 0 and P_k^i >= 0 for all k, i.
+    """Verify Pi_k^i > 0 and Pt_k^i >= 0 for all k, i.
 
-    P_k^i is additionally rebuilt through its completed-square closed form
-    with the stored local gain g = Ktilde_k^i = -Pi^{-1} Omega, which also
-    certifies positive semidefiniteness structurally, at the gain in use.
+    Pt_k^i is additionally rebuilt through its completed-square closed form
+    with the stored local gain g = Ktilde_k^i = -Pi^{-1} Omega and the
+    innovation weight M = M_{k+1}^i (CRESolution.M_sub),
+
+        Q_ii + g' R_ii g + (A + B g)' M (A + B g)
+             + sigma_w (Abar + Bbar g)' M (Abar + Bbar g),
+
+    which also certifies positive semidefiniteness structurally, at the
+    gain in use.
     """
     rep = DefinitenessReport()
-    for i, s in enumerate(model.subsystems):
+    for i, (s, M) in enumerate(zip(model.subsystems, sol.M_sub)):
         Qii = model.Q_block(i + 1, i + 1)
         Rii = model.R_block(i + 1, i + 1)
         for k in range(model.N, -1, -1):
@@ -226,11 +279,10 @@ def check_definiteness(sol, model):
                 rep.violations.append(("P", k, i + 1, float(eigs.min())))
             # completed-square closed form
             g = sol.Ktilde[i][k]
-            P1 = sol.P_sub[i][k + 1]
             Acl = s.A + s.B @ g
             Abcl = s.Abar + s.Bbar @ g
-            rebuilt = (Qii + g.T @ Rii @ g + Acl.T @ P1 @ Acl
-                       + s.sigma_w * Abcl.T @ P1 @ Abcl)
+            rebuilt = (Qii + g.T @ Rii @ g + Acl.T @ M[k + 1] @ Acl
+                       + s.sigma_w * Abcl.T @ M[k + 1] @ Abcl)
             scale = max(np.linalg.norm(stored), 1.0)
             rep.closed_form_error = max(
                 rep.closed_form_error,

@@ -37,9 +37,13 @@ def load(path):
         return json.load(fh)
 
 
-# Version of the cre.json document; schema 1 also carried eight duplicate
-# families, each equal to P, P^i or their coefficient matrices.
-CRE_SCHEMA = 2
+# Version of the cre.json document.  Schema 3 holds the p-weighted sweep:
+# P_sub is the error family Pt^i, and Pi and Omega are its coefficients.
+# Schema 2 had the same keys and shapes but held a recursion in which p
+# shaped no step: P priced the noise at p = 1 and P_sub, the per-subsystem
+# P^i, at p = 0.  Schema 1 also carried eight duplicate families, each
+# equal to P, P^i or their coefficient matrices.
+CRE_SCHEMA = 3
 
 
 def cre_to_dict(sol):

@@ -7,9 +7,10 @@ From a solved CRE the control law is
 where U_k stacks (u_k^0, u_k^1, ..., u_k^L) at m_offsets and Utilde_k is
 zero in the remote input u_k^0, which cannot see the estimation error.
 Khat_k = -Lambda_k^{-1} Psi_k acts on the remote estimate and the local
-error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the
-per-subsystem family.  riccati.solve_cre computes and stores both while it
-closes each step, so `gains` only copies them into a GainSchedule.
+error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the error
+family of the same backward sweep.  riccati.solve_cre computes and stores
+both while it closes each step, so `gains` only copies them into a
+GainSchedule.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HorizonMismatch
+from .model import HorizonMismatch, local_blocks
 
 
 @dataclass
@@ -56,9 +57,7 @@ class GainSchedule:
     def Ktilde_blocks(self):
         """Where each Ktilde^i sits in a stacked error gain: the pair (input
         rows of u^i, state columns of subsystem i) per subsystem."""
-        moff, noff = self.m_offsets, self.n_offsets
-        return [(slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1]))
-                for i in range(self.L)]
+        return local_blocks(self.n_offsets, self.m_offsets)
 
     def Ktilde_stacked(self, N):
         """The N_L-input error gains for k = 0..N as one (N+1, M_L, N_L)
@@ -84,24 +83,22 @@ def gains(sol):
 
 
 def optimal_cost(sol, model):
-    """Closed-form expected cost of the synthesized strategy.
+    """Closed-form expected cost of the synthesized strategy,
 
-    Per subsystem, the initial state is priced by P_0^i and each step's
-    additive noise by P_{k+1}^i:
+        J = mu' P_0 mu + sum_i [ Tr(Sigma_x0^i M_0^i)
+                                 + sum_{k=0}^{N} Tr(Sigma_v^i M_{k+1}^i) ],
 
-        J = sum_i [ mu_i' P_0^i mu_i + Tr(Sigma_x0^i P_0^i) ]
-            + sum_i sum_{k=0}^{N} Tr(Sigma_v^i P_{k+1}^i)
-
-    This is the cost of the block-diagonal (implementable) strategy; it is
-    exact when the subsystems are dynamically decoupled from the remote
-    input and its noise terms, and is cross-checked against the moment oracle.
-    solve_cre stores every P_k^i exactly symmetric, so P_0^i is read as is.
+    with M_k^i = p_i [P_k]_ii + (1 - p_i) Pt_k^i (CRESolution.M_sub).  The
+    initial term is p_i Tr(Sigma_x0^i [P_0]_ii) + (1 - p_i) Tr(Sigma_x0^i
+    Pt_0^i): the initial state reaches the remote with probability p_i, and
+    otherwise all of x_0^i - mu^i is estimation error.  Each step's additive
+    noise is priced the same way.  The value is the cost-to-go at k = 0 of
+    the solved gains, so it equals the moment oracle's exact_cost up to
+    round-off.
     """
-    total = 0.0
-    for i, s in enumerate(model.subsystems):
-        P0 = sol.P_sub[i][0]
-        total += float(s.mu @ P0 @ s.mu)
-        total += float(np.trace(s.Sigma_x0 @ P0))
-        for k in range(model.N + 1):
-            total += float(np.trace(s.Sigma_v @ sol.P_sub[i][k + 1]))
+    mu = np.concatenate([s.mu for s in model.subsystems])
+    total = float(mu @ sol.P[0] @ mu)
+    for s, M in zip(model.subsystems, sol.M_sub):
+        total += float(np.vdot(s.Sigma_x0, M[0]))
+        total += float(np.vdot(s.Sigma_v, M[1:].sum(axis=0)))
     return total

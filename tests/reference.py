@@ -2,21 +2,62 @@
 
 Everything here is deliberately written in plain scalar arithmetic or
 brute-force loops, sharing no code with the package, so that agreement is
-meaningful evidence of correctness.  The two-family recursions (stacked and
-per-subsystem P, H and L = P p + H (I - p), and the additive-noise and
-single-subsystem reductions of them) keep every family the package folds
-into its one symmetric kernel, so they check that fold independently; the
-generalized (pseudo-inverse) recursion checks the p = 1 case of it.  The
-full moment system (propagate_moments_full) carries the cross moment and
-the means that the package's oracle proves zero and drops, so it checks
-that reduction.  Three helpers are exceptions: the estimator-state helpers
-drive the package's estimator step, which is what the closed-form error
-recursion next to them checks; stationarity_by_differences takes
+meaningful evidence of correctness.  The full moment system
+(propagate_moments_full) carries the cross moment and the means that the
+package's oracle proves zero and drops, so it checks that reduction.
+
+The Riccati references (hand_recursion_scalar, solve_cre_single,
+solve_cre_additive and solve_generalized) are derived here from the
+Bellman step of that moment system.  With C = 0 and T block diagonal, the
+cost-to-go from step k + 1 of any linear strategy is linear in the moments,
+
+    <P, S> + sum_i <Pt^i, T^i> + const,
+
+and one step under U = Khat Xhat + Kt Xtilde maps them to
+S' = F S F' + p W and T' = (1 - p) W, where W is block diagonal and p_i is
+constant on block i.  So P and the Pt^i meet the innovation W only through
+
+    M^i = p_i [P]_ii + (1 - p_i) Pt^i,
+
+and, with Mfull the matrix that holds M^i on diagonal block i, the step's
+cost-to-go is <X_S, S> + sum_i <X_T^i, T^i> + <Mfull, Sigma_v> + const with
+
+    X_S   = Q + Khat' R Khat + F' P F
+            + sum_i sigma_i Phi_i' Mfull Phi_i,       F = A + B Khat,
+    X_T^i = Q_ii + g' R_ii g + (A^i + B^i g)' M^i (A^i + B^i g)
+            + sigma_i (Abar^i + Bbar^i g)' M^i (Abar^i + Bbar^i g),
+
+where Phi_i = Abold_i + Bbold_i Khat is subsystem i's noise channel
+(dense_noise_channels) and g = Kt^i is subsystem i's local error gain (the
+remote input never sees the error, and T^i is its own block).  S and each
+T^i range over independent PSD matrices, so each term is minimized on its
+own by completing the square:
+
+    estimate family  Lambda = R + B'P B + sum_i sigma_i Bbold_i' Mfull Bbold_i,
+                     Psi    = B'P A + sum_i sigma_i Bbold_i' Mfull Abold_i,
+                     P_k    = Q + A'P A + sum_i sigma_i Abold_i' Mfull Abold_i
+                              - Psi' Lambda^{-1} Psi,
+    error family     Pi^i    = R_ii + B^i' M^i B^i + sigma_i Bbar^i' M^i Bbar^i,
+                     Omega^i = B^i' M^i A^i + sigma_i Bbar^i' M^i Abar^i,
+                     Pt_k^i  = Q_ii + A^i' M^i A^i + sigma_i Abar^i' M^i Abar^i
+                               - Omega^i' (Pi^i)^{-1} Omega^i,
+
+with gains Khat = -Lambda^{-1} Psi and Ktilde^i = -(Pi^i)^{-1} Omega^i and
+P_{N+1} = P_terminal, Pt_{N+1}^i = [P_terminal]_ii.  The exact cost of
+those gains is mu' P_0 mu + sum_i Tr(Sigma_x0^i M_0^i)
++ sum_i sum_k Tr(Sigma_v^i M_{k+1}^i).  At p = 1 the error family drops
+out of the estimate family, which is then the full-information recursion.
+
+Four helpers are exceptions to the independence: the estimator-state
+helpers drive the package's estimator step, which is what the closed-form
+error recursion next to them checks; stationarity_by_differences takes
 central differences of the package's exact_cost, which is what the
-adjoint gradient (oracle.cost_gradient) must reproduce; and
-gains_by_refactoring factors every stored coefficient matrix again through
-the package's solve_checked, which is what the gains that solve_cre keeps
-must equal bit for bit.
+adjoint gradient (oracle.cost_gradient) must reproduce; descend_gains
+minimizes the package's cost_gradient over every gain entry, which is what
+the recursion's gains must not be beaten by; and gains_by_refactoring
+factors every stored coefficient matrix again through the package's
+solve_checked, which is what the gains that solve_cre keeps must equal bit
+for bit.
 """
 import itertools
 import math
@@ -24,72 +65,53 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.optimize import minimize
 
 from ncslq.estimator import init_estimate, update_estimate
-from ncslq.oracle import exact_cost
+from ncslq.oracle import cost_gradient, exact_cost
 from ncslq.riccati import SingularLambda, SingularPi, solve_checked
 from ncslq.synthesis import GainSchedule
 
 
 def hand_recursion_scalar(A, B1, B0, Abar, Bbar1, Bbar0, sw, p, Q, R, PT, N):
-    """Backward recursion for a single scalar subsystem (n=1, m0=m1=1),
-    written entry-by-entry with plain floats.
+    """The two-family recursion (module docstring) for a single scalar
+    subsystem (n=1, m0=m1=1), written entry-by-entry with plain floats.
 
     R is a 2x2 array-like [[r00, r01], [r01, r11]] over inputs (u0, u1).
-    Returns dict with lists P, H, L (stacked family, full two-input
-    feedback), P_sub, H_sub, L_sub (subsystem family, local input only),
-    all of length N+2, plus the gains khat (2-entry lists on xhat) and
-    ktilde (scalar on xtilde, from the subsystem family).
+    Returns dict with lists P (estimate family, full two-input feedback),
+    Pt (error family, local input only) and M = p P + (1 - p) Pt, all of
+    length N+2, plus the gains khat (2-entry lists on xhat) and ktilde
+    (scalar on xtilde).
     """
     r00, r01, r11 = R[0][0], R[0][1], R[1][1]
     P = [0.0] * (N + 2)
-    H = [0.0] * (N + 2)
-    Lv = [0.0] * (N + 2)
-    # second family over the subsystem alone (local input only)
-    Ps = [0.0] * (N + 2)
-    Hs = [0.0] * (N + 2)
-    Ls = [0.0] * (N + 2)
-    P[N + 1] = H[N + 1] = Lv[N + 1] = PT
-    Ps[N + 1] = Hs[N + 1] = Ls[N + 1] = PT
+    Pt = [0.0] * (N + 2)
+    M = [0.0] * (N + 2)
+    P[N + 1] = Pt[N + 1] = M[N + 1] = PT
     khat = [None] * (N + 1)
     ktilde = [0.0] * (N + 1)
     for k in range(N, -1, -1):
-        P1, L1 = P[k + 1], Lv[k + 1]
-        # 2x2 Lambda = R + B' P B + sw Bbar' L Bbar over inputs (u0, u1)
-        lam00 = r00 + B0 * P1 * B0 + sw * Bbar0 * L1 * Bbar0
-        lam01 = r01 + B0 * P1 * B1 + sw * Bbar0 * L1 * Bbar1
-        lam11 = r11 + B1 * P1 * B1 + sw * Bbar1 * L1 * Bbar1
-        psi0 = B0 * P1 * A + sw * Bbar0 * L1 * Abar
-        psi1 = B1 * P1 * A + sw * Bbar1 * L1 * Abar
+        P1, M1 = P[k + 1], M[k + 1]
+        # 2x2 Lambda = R + B' P B + sw Bbar' M Bbar over inputs (u0, u1)
+        lam00 = r00 + B0 * P1 * B0 + sw * Bbar0 * M1 * Bbar0
+        lam01 = r01 + B0 * P1 * B1 + sw * Bbar0 * M1 * Bbar1
+        lam11 = r11 + B1 * P1 * B1 + sw * Bbar1 * M1 * Bbar1
+        psi0 = B0 * P1 * A + sw * Bbar0 * M1 * Abar
+        psi1 = B1 * P1 * A + sw * Bbar1 * M1 * Abar
         det = lam00 * lam11 - lam01 * lam01
         # Psi' Lambda^{-1} Psi (scalar since n = 1)
         quad = (lam11 * psi0 * psi0 - 2 * lam01 * psi0 * psi1
                 + lam00 * psi1 * psi1) / det
-        P[k] = Q + A * P1 * A + sw * Abar * L1 * Abar - quad
+        P[k] = Q + A * P1 * A + sw * Abar * M1 * Abar - quad
         khat[k] = [-(lam11 * psi0 - lam01 * psi1) / det,
                    -(lam00 * psi1 - lam01 * psi0) / det]
-        lam00t = r00 + B0 * L1 * B0 + sw * Bbar0 * L1 * Bbar0
-        lam01t = r01 + B0 * L1 * B1 + sw * Bbar0 * L1 * Bbar1
-        lam11t = r11 + B1 * L1 * B1 + sw * Bbar1 * L1 * Bbar1
-        psi0t = B0 * L1 * A + sw * Bbar0 * L1 * Abar
-        psi1t = B1 * L1 * A + sw * Bbar1 * L1 * Abar
-        dett = lam00t * lam11t - lam01t * lam01t
-        quadt = (lam11t * psi0t * psi0t - 2 * lam01t * psi0t * psi1t
-                 + lam00t * psi1t * psi1t) / dett
-        H[k] = Q + A * L1 * A + sw * Abar * L1 * Abar - quadt
-        Lv[k] = p * P[k] + (1 - p) * H[k]
-        # subsystem family: local input only, weight r11
-        Ps1, Ls1 = Ps[k + 1], Ls[k + 1]
-        pi = r11 + B1 * Ps1 * B1 + sw * Bbar1 * Ls1 * Bbar1
-        om = B1 * Ps1 * A + sw * Bbar1 * Ls1 * Abar
-        pit = r11 + B1 * Ls1 * B1 + sw * Bbar1 * Ls1 * Bbar1
-        omt = B1 * Ls1 * A + sw * Bbar1 * Ls1 * Abar
-        Ps[k] = Q + A * Ps1 * A + sw * Abar * Ls1 * Abar - om * om / pi
-        Hs[k] = Q + A * Ls1 * A + sw * Abar * Ls1 * Abar - omt * omt / pit
-        Ls[k] = p * Ps[k] + (1 - p) * Hs[k]
-        ktilde[k] = -omt / pit
-    return {"P": P, "H": H, "L": Lv, "khat": khat, "ktilde": ktilde,
-            "P_sub": Ps, "H_sub": Hs, "L_sub": Ls}
+        # error family: local input only, weight r11, every value at M
+        pi = r11 + B1 * M1 * B1 + sw * Bbar1 * M1 * Bbar1
+        om = B1 * M1 * A + sw * Bbar1 * M1 * Abar
+        Pt[k] = Q + A * M1 * A + sw * Abar * M1 * Abar - om * om / pi
+        ktilde[k] = -om / pi
+        M[k] = p * P[k] + (1 - p) * Pt[k]
+    return {"P": P, "Pt": Pt, "M": M, "khat": khat, "ktilde": ktilde}
 
 
 def quadrature_cost(coeffs, khat, ktilde, N, npts=13):
@@ -212,90 +234,48 @@ def dense_noise_channels(model):
 
 
 def _alloc(model, stacked):
-    """Zeroed two-family solution (P, H, L and their coefficient matrices,
-    stacked and per subsystem) with every value family at P_terminal."""
+    """Zeroed two-family solution: the estimate family P with Lambda and
+    Psi, stacked, and per subsystem the error family P_sub with Pi, Omega
+    and the innovation weights M_sub; P, P_sub and M_sub start at
+    P_terminal (diagonal block i per subsystem) at k = N + 1."""
     N, NL, ML = model.N, stacked.NL, stacked.ML
-    noff, moff = stacked.n_offsets, stacked.m_offsets
-    n = [noff[i + 1] - noff[i] for i in range(len(noff) - 1)]
-    m = [moff[i + 2] - moff[i + 1] for i in range(len(moff) - 2)]
+    subs = model.subsystems
     sol = SimpleNamespace(
-        P=np.zeros((N + 2, NL, NL)), H=np.zeros((N + 2, NL, NL)),
-        L=np.zeros((N + 2, NL, NL)),
-        P_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
-        H_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
-        L_sub=[np.zeros((N + 2, ni, ni)) for ni in n],
+        P=np.zeros((N + 2, NL, NL)),
+        P_sub=[np.zeros((N + 2, s.n, s.n)) for s in subs],
+        M_sub=[np.zeros((N + 2, s.n, s.n)) for s in subs],
         Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
-        LambdaTilde=np.zeros((N + 1, ML, ML)), PsiTilde=np.zeros((N + 1, ML, NL)),
-        Pi=[np.zeros((N + 1, mi, mi)) for mi in m],
-        Omega=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
-        PiTilde=[np.zeros((N + 1, mi, mi)) for mi in m],
-        OmegaTilde=[np.zeros((N + 1, mi, n[i])) for i, mi in enumerate(m)],
-    )
-    PT = model.P_terminal
-    sol.P[N + 1] = sol.H[N + 1] = sol.L[N + 1] = PT
-    for i in range(len(n)):
-        r = slice(noff[i], noff[i + 1])
-        sol.P_sub[i][N + 1] = sol.H_sub[i][N + 1] = sol.L_sub[i][N + 1] = PT[r, r]
+        Pi=[np.zeros((N + 1, s.m, s.m)) for s in subs],
+        Omega=[np.zeros((N + 1, s.m, s.n)) for s in subs])
+    sol.P[N + 1] = model.P_terminal
+    for i in range(len(subs)):
+        r = model.state_slice(i + 1)
+        sol.P_sub[i][N + 1] = sol.M_sub[i][N + 1] = model.P_terminal[r, r]
     return sol
 
 
-def solve_two_families(stacked, model):
-    """Both recursions with their H and L families propagated separately.
-
-    Stacked: P_k over P_{k+1}, H_k over L_{k+1}, with the multiplicative
-    noise priced by L_{k+1} = P_{k+1} p + H_{k+1} (I - p) in both; per
-    subsystem likewise with L^i = p_i P^i + (1 - p_i) H^i.  Plain loops over
-    steps, subsystems and dense per-subsystem noise channels
-    (dense_noise_channels); nothing is symmetrized.
-    """
-    model = _unwrap(model)
-    sol = _alloc(model, stacked)
-    channels = dense_noise_channels(model)
-    A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    p = np.diag(stacked.p_rows)
-    I_p = np.eye(stacked.NL) - p
-    for k in range(model.N, -1, -1):
-        P1, L1 = sol.P[k + 1], sol.L[k + 1]
-        nBB = np.zeros_like(R)
-        nBA = np.zeros((stacked.ML, stacked.NL))
-        nAA = np.zeros_like(Q)
-        for s, Ab, Bb in channels:
-            nBB = nBB + s * Bb.T @ L1 @ Bb
-            nBA = nBA + s * Bb.T @ L1 @ Ab
-            nAA = nAA + s * Ab.T @ L1 @ Ab
-        Lam, Psi = R + B.T @ P1 @ B + nBB, B.T @ P1 @ A + nBA
-        LamT, PsiT = R + B.T @ L1 @ B + nBB, B.T @ L1 @ A + nBA
-        sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
-        sol.P[k] = Q + A.T @ P1 @ A + nAA - Psi.T @ np.linalg.solve(Lam, Psi)
-        sol.H[k] = Q + A.T @ L1 @ A + nAA - PsiT.T @ np.linalg.solve(LamT, PsiT)
-        sol.L[k] = sol.P[k] @ p + sol.H[k] @ I_p
-        for i, s in enumerate(model.subsystems):
-            Qii = model.Q_block(i + 1, i + 1)
-            Rii = model.R_block(i + 1, i + 1)
-            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
-            bb = s.sigma_w * s.Bbar.T @ L1i @ s.Bbar
-            ba = s.sigma_w * s.Bbar.T @ L1i @ s.Abar
-            aa = s.sigma_w * s.Abar.T @ L1i @ s.Abar
-            Pi, Om = Rii + s.B.T @ P1i @ s.B + bb, s.B.T @ P1i @ s.A + ba
-            PiT, OmT = Rii + s.B.T @ L1i @ s.B + bb, s.B.T @ L1i @ s.A + ba
-            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
-            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
-            sol.P_sub[i][k] = (Qii + s.A.T @ P1i @ s.A + aa
-                               - Om.T @ np.linalg.solve(Pi, Om))
-            sol.H_sub[i][k] = (Qii + s.A.T @ L1i @ s.A + aa
-                               - OmT.T @ np.linalg.solve(PiT, OmT))
-            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
-    return sol
+def _error_step(sol, model, k, inverse):
+    """Step k of every subsystem's error family from M^i_{k+1}, with
+    inverse() in place of (Pi^i)^{-1}; then M^i_k from P_k and Pt^i_k."""
+    for i, s in enumerate(model.subsystems):
+        Qii = model.Q_block(i + 1, i + 1)
+        Rii = model.R_block(i + 1, i + 1)
+        M1 = sol.M_sub[i][k + 1]
+        Pi = Rii + s.B.T @ M1 @ s.B + s.sigma_w * s.Bbar.T @ M1 @ s.Bbar
+        Om = s.B.T @ M1 @ s.A + s.sigma_w * s.Bbar.T @ M1 @ s.Abar
+        sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
+        sol.P_sub[i][k] = (Qii + s.A.T @ M1 @ s.A
+                           + s.sigma_w * s.Abar.T @ M1 @ s.Abar
+                           - Om.T @ inverse(Pi) @ Om)
+        r = model.state_slice(i + 1)
+        sol.M_sub[i][k] = s.p * sol.P[k][r, r] + (1.0 - s.p) * sol.P_sub[i][k]
 
 
 def solve_cre_additive(stacked, model):
-    """Reduced recursion for the additive-noise case (all sigma_w = 0).
-
-    In this case L_k = H_k = P_k for the stacked family (and likewise per
-    subsystem), so only the P-recursions are propagated; the returned
-    structure carries the duplicated H and L for interface uniformity.
-    """
+    """The two-family recursion with additive noise only (every sigma_w =
+    0).  The noise channels vanish, so the estimate family is the plain
+    stacked LQ recursion and never meets the error family; p enters only
+    through M^i in the error family."""
     model = _unwrap(model)
     if any(s.sigma_w != 0.0 for s in model.subsystems):
         raise ValueError("solve_cre_additive requires sigma_w = 0 for every subsystem")
@@ -306,75 +286,35 @@ def solve_cre_additive(stacked, model):
         Lam = R + B.T @ P1 @ B
         Psi = B.T @ P1 @ A
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = Lam, Psi
         sol.P[k] = Q + A.T @ P1 @ A - Psi.T @ np.linalg.solve(Lam, Psi)
-        sol.H[k] = sol.P[k]
-        sol.L[k] = sol.P[k]
-        for i, s in enumerate(model.subsystems):
-            Qii = model.Q_block(i + 1, i + 1)
-            Rii = model.R_block(i + 1, i + 1)
-            P1i, L1i = sol.P_sub[i][k + 1], sol.L_sub[i][k + 1]
-            Pi = Rii + s.B.T @ P1i @ s.B
-            Om = s.B.T @ P1i @ s.A
-            PiT = Rii + s.B.T @ L1i @ s.B
-            OmT = s.B.T @ L1i @ s.A
-            sol.Pi[i][k], sol.Omega[i][k] = Pi, Om
-            sol.PiTilde[i][k], sol.OmegaTilde[i][k] = PiT, OmT
-            sol.P_sub[i][k] = Qii + s.A.T @ P1i @ s.A - Om.T @ np.linalg.solve(Pi, Om)
-            sol.H_sub[i][k] = Qii + s.A.T @ L1i @ s.A - OmT.T @ np.linalg.solve(PiT, OmT)
-            sol.L_sub[i][k] = s.p * sol.P_sub[i][k] + (1.0 - s.p) * sol.H_sub[i][k]
+        _error_step(sol, model, k, np.linalg.inv)
     return sol
 
 
 def solve_cre_single(stacked, model):
-    """Single-subsystem reduction (L = 1): a symmetric two-matrix recursion.
-
-    Implemented directly from the subsystem matrices (no block embedding):
-    with a single uplink probability, L_k = p P_k + (1-p) H_k preserves
-    symmetry, so P_k and H_k stay symmetric; this is asserted.
-    """
+    """The two-family recursion for one subsystem (L = 1), written from the
+    subsystem matrices with no block embedding: B = [B^{10}, B^1] and
+    Bbar = [Bbar^{10}, Bbar^1] over (u^0, u^1), and M = p P + (1 - p) Pt;
+    the error family steps on the local input u^1 alone (_error_step).
+    Both families stay symmetric; this is asserted."""
     model = _unwrap(model)
     if model.L != 1:
         raise ValueError(f"solve_cre_single requires L = 1, got L = {model.L}")
     sol = _alloc(model, stacked)
     s = model.subsystems[0]
-    A = s.A
     B = np.hstack([s.B0, s.B])
-    Abar = s.Abar
     Bbar = np.hstack([s.Bbar0, s.Bbar])
-    Q, R, sw, p = model.Q, model.R, s.sigma_w, s.p
-    Qii = model.Q_block(1, 1)
-    Rii = model.R_block(1, 1)
+    A, Abar, Q, R, sw = s.A, s.Abar, model.Q, model.R, s.sigma_w
     for k in range(model.N, -1, -1):
-        P1, L1 = sol.P[k + 1], sol.L[k + 1]
-        noise_BB = sw * Bbar.T @ L1 @ Bbar
-        noise_BA = sw * Bbar.T @ L1 @ Abar
-        noise_AA = sw * Abar.T @ L1 @ Abar
-        Lam = R + B.T @ P1 @ B + noise_BB
-        Psi = B.T @ P1 @ A + noise_BA
-        LamT = R + B.T @ L1 @ B + noise_BB
-        PsiT = B.T @ L1 @ A + noise_BA
+        P1, M1 = sol.P[k + 1], sol.M_sub[0][k + 1]
+        Lam = R + B.T @ P1 @ B + sw * Bbar.T @ M1 @ Bbar
+        Psi = B.T @ P1 @ A + sw * Bbar.T @ M1 @ Abar
         sol.Lambda[k], sol.Psi[k] = Lam, Psi
-        sol.LambdaTilde[k], sol.PsiTilde[k] = LamT, PsiT
-        sol.P[k] = Q + A.T @ P1 @ A + noise_AA - Psi.T @ np.linalg.solve(Lam, Psi)
-        sol.H[k] = Q + A.T @ L1 @ A + noise_AA - PsiT.T @ np.linalg.solve(LamT, PsiT)
-        sol.L[k] = p * sol.P[k] + (1.0 - p) * sol.H[k]
-        # per-subsystem family (local matrices only)
-        P1i, L1i = sol.P_sub[0][k + 1], sol.L_sub[0][k + 1]
-        nBB = sw * s.Bbar.T @ L1i @ s.Bbar
-        nBA = sw * s.Bbar.T @ L1i @ s.Abar
-        Pi = Rii + s.B.T @ P1i @ s.B + nBB
-        Om = s.B.T @ P1i @ s.A + nBA
-        PiT = Rii + s.B.T @ L1i @ s.B + nBB
-        OmT = s.B.T @ L1i @ s.A + nBA
-        sol.Pi[0][k], sol.Omega[0][k] = Pi, Om
-        sol.PiTilde[0][k], sol.OmegaTilde[0][k] = PiT, OmT
-        ni = sw * s.Abar.T @ L1i @ s.Abar
-        sol.P_sub[0][k] = Qii + s.A.T @ P1i @ s.A + ni - Om.T @ np.linalg.solve(Pi, Om)
-        sol.H_sub[0][k] = Qii + s.A.T @ L1i @ s.A + ni - OmT.T @ np.linalg.solve(PiT, OmT)
-        sol.L_sub[0][k] = p * sol.P_sub[0][k] + (1.0 - p) * sol.H_sub[0][k]
+        sol.P[k] = (Q + A.T @ P1 @ A + sw * Abar.T @ M1 @ Abar
+                    - Psi.T @ np.linalg.solve(Lam, Psi))
+        _error_step(sol, model, k, np.linalg.inv)
     for k in range(model.N + 2):
-        for name, M in (("P", sol.P[k]), ("H", sol.H[k])):
+        for name, M in (("P", sol.P[k]), ("Pt", sol.P_sub[0][k])):
             scale = max(np.linalg.norm(M), 1e-300)
             if np.linalg.norm(M - M.T) > 1e-9 * scale:
                 raise AssertionError(f"{name}_{k} lost symmetry in the L=1 recursion")
@@ -382,42 +322,49 @@ def solve_cre_single(stacked, model):
 
 
 def solve_generalized(stacked, model):
-    """Generalized recursion for indefinite weights: the stacked recursion
-    at p = 1 with a Moore-Penrose pseudo-inverse in place of the solve,
+    """The two-family recursion for indefinite weights, with a
+    Moore-Penrose pseudo-inverse in place of every solve:
 
-        Upsilon_k = R + B' D B + sum_i sigma_i Bbold_i' D Bbold_i,
-        M_k       = B' D A + sum_i sigma_i Bbold_i' D Abold_i,
-        Delta_k   = Q + A' D A + sum_i sigma_i Abold_i' D Abold_i
+        Upsilon_k = R + B' D B + sum_i sigma_i Bbold_i' Mfull Bbold_i,
+        M_k       = B' D A + sum_i sigma_i Bbold_i' Mfull Abold_i,
+        Delta_k   = Q + A' D A + sum_i sigma_i Abold_i' Mfull Abold_i
                     - M_k' Upsilon_k^+ M_k,
 
-    with D = Delta_{k+1}, Delta_{N+1} = P_terminal and the noise priced
-    through the dense per-subsystem channels (dense_noise_channels).  It
-    never fails: upsilon_psd[k] records whether sym(Upsilon_k) is positive
-    semidefinite within 1e-9 (1 + max |eigenvalue|).
+    with D = Delta_{k+1}, Delta_{N+1} = P_terminal, the noise priced
+    through the dense per-subsystem channels (dense_noise_channels) at
+    Mfull, which holds M^i = p_i [D]_ii + (1 - p_i) Delta_sub[i] on diagonal
+    block i, and each error family Delta_sub[i] solved as in the module
+    docstring with (Pi^i)^+.  It never fails: upsilon_psd[k] records
+    whether sym(Upsilon_k) is positive semidefinite within
+    1e-9 (1 + max |eigenvalue|).  On definite weights the pseudo-inverses
+    are inverses, and this is the two-family recursion itself.
     """
     model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     channels = dense_noise_channels(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
+    sol = _alloc(model, stacked)
+    pinv = lambda X: np.linalg.pinv(X, rcond=1e-12)
     gen = SimpleNamespace(
-        Delta=np.zeros((N + 2, NL, NL)), Upsilon=np.zeros((N + 1, ML, ML)),
-        M=np.zeros((N + 1, ML, NL)), upsilon_psd=np.zeros(N + 1, dtype=bool))
-    gen.Delta[N + 1] = model.P_terminal
+        Delta=sol.P, Delta_sub=sol.P_sub, Upsilon=sol.Lambda, M=sol.Psi,
+        upsilon_psd=np.zeros(N + 1, dtype=bool))
     for k in range(N, -1, -1):
-        D1 = gen.Delta[k + 1]
+        D1 = sol.P[k + 1]
+        Mfull = place_blocks_by_loop([M[k + 1] for M in sol.M_sub],
+                                     stacked.n_offsets, NL)
         nBB = np.zeros_like(R)
         nBA = np.zeros((ML, NL))
         nAA = np.zeros_like(Q)
         for s, Ab, Bb in channels:
-            nBB = nBB + s * Bb.T @ D1 @ Bb
-            nBA = nBA + s * Bb.T @ D1 @ Ab
-            nAA = nAA + s * Ab.T @ D1 @ Ab
+            nBB = nBB + s * Bb.T @ Mfull @ Bb
+            nBA = nBA + s * Bb.T @ Mfull @ Ab
+            nAA = nAA + s * Ab.T @ Mfull @ Ab
         Ups, Mk = R + B.T @ D1 @ B + nBB, B.T @ D1 @ A + nBA
         eigs = np.linalg.eigvalsh(0.5 * (Ups + Ups.T))
         gen.upsilon_psd[k] = eigs.min() >= -1e-9 * (1.0 + np.max(np.abs(eigs)))
-        gen.Upsilon[k], gen.M[k] = Ups, Mk
-        gen.Delta[k] = (Q + A.T @ D1 @ A + nAA
-                        - Mk.T @ np.linalg.pinv(Ups, rcond=1e-12) @ Mk)
+        sol.Lambda[k], sol.Psi[k] = Ups, Mk
+        sol.P[k] = Q + A.T @ D1 @ A + nAA - Mk.T @ pinv(Ups) @ Mk
+        _error_step(sol, model, k, pinv)
     return gen
 
 
@@ -693,3 +640,37 @@ def stationarity_by_differences(model, stacked, gain_schedule, max_entries=500,
         cost=base, max_abs_derivative=max_d,
         threshold=1e-6 * (1.0 + abs(base)), entries_probed=len(entries),
         min_second_difference=min_dd, derivatives=derivs)
+
+
+def descend_gains(model, stacked, gtol=1e-13):
+    """Minimize the exact cost over every gain entry, from zero gains.
+
+    L-BFGS-B on the package's cost_gradient (cost and exact gradient in one
+    call), over the flat vector of Khat and each Ktilde^i for k = 0..N: the
+    information structure the recursion optimizes over (Khat on Xhat,
+    block-diagonal Ktilde on Xtilde), searched without its derivation.
+    Policy-gradient descent on LQ cost reaches the global optimum (Fazel,
+    Ge, Kakade & Mesbahi, ICML 2018).  The gains of a descent agree with
+    the recursion's only where S_k and T_k give curvature, so compare
+    costs.  Returns (cost, GainSchedule).
+    """
+    model = _unwrap(model)
+    N = model.N
+    shapes = [(N + 1, model.m_total, model.n_total)] + [
+        (N + 1, s.m, s.n) for s in model.subsystems]
+    cuts = np.cumsum([math.prod(sh) for sh in shapes])
+
+    def schedule(x):
+        parts = [q.reshape(sh) for q, sh in zip(np.split(x, cuts[:-1]), shapes)]
+        return GainSchedule(N=N, Khat=parts[0], Ktilde=parts[1:],
+                            n_offsets=model.n_offsets, m_offsets=model.m_offsets)
+
+    def cost_and_gradient(x):
+        cg = cost_gradient(model, stacked, schedule(x))
+        g = cg.gradient
+        return cg.cost, np.concatenate([g.Khat.ravel()] + [K.ravel() for K in g.Ktilde])
+
+    res = minimize(cost_and_gradient, np.zeros(cuts[-1]), jac=True,
+                   method="L-BFGS-B", options={"gtol": gtol, "ftol": 0.0,
+                                               "maxiter": 20000})
+    return res.fun, schedule(res.x)

@@ -58,7 +58,7 @@ def test_solve_round_trips(scalar_config, tmp_path):
     sol = solve_cre(stk, vm)
     sched = gains(sol)
     doc = serialize.load(out / "cre.json")
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     # cre.json is an output: its values are the solution's, bit for bit
     assert np.array_equal(doc["P"], sol.P)
     assert np.array_equal(doc["Lambda"], sol.Lambda)
@@ -88,7 +88,7 @@ def test_solve_indefinite_mode_reports_flags(tmp_path):
                 "--mode", "indefinite", "solve"])
     assert code == 0
     doc = serialize.load(out / "cre.json")
-    assert doc["schema"] == 2 and doc["mode"] == "indefinite"
+    assert doc["schema"] == 3 and doc["mode"] == "indefinite"
     flags = doc["lambda_psd"]
     assert len(flags) == model.N + 1
     assert all(isinstance(v, bool) for v in flags)
@@ -287,15 +287,17 @@ def test_check_passes_on_scalar(scalar_config, tmp_path):
     assert doc["stationarity"]["entries_probed"] == 6 * (2 * 1 + 1 * 1)
 
 
-def test_check_fails_on_coupled_with_exit_3(coupled_config, tmp_path, capsys):
-    # the per-subsystem gain construction is not stationary for the stacked
-    # cost once the remote input drives the plant; check must say so
+def test_check_passes_on_coupled(coupled_config, tmp_path):
+    # the remote input drives the plant and p = 0.5: the p-weighted sweep's
+    # gains are stationary for the exact cost, the formula prices them, and
+    # the costate audit telescopes
     out = tmp_path / "out"
-    assert run(["--config", coupled_config, "--out", out, "check"]) == 3
-    assert "invariant failure" in capsys.readouterr().err
+    assert run(["--config", coupled_config, "--out", out, "check"]) == 0
     doc = serialize.load(out / "check.json")
-    assert not doc["ok"]
-    assert not doc["stationarity"]["ok"]
+    assert doc["ok"]
+    for name in ("definiteness", "stationarity", "costate_telescoping",
+                 "cost_formula_vs_oracle", "monte_carlo_vs_oracle"):
+        assert doc[name]["ok"], name
 
 
 def test_check_formats_no_entry_label(scalar_config, tmp_path, monkeypatch):

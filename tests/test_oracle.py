@@ -365,17 +365,23 @@ def perfect_channel(seed, L, N):
 
 # The long-horizon perfect-channel instances drift out of symmetry (residual
 # above 1) or into SingularLambda when the value matrices are not kept
-# symmetric.
+# symmetric.  The coupled instances have p < 1 and a remote input that
+# drives the plant.
 @pytest.mark.parametrize("make", [
     lambda: make_scalar_decoupled(N=5),
     lambda: perfect_channel(79, L=2, N=30),
     lambda: perfect_channel(84, L=2, N=30),
     lambda: perfect_channel(77, L=3, N=60),
-], ids=["scalar", "p1-seed79-L2-N30", "p1-seed84-L2-N30", "p1-seed77-L3-N60"])
+    lambda: make_scalar_coupled(N=5),
+    lambda: make_unequal_blocks(N=20),
+    *[(lambda s=s: make_random_definite(np.random.default_rng(s))) for s in range(5)],
+], ids=["scalar", "p1-seed79-L2-N30", "p1-seed84-L2-N30", "p1-seed77-L3-N60",
+        "scalar-coupled-N5", "unequal-blocks-N20",
+        *[f"seed{s}" for s in range(5)]])
 def test_costate_telescoping_scalar(make):
     vm, stk, sol, sched = solve_all(make())
     rep = costate_moments(vm, stk, sched, sol)
-    assert rep.max_relative_residual <= 1e-8
+    assert rep.max_relative_residual <= 1e-10
 
 
 # The full referee carries C = E[Xhat Xtilde'], both means and a dense T;

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 from ncslq import (NetworkModel, SingularLambda, SingularPi, SubsystemModel,
-                   check_definiteness, solve_cre)
+                   check_definiteness, exact_cost, gains, solve_cre)
+from ncslq.model import local_blocks
 from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
                       make_singular_pi, make_unequal_blocks, validated_pair)
-from reference import (dense_noise_channels, hand_recursion_scalar,
+from reference import (dense_noise_channels, descend_gains,
+                       hand_recursion_scalar, place_blocks_by_loop,
                        solve_cre_additive, solve_cre_single,
-                       solve_generalized, solve_two_families)
+                       solve_generalized)
 
 
 def solve(model, mode="definite"):
@@ -43,25 +45,38 @@ def test_terminal_conditions():
         assert np.array_equal(sol.P_sub[i][N + 1], blk)
 
 
+def innovation_weights(vm, sol, k):
+    """Mfull at step k: M_k^i = p_i [P_k]_ii + (1 - p_i) P_sub[i][k] on
+    diagonal block i, formed from the stored value matrices."""
+    model = vm.model
+    return place_blocks_by_loop(
+        [s.p * sol.P[k][model.state_slice(i + 1), model.state_slice(i + 1)]
+         + (1 - s.p) * sol.P_sub[i][k] for i, s in enumerate(model.subsystems)],
+        model.n_offsets, model.n_total)
+
+
 def test_coefficient_rebuild_internal_consistency():
+    # every stored coefficient is rebuilt bit for bit from the stored value
+    # matrices: Lambda_k and Psi_k at P_{k+1}, Pi_k^i and Omega_k^i at the
+    # innovation weights M_{k+1}^i, with the noise priced at M_{k+1}^i in both
     model = make_random_definite(np.random.default_rng(7), L=2, N=4)
     vm, stk, sol = solve(model)
     R = vm.model.R
+    blocks = local_blocks(stk.n_offsets, stk.m_offsets)
     for k in range(model.N + 1):
         P1 = sol.P[k + 1]
-        Pw = stk.Sw * P1
+        Y = innovation_weights(vm, sol, k + 1)
+        Pw = stk.Sw * Y
         nBB = stk.Bbar.T @ Pw @ stk.Bbar
         nBA = stk.Bbar.T @ Pw @ stk.Abar
         assert np.array_equal(sol.Lambda[k], R + stk.B.T @ P1 @ stk.B + nBB)
         assert np.array_equal(sol.Psi[k], stk.B.T @ P1 @ stk.A + nBA)
-        for i, s in enumerate(vm.model.subsystems):
-            Rii = vm.model.R_block(i + 1, i + 1)
-            P1i = sol.P_sub[i][k + 1]
-            Pwi = s.sigma_w * P1i
-            bb = s.Bbar.T @ Pwi @ s.Bbar
-            ba = s.Bbar.T @ Pwi @ s.Abar
-            assert np.array_equal(sol.Pi[i][k], Rii + s.B.T @ P1i @ s.B + bb)
-            assert np.array_equal(sol.Omega[i][k], s.B.T @ P1i @ s.A + ba)
+        Lt = R + stk.B.T @ Y @ stk.B + nBB
+        Xt = stk.B.T @ Y @ stk.A + nBA
+        for i, (r, c) in enumerate(blocks):
+            assert np.array_equal(sol.Pi[i][k], Lt[r, r])
+            assert np.array_equal(sol.Omega[i][k], Xt[r, c])
+            assert np.array_equal(sol.M_sub[i][k + 1], Y[c, c])
 
 
 def rel_err(a, b):
@@ -92,14 +107,11 @@ def test_matches_hand_recursion_on_coupled_scalar():
         A=1.0, B1=1.0, B0=0.3, Abar=0.5, Bbar1=0.2, Bbar0=0.1,
         sw=1.0, p=0.5, Q=1.0, R=np.eye(2), PT=1.0, N=5)
     _, _, sol = solve(model)
-    # the reference keeps its own H and L families; the one kernel's P
-    # must match all three
+    # the estimate family P, the error family Pt and their mix M at p = 0.5
     for k in range(7):
-        for name in ("P", "H", "L"):
-            assert sol.P[k][0, 0] == pytest.approx(ref[name][k], rel=1e-12)
-        for name in ("P_sub", "H_sub", "L_sub"):
-            assert sol.P_sub[0][k][0, 0] == pytest.approx(ref[name][k], rel=1e-12)
-    from ncslq import gains
+        assert sol.P[k][0, 0] == pytest.approx(ref["P"][k], rel=1e-12)
+        assert sol.P_sub[0][k][0, 0] == pytest.approx(ref["Pt"][k], rel=1e-12)
+        assert sol.M_sub[0][k][0, 0] == pytest.approx(ref["M"][k], rel=1e-12)
     sched = gains(sol)
     for k in range(6):
         assert sched.Khat[k][0, 0] == pytest.approx(ref["khat"][k][0],
@@ -144,12 +156,11 @@ def test_additive_reduction_matches_general():
     sol = solve_cre(stk, vm)
     add = solve_cre_additive(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
-    for M in (add.P, add.H, add.L):
-        assert np.max(np.abs(M - sol.P)) / scale <= 1e-10
+    assert np.max(np.abs(add.P - sol.P)) / scale <= 1e-10
     for i in range(model.L):
         si = 1.0 + np.max(np.abs(sol.P_sub[i]))
-        for M in (add.P_sub[i], add.H_sub[i], add.L_sub[i]):
-            assert np.max(np.abs(M - sol.P_sub[i])) / si <= 1e-10
+        assert np.max(np.abs(add.P_sub[i] - sol.P_sub[i])) / si <= 1e-10
+        assert np.max(np.abs(add.M_sub[i] - sol.M_sub[i])) / si <= 1e-10
 
 
 def test_single_reduction_matches_general():
@@ -159,9 +170,9 @@ def test_single_reduction_matches_general():
     single = solve_cre_single(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
     assert np.max(np.abs(single.P - sol.P)) / scale <= 1e-10
-    assert np.max(np.abs(single.H - sol.P)) / scale <= 1e-10
-    assert np.max(np.abs(single.L - sol.P)) / scale <= 1e-10
-    assert np.max(np.abs(single.PiTilde[0] - sol.Pi[0])) <= 1e-10 * scale
+    assert np.max(np.abs(single.P_sub[0] - sol.P_sub[0])) / scale <= 1e-10
+    assert np.max(np.abs(single.M_sub[0] - sol.M_sub[0])) / scale <= 1e-10
+    assert np.max(np.abs(single.Pi[0] - sol.Pi[0])) <= 1e-10 * scale
 
 
 def test_perfect_channel_generalized_coincides():
@@ -276,19 +287,17 @@ def test_solve_checked_raises_with_rcond(M):
 
 def test_step_equals_three_operand_form():
     # _step shares B'P1 and Bbar'Pw between Lambda and Psi; Python evaluates
-    # B.T @ P1 @ B as (B.T @ P1) @ B, so no bit may move
+    # B.T @ P1 @ B as (B.T @ P1) @ B, so no bit may move; P1 runs over both
+    # value matrices a sweep step passes, P_{k+1} and the weights Y
     vm, stk, sol = solve(make_unequal_blocks())
     model = vm.model
-    plants = [(stk, stk.Sw, model.Q, model.R, sol.P)] + [
-        (s, s.sigma_w, model.Q_block(i + 1, i + 1),
-         model.R_block(i + 1, i + 1), sol.P_sub[i])
-        for i, s in enumerate(model.subsystems)]
-    for plant, Sw, Q, R, P in plants:
-        A, B, Abar, Bbar = plant.A, plant.B, plant.Abar, plant.Bbar
-        for k in range(model.N + 1):
-            P1 = P[k + 1]
-            Pw = Sw * P1
-            Lam, Psi, G = _step(P1, Pw, plant, Q, R)
+    Q, R = model.Q, model.R
+    A, B, Abar, Bbar = stk.A, stk.B, stk.Abar, stk.Bbar
+    for k in range(model.N + 1):
+        Y = innovation_weights(vm, sol, k + 1)
+        Pw = stk.Sw * Y
+        for P1 in (sol.P[k + 1], Y):
+            Lam, Psi, G = _step(P1, Pw, stk, Q, R)
             assert np.array_equal(Lam, R + B.T @ P1 @ B + Bbar.T @ Pw @ Bbar)
             assert np.array_equal(Psi, B.T @ P1 @ A + Bbar.T @ Pw @ Abar)
             assert np.array_equal(G, Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar)
@@ -307,22 +316,38 @@ def test_definiteness_reduces_to_R_block():
     assert rep.ok
 
 
+def block_mask(offsets):
+    """True on the diagonal blocks that the offsets delimit."""
+    return place_blocks_by_loop([np.ones((n, n)) for n in np.diff(offsets)],
+                                offsets, offsets[-1]).astype(bool)
+
+
 def test_collapse_of_the_two_families_under_equal_terminals():
-    # the H and L families share P's terminal condition, so in exact
-    # arithmetic the two-family recursion reproduces P = H = L step by step;
-    # the one symmetric kernel must match a reference that propagates them
+    # the estimate family P and the error family Pt^i start at the same
+    # terminal blocks; with p = 0.9 and 0.2 both match the reference's two
+    # families, and once the remote input and every cross weight are cut,
+    # both obey one recursion, so [P_k]_ii = Pt_k^i step by step at any p
     rng = np.random.default_rng(19)
     model = make_random_definite(rng, L=2, N=4)
     model.subsystems[0].p, model.subsystems[1].p = 0.9, 0.2
     vm, stk, sol = solve(model)
-    ref = solve_two_families(stk, vm)
+    ref = solve_generalized(stk, vm)
     scale = 1.0 + np.max(np.abs(sol.P))
-    for M in (ref.P, ref.H, ref.L):
-        assert np.max(np.abs(M - sol.P)) / scale <= 1e-10
+    assert np.max(np.abs(ref.Delta - sol.P)) / scale <= 1e-10
     for i in range(model.L):
         si = 1.0 + np.max(np.abs(sol.P_sub[i]))
-        for M in (ref.P_sub[i], ref.H_sub[i], ref.L_sub[i]):
-            assert np.max(np.abs(M - sol.P_sub[i])) / si <= 1e-10
+        assert np.max(np.abs(ref.Delta_sub[i] - sol.P_sub[i])) / si <= 1e-10
+    for s in model.subsystems:
+        s.B0, s.Bbar0 = np.zeros_like(s.B0), np.zeros_like(s.Bbar0)
+    inside = block_mask(model.n_offsets)
+    model.Q[~inside] = model.P_terminal[~inside] = 0.0
+    model.R[~block_mask(model.m_offsets)] = 0.0
+    vm, stk, cut = solve(model)
+    scale = 1.0 + np.max(np.abs(cut.P))
+    assert not cut.P[:, ~inside].any()
+    for i in range(model.L):
+        r = vm.model.state_slice(i + 1)
+        assert np.max(np.abs(cut.P[:, r, r] - cut.P_sub[i])) / scale <= 1e-10
     # every stored value matrix is exactly symmetric, also on a long horizon
     # where an unsymmetrized recursion drifts into SingularLambda
     long = make_random_definite(np.random.default_rng(77), L=3, N=60)
@@ -333,6 +358,49 @@ def test_collapse_of_the_two_families_under_equal_terminals():
             assert np.array_equal(sol.P[k], sol.P[k].T)
             for Pi in sol.P_sub:
                 assert np.array_equal(Pi[k], Pi[k].T)
+
+
+def test_dropout_probability_shapes_the_gains():
+    # p enters every step through M^i, so two p give two gain schedules; at
+    # p = 1 the estimate family is the plain stacked full-information
+    # recursion, with every noise channel priced at P_{k+1}
+    def solved(p):
+        model = make_unequal_blocks()
+        for s in model.subsystems:
+            s.p = p
+        return solve(model)
+
+    lo, hi = gains(solved(0.3)[2]), gains(solved(0.8)[2])
+    assert np.abs(lo.Khat - hi.Khat).max() > 1e-3 * np.abs(hi.Khat).max()
+    for a, b in zip(lo.Ktilde, hi.Ktilde):
+        assert np.abs(a - b).max() > 1e-3 * np.abs(b).max()
+    vm, stk, sol = solved(1.0)
+    Q, R, A, B = vm.Q, vm.R, stk.A, stk.B
+    channels = dense_noise_channels(vm)
+    P = vm.P_terminal
+    for k in range(vm.N, -1, -1):
+        Lam = R + B.T @ P @ B + sum(s * Bb.T @ P @ Bb for s, _, Bb in channels)
+        Psi = B.T @ P @ A + sum(s * Bb.T @ P @ Ab for s, Ab, Bb in channels)
+        Khat = -np.linalg.solve(Lam, Psi)
+        P = (Q + A.T @ P @ A + sum(s * Ab.T @ P @ Ab for s, Ab, _ in channels)
+             + Psi.T @ Khat)
+        assert rel_err(sol.P[k], P) <= 1e-12
+        assert rel_err(sol.Khat[k], Khat) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_scalar_coupled(N=5),
+    lambda: make_scalar_coupled(N=5, p=1.0),
+    lambda: make_random_definite(np.random.default_rng(2), L=2, N=4),
+], ids=["scalar-coupled-N5", "scalar-coupled-N5-p1", "seed2-L2-N4"])
+def test_descent_does_not_beat_the_solved_cost(make):
+    # L-BFGS-B over every gain entry, from zero gains, knows nothing of the
+    # recursion; it may reach the solved cost but not go below it
+    vm, stk, sol = solve(make())
+    solved = exact_cost(vm, stk, gains(sol))
+    descent, _ = descend_gains(vm, stk)
+    assert descent >= solved - 1e-10 * abs(solved)
+    assert descent <= solved + 1e-10 * abs(solved)
 
 
 @settings(max_examples=30, deadline=None)

@@ -130,13 +130,25 @@ def test_optimal_cost_zero_case():
     assert optimal_cost(sol, vm) == 0.0
 
 
-def test_optimal_cost_matches_oracle_on_scalar():
-    vm, stk, sol, sched = solve_all(make_scalar_decoupled(N=5))
+# instance factory and, where one is frozen, the formula's reference value
+COST_INSTANCES = {
+    "scalar-decoupled-N5": (lambda: make_scalar_decoupled(N=5), 6.832578536128387),
+    "scalar-coupled-N5": (lambda: make_scalar_coupled(N=5), None),
+    "unequal-blocks-N20": (lambda: make_unequal_blocks(N=20), None),
+    **{f"seed{s}": (lambda s=s: make_random_definite(np.random.default_rng(s)), None)
+       for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", COST_INSTANCES)
+def test_optimal_cost_matches_oracle_on_scalar(name):
+    make, frozen = COST_INSTANCES[name]
+    vm, stk, sol, sched = solve_all(make())
     formula = optimal_cost(sol, vm)
     exact = exact_cost(vm, stk, sched)
-    assert abs(formula - exact) <= 1e-8 * (1 + abs(exact))
-    # frozen reference value for the N = 5 scalar instance
-    assert formula == pytest.approx(6.832578536128387, rel=1e-12)
+    assert abs(formula - exact) <= 1e-12 * abs(exact)
+    if frozen is not None:
+        assert formula == pytest.approx(frozen, rel=1e-12)
 
 
 def test_perfect_channel_khat_matches_full_information_gain():
