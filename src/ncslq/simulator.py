@@ -7,23 +7,32 @@ regardless of how many worker threads process the blocks.  Worker count is
 capped by the NCS_THREADS environment variable.
 
 A block advances all of its trials and all subsystems in one stacked step
-per time index.  Its arrays are state-major: column t of X, Xhat and U is
-trial t, and subsystem i's states are the contiguous rows
-n_offsets[i]:n_offsets[i+1].  With Kt the stacked error gain at step k
-(GainSchedule.Ktilde_stacked, zero in the remote input's rows),
+per time index, in the closed-loop form of the oracle module's docstring.
+Its arrays are state-major: column t of X, Xhat and U is trial t, and
+subsystem i's states are the contiguous rows n_offsets[i]:n_offsets[i+1].
+With D = X - Xhat the estimation error, F = A + B Khat and
+Phi = Abar + Bbar Khat, and the error gain Kt^i = GainSchedule.Ktilde[i]
+with its diagonal blocks G^i = A^i + B^i Kt^i and Psi^i = Abar^i + Bbar^i Kt^i,
+a step is
 
-    Uhat = Khat Xhat,   U = Uhat + Kt (X - Xhat),
-    X' = A X + B U + diag(w) (Abar X + Bbar U) + V,
-    Xhat' = Gamma' o X' + (1 - Gamma') o (A Xhat + B Uhat).
+    U = Khat Xhat + Kt^i D^i           (Kt^i D^i on the rows of u^i),
+    P = F Xhat,
+    X' = P + w^i (Phi Xhat + Psi^i D^i) + G^i D^i + V^i   (on subsystem i's rows),
+    Xhat' = X' where gamma' = 1, else P.
 
-The last line is estimator.update_estimate for every subsystem at once:
-since Kt has zero remote rows, Uhat holds u^0 as well as every uhat^i, so
-B Uhat supplies B^i uhat^i + B^{i0} u^0.  A step draws all w^i, all v^i
-and all gamma^i in three generator calls that yield the same values as
-the documented per-subsystem draw order (see _simulate_block).  Each
-per-subsystem input acts on a contiguous row block: w^i and gamma^i are
-row i of their draw, repeated over subsystem i's rows, and v^i enters as
-chol(Sigma_v^i) times the transpose of its drawn (trials x n_i) segment.
+The terms after P are the oracle's D_k, so X' = F Xhat + D_k.  The error
+gains have zero remote rows (the remote input u^0 never sees the error),
+so B Kt, G and Psi are block diagonal and D enters only through the
+n_i x n_i blocks; the only products of the whole state are Khat Xhat,
+F Xhat and Phi Xhat, besides Q X and R U for the cost.  U serves only the
+stage cost and the retained traces.  P is every remote estimator's
+prediction at once, and the arrival bits select between it and X'
+exactly, so Xhat equals X bit for bit on the rows of every arrived
+subsystem.  A step draws all w^i, all v^i and all gamma^i in three
+generator calls that yield the same values as the documented
+per-subsystem draw order (see _simulate_block).  w^i scales subsystem i's
+row block as a row broadcast, and v^i enters as V^i = chol(Sigma_v^i)
+times the transpose of its drawn (trials x n_i) segment.
 
 Every product of a trials-wide array runs as M @ X over column panels of
 X (_panel_matmul), each small enough for OpenBLAS to compute on the
@@ -43,7 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import HorizonMismatch, ProbabilityOutOfRange, stack, validate
+from .model import (HorizonMismatch, ProbabilityOutOfRange, local_blocks, stack,
+                    validate)
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
@@ -94,21 +104,48 @@ def _panel_matmul(M, X):
     return out
 
 
-def _chol_factors(stacked):
-    """Lower-triangular factors of the diagonal blocks of the stacked Sigma_x0
-    and Sigma_v; PSD-singular blocks get negative eigenvalues clipped at 0."""
-    def factor(M):
-        try:
-            return np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            eigval, eigvec = np.linalg.eigh(M)
-            eigval = np.clip(eigval, 0.0, None)
-            # rebuild as a (possibly non-triangular) square root; only the
-            # product LL' matters for the sampled covariance
-            return eigvec * np.sqrt(eigval)
-    blocks = [slice(lo, hi) for lo, hi in zip(stacked.n_offsets, stacked.n_offsets[1:])]
-    return ([factor(stacked.Sigma_x0[r, r]) for r in blocks],
-            [factor(stacked.Sigma_v[r, r]) for r in blocks])
+def _sqrt_factor(M):
+    """Lower-triangular factor of a covariance block; a PSD-singular block
+    gets its negative eigenvalues clipped at 0."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        eigval, eigvec = np.linalg.eigh(M)
+        eigval = np.clip(eigval, 0.0, None)
+        # rebuild as a (possibly non-triangular) square root; only the
+        # product LL' matters for the sampled covariance
+        return eigvec * np.sqrt(eigval)
+
+
+@dataclass
+class _Local:
+    """Subsystem i's diagonal blocks of the closed loop for k = 0..N."""
+
+    rows: slice               # its state rows
+    inputs: slice             # the rows of u^i
+    Kt: np.ndarray            # (N+1, m_i, n_i) error gain Kt^i_k
+    G: np.ndarray             # (N+1, n_i, n_i) A^i + B^i Kt^i_k
+    Psi: np.ndarray           # (N+1, n_i, n_i) Abar^i + Bbar^i Kt^i_k
+    chol_x0: np.ndarray       # factor of Sigma_x0^i
+    chol_v: np.ndarray        # factor of Sigma_v^i
+
+
+def _local_loops(stacked, Ktilde, N):
+    """Per subsystem, the _Local of the stacked instance under the error
+    gains Ktilde (GainSchedule.Ktilde, checked to cover k = 0..N).  B^i and
+    Bbar^i are the columns of u^i in block row i, which is all of B Kt^i
+    since the other block rows of those columns are zero."""
+    out = []
+    blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
+    for (inputs, rows), Kt in zip(blocks, Ktilde):
+        Kt = Kt[:N + 1]
+        out.append(_Local(
+            rows=rows, inputs=inputs, Kt=Kt,
+            G=stacked.A[rows, rows] + stacked.B[rows, inputs] @ Kt,
+            Psi=stacked.Abar[rows, rows] + stacked.Bbar[rows, inputs] @ Kt,
+            chol_x0=_sqrt_factor(stacked.Sigma_x0[rows, rows]),
+            chol_v=_sqrt_factor(stacked.Sigma_v[rows, rows])))
+    return out
 
 
 @dataclass
@@ -155,8 +192,8 @@ class SimulationSummary:
         }
 
 
-def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
-                    chol_x0, chol_v, retain):
+def _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, trials,
+                    base_trial, retain):
     """Roll `trials` paths with one generator; returns block partials.
 
     Draw order per block is fixed: x_0^i then gamma_0^i for each subsystem
@@ -167,7 +204,8 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     turn (a C-ordered (trials, n_i) array each), and a uniform (L, trials)
     array whose row i is gamma^i.  The generator fills each call in order,
     so the draws are the same values as one call per subsystem.  Every
-    statistic comes from `stacked`; `model` gives only Q, R and P_terminal.
+    statistic comes from `stacked` and `local`; `model` gives only Q, R and
+    P_terminal.  Khat, F and Phi hold the stacked matrices for k = 0..N.
 
     Every array is state-major, (N_L x trials) or (M_L x trials): subsystem
     i's states are the contiguous rows noff[i]:noff[i+1], and `sub` maps
@@ -177,7 +215,6 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     noff = stacked.n_offsets
     L = len(noff) - 1
     sizes = np.diff(noff)
-    rows = [slice(lo, hi) for lo, hi in zip(noff, noff[1:])]
     sub = np.repeat(np.arange(L), sizes)
     mm = _panel_matmul
 
@@ -186,8 +223,8 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     sd_w = np.sqrt(np.diag(stacked.Sw)[noff[:-1]])[:, None]
     X = np.repeat(stacked.mu[:, None], trials, axis=1)
     arrived = np.empty((L, trials), dtype=bool)
-    for i in range(L):
-        X[rows[i]] += mm(chol_x0[i], rng.standard_normal((trials, sizes[i])).T)
+    for i, loc in enumerate(local):
+        X[loc.rows] += mm(loc.chol_x0, rng.standard_normal((trials, sizes[i])).T)
         arrived[i] = rng.random(trials) < p[i, 0]
     Xhat = np.where(arrived[sub], X, stacked.mu[:, None])
     costs = np.zeros(trials)
@@ -200,7 +237,6 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
     Gs = np.empty((N + 2, L, trials)) if retain else None
     stage_rec = np.empty((N + 1, trials)) if retain else None
     Q, R, PT = model.Q, model.R, model.P_terminal
-    A, B, Abar, Bbar = stacked.A, stacked.B, stacked.Abar, stacked.Bbar
     seen_bad = np.zeros(trials, dtype=bool)
 
     def quadratic(M, Y):
@@ -221,36 +257,41 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
 
     for k in range(N + 1):
         norms_and_overflow(k)
-        Uhat = mm(Khat[k], Xhat)
-        U = mm(Ktilde[k], X - Xhat)
-        U += Uhat
-        stage = quadratic(Q, X) + quadratic(R, U)
+        if retain:
+            Xs[k], Xhs[k], Gs[k] = X, Xhat, arrived
+        stage = quadratic(Q, X)
+        # from here on X's buffer holds the estimation error D = X - Xhat
+        X -= Xhat
+        U = mm(Khat[k], Xhat)
+        for loc in local:
+            U[loc.inputs] += mm(loc.Kt[k], X[loc.rows])
+        stage += quadratic(R, U)
         costs += stage
         if retain:
-            Xs[k], Xhs[k], Us[k], Gs[k], stage_rec[k] = X, Xhat, U, arrived, stage
-        # the estimator's prediction for every subsystem at once; Uhat
-        # holds u^0 too, since Ktilde has zero remote rows
-        Xhat = mm(A, Xhat)
-        Xhat += mm(B, Uhat)
-        del Uhat
-        # plant step; w^i scales subsystem i's rows of the noise term,
-        # which is built in place and freed before v is drawn
-        Xn = mm(A, X)
-        Xn += mm(B, U)
-        noise = mm(Abar, X)
-        noise += mm(Bbar, U)
-        noise *= (rng.standard_normal((L, trials)) * sd_w)[sub]
-        Xn += noise
-        del noise
+            Us[k], stage_rec[k] = U, stage
+        del U
+        P = mm(F[k], Xhat)
+        # X' - P, built one row block at a time in Phi Xhat's buffer
+        Xn = mm(Phi[k], Xhat)
+        del Xhat
+        w = rng.standard_normal((L, trials))
+        w *= sd_w
         v = rng.standard_normal(trials * NL)
-        for i in range(L):
+        for i, loc in enumerate(local):
+            D_i, Y = X[loc.rows], Xn[loc.rows]
+            Y += mm(loc.Psi[k], D_i)
+            Y *= w[i]
+            Y += mm(loc.G[k], D_i)
             v_i = v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
-            Xn[rows[i]] += mm(chol_v[i], v_i.T)
-        del v, v_i
+            Y += mm(loc.chol_v, v_i.T)
+        # D_i is a view of the old X: drop it so X's rebinding frees D
+        del v, v_i, D_i
+        Xn += P
+        X = Xn
         arrived = rng.random((L, trials)) < p
         gamma_sum += arrived.sum(axis=1)
-        Xhat = np.where(arrived[sub], Xn, Xhat)
-        X = Xn
+        Xhat = np.where(arrived[sub], X, P)
+        del P
     norms_and_overflow(N + 1)
     terminal = quadratic(PT, X)
     costs += terminal
@@ -262,9 +303,11 @@ def _simulate_block(model, stacked, Khat, Ktilde, N, rng, trials, base_trial,
                 trial=base_trial + t, X=Xs[:, :, t].copy(), Xhat=Xhs[:, :, t].copy(),
                 U=Us[:, :, t].copy(), Gamma=Gs[:, :, t].copy(),
                 stage_costs=stage_rec[:, t].copy(), terminal_cost=float(terminal[t])))
+    # numpy's pairwise sums within the block; simulate adds the blocks'
+    # sums with math.fsum in block order
     return {
-        "cost_sum": math.fsum(costs.tolist()),
-        "cost_sq_sum": math.fsum((costs * costs).tolist()),
+        "cost_sum": float(costs.sum()),
+        "cost_sq_sum": float((costs * costs).sum()),
         "sq_norms": sq_norms,
         "gamma_sum": gamma_sum,
         "nonfinite": nonfinite,
@@ -277,7 +320,9 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     """Monte Carlo estimate of the closed-loop cost and state statistics.
 
     Deterministic in (seed, trials): the block decomposition and each
-    block's generator depend only on the seed and the block index.
+    block's generator depend only on the seed and the block index.  The
+    closed-loop matrices F_k, Phi_k and each subsystem's G^i_k, Psi^i_k
+    are formed once per call, for k = 0..N.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -286,16 +331,19 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
         raise HorizonMismatch(f"horizon override {N} is negative")
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
-    Ktilde = gain_schedule.Ktilde_stacked(N)
-    chol_x0, chol_v = _chol_factors(stacked)
+    gain_schedule.check_horizon(N)
+    Khat = gain_schedule.Khat[:N + 1]
+    F = stacked.A + stacked.B @ Khat
+    Phi = stacked.Abar + stacked.Bbar @ Khat
+    local = _local_loops(stacked, gain_schedule.Ktilde, N)
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
 
     def run(block):
         b, nt = block
         rng = np.random.default_rng([int(seed), b])
-        return _simulate_block(model, stacked, gain_schedule.Khat, Ktilde, N, rng,
-                               nt, b * BLOCK_TRIALS, chol_x0, chol_v, retain_traces)
+        return _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, nt,
+                               b * BLOCK_TRIALS, retain_traces)
 
     workers = min(thread_count(), len(blocks))
     if workers > 1:

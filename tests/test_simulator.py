@@ -129,6 +129,34 @@ def test_trace_cost_decomposition_and_retention():
         assert np.array_equal(tr.Xhat[got], tr.X[got])
 
 
+def test_arrival_rows_equal_the_state_exactly():
+    # where gamma^i = 1 the estimate of subsystem i is its state, bit for
+    # bit: the step takes X' itself on those rows, not a recomputation of
+    # it, and unequal blocks make a misplaced arrival row show
+    vm, stk, sched = solve_all(make_unequal_blocks(N=8))
+    summary = simulate(vm, stk, sched, seed=6, trials=200, retain_traces=True)
+    noff = stk.n_offsets
+    arrivals = 0
+    for tr in summary.traces:
+        for i in range(len(noff) - 1):
+            got = tr.Gamma[:, i] == 1.0
+            rows = slice(noff[i], noff[i + 1])
+            assert np.array_equal(tr.Xhat[got, rows], tr.X[got, rows])
+            arrivals += int(got.sum())
+    assert 0 < arrivals < 200 * 10 * 3
+
+
+def test_horizon_override_is_a_prefix():
+    # a shorter horizon runs the same draws and the same per-step matrices,
+    # so its per-step statistics are the first rows of the full run's
+    vm, stk, sched = solve_all(make_unequal_blocks(N=8))
+    trials = 2 * simulator.BLOCK_TRIALS + 5
+    full = simulate(vm, stk, sched, seed=12, trials=trials).mean_sq_norms
+    for h in (0, 3, 7):
+        short = simulate(vm, stk, sched, seed=12, trials=trials, horizon=h)
+        assert np.array_equal(short.mean_sq_norms, full[:h + 2])
+
+
 @pytest.mark.parametrize("make_model, serial_mnk",
                          [(make_unequal_blocks, None), (make_unequal_blocks, 150),
                           (make_equal_blocks, 200)],
