@@ -4,8 +4,10 @@ For any linear strategy Uhat_k = Khat_k Xhat_k, Utilde_k = Kt_k Xtilde_k,
 the closed loop is linear in (Xhat, Xtilde) with independent multiplicative
 randomness, so the expected cost is an exact function of second moments.
 Write F = A + B Khat, G = A + B Kt, Phi = Abar + Bbar Khat and
-Psi = Abar + Bbar Kt, and diag(w_k), Gamma_{k+1} for the block diagonals
-of w_k^i I_{n_i} and gamma_{k+1}^i I_{n_i}.  Then
+Psi = Abar + Bbar Kt (the ClosedLoop that GainSchedule.closed_loop forms
+for k = 0..N; every function here reads that one), and diag(w_k),
+Gamma_{k+1} for the block diagonals of w_k^i I_{n_i} and
+gamma_{k+1}^i I_{n_i}.  Then
 
     Xhat_{k+1} = F Xhat_k + Gamma_{k+1} D_k,
     Xtilde_{k+1} = (I - Gamma_{k+1}) D_k,
@@ -82,10 +84,11 @@ Pt_k^i of a solved recursion (riccati.CRESolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import local_blocks
 from .riccati import sweep
 from .synthesis import GainSchedule
 
@@ -105,8 +108,8 @@ class MomentState:
         return self.S + self.T
 
 
-def _moments(model, stacked, Khat, Ktilde):
-    """propagate_moments on the stacked gain arrays Khat and Ktilde.
+def _moments(model, stacked, cl):
+    """propagate_moments on the ClosedLoop cl of the gains.
 
     The start S_0 = mu mu' + p * Sigma_x0, T_0 = (1 - p) * Sigma_x0 and the
     noise Sigma_v are the stacked instance's own arrays (model.stack)."""
@@ -116,14 +119,10 @@ def _moments(model, stacked, Khat, Ktilde):
     mu, Sigma0, Sigma_v = stacked.mu, stacked.Sigma_x0, stacked.Sigma_v
     S = np.outer(mu, mu) + p * Sigma0
     T = q * Sigma0
-    A, B, Sw = stacked.A, stacked.B, stacked.Sw
+    Sw = stacked.Sw
     for k in range(N + 1):
         yield MomentState(k=k, S=S, T=T)
-        Kh, Kt = Khat[k], Ktilde[k]
-        F = A + B @ Kh
-        G = A + B @ Kt
-        Phi = stacked.Abar + stacked.Bbar @ Kh
-        Psi = stacked.Abar + stacked.Bbar @ Kt
+        F, Phi, G, Psi = cl.F[k], cl.Phi[k], cl.G[k], cl.Psi[k]
         W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Psi @ T @ Psi.T)
         S = F @ S @ F.T + p * W
         T = q * W
@@ -132,21 +131,21 @@ def _moments(model, stacked, Khat, Ktilde):
 
 def propagate_moments(model, stacked, gain_schedule):
     """Yield MomentState for k = 0..N+1 under the given gains."""
-    yield from _moments(model, stacked, gain_schedule.Khat,
-                        gain_schedule.Ktilde_stacked(model.N))
+    yield from _moments(model, stacked,
+                        gain_schedule.closed_loop(stacked, model.N))
 
 
-def _priced_moments(model, stacked, Khat, Ktilde):
-    """Yield (MomentState, cost) for k = 0..N+1: the exact expected stage
-    cost <Q, S + T> + <R Khat, Khat S> + <R Kt, Kt T> at k <= N, then the
-    terminal cost <P_T, S + T>."""
+def _priced_moments(model, stacked, cl):
+    """Yield (MomentState, cost) for k = 0..N+1 under the ClosedLoop cl: the
+    exact expected stage cost <Q, S + T> + <R Khat, Khat S> + <R Kt, Kt T>
+    at k <= N, then the terminal cost <P_T, S + T>."""
     Q, R, PT = model.Q, model.R, model.P_terminal
-    for ms in _moments(model, stacked, Khat, Ktilde):
+    for ms in _moments(model, stacked, cl):
         XX = ms.state_second_moment
         if ms.k == model.N + 1:
             yield ms, float(np.vdot(PT, XX))
             return
-        Kh, Kt = Khat[ms.k], Ktilde[ms.k]
+        Kh, Kt = cl.Khat[ms.k], cl.Kt[ms.k]
         yield ms, float(np.vdot(Q, XX) + np.vdot(R @ Kh, Kh @ ms.S)
                         + np.vdot(R @ Kt, Kt @ ms.T))
 
@@ -154,7 +153,7 @@ def _priced_moments(model, stacked, Khat, Ktilde):
 def stage_costs(model, stacked, gain_schedule):
     """Exact expected stage costs for k = 0..N and the terminal cost."""
     costs = [c for _, c in _priced_moments(
-        model, stacked, gain_schedule.Khat, gain_schedule.Ktilde_stacked(model.N))]
+        model, stacked, gain_schedule.closed_loop(stacked, model.N))]
     return costs[:-1], costs[-1]
 
 
@@ -184,23 +183,21 @@ def cost_gradient(model, stacked, gain_schedule):
     (see the module docstring); the cost is bit-identical to exact_cost.
     The schedule is only read."""
     N = model.N
-    Khat = gain_schedule.Khat
-    Ktilde = gain_schedule.Ktilde_stacked(N)
-    priced = list(_priced_moments(model, stacked, Khat, Ktilde))
-    dKh, ddKh = (np.zeros((N + 1,) + Khat.shape[1:]) for _ in range(2))
-    dKt, ddKt = (np.zeros(Ktilde.shape) for _ in range(2))
-    for st in sweep(stacked, model, lambda k, *_: (Khat[k], Ktilde[k])):
+    cl = gain_schedule.closed_loop(stacked, N)
+    priced = list(_priced_moments(model, stacked, cl))
+    dKh, ddKh = (np.zeros(cl.Khat.shape) for _ in range(2))
+    dKt, ddKt = (np.zeros(cl.Kt.shape) for _ in range(2))
+    for st in sweep(stacked, model, lambda k, *_: (cl.Khat[k], cl.Kt[k])):
         S, T = priced[st.k][0].S, priced[st.k][0].T
         dKh[st.k] = 2.0 * st.H @ S
         ddKh[st.k] = 2.0 * np.outer(np.diag(st.Lam), np.diag(S))
         dKt[st.k] = 2.0 * st.Ht @ T
         ddKt[st.k] = 2.0 * np.outer(np.diag(st.Lt), np.diag(T))
-    layout = dict(N=N, n_offsets=gain_schedule.n_offsets,
-                  m_offsets=gain_schedule.m_offsets)
+    blocks = local_blocks(gain_schedule.n_offsets, gain_schedule.m_offsets)
 
     def per_block(dK, dKt):
-        return GainSchedule(Khat=dK, Ktilde=[
-            dKt[:, r, c] for r, c in gain_schedule.Ktilde_blocks], **layout)
+        return replace(gain_schedule, N=N, Khat=dK,
+                       Ktilde=[dKt[:, r, c] for r, c in blocks])
 
     return CostGradient(cost=math.fsum(c for _, c in priced),
                         gradient=per_block(dKh, dKt),
@@ -307,8 +304,8 @@ def costate_moments(model, stacked, gain_schedule, sol):
     noff = sol.n_offsets
     rows = [slice(lo, hi) for lo, hi in zip(noff[:-1], noff[1:])]
     stages, V = [], []
-    for ms, cost in _priced_moments(model, stacked, gain_schedule.Khat,
-                                    gain_schedule.Ktilde_stacked(N)):
+    for ms, cost in _priced_moments(model, stacked,
+                                    gain_schedule.closed_loop(stacked, N)):
         stages.append(cost)
         V.append(float(np.vdot(sol.P[ms.k], ms.S) + sum(
             np.vdot(Pt[ms.k], ms.T[r, r]) for Pt, r in zip(sol.P_sub, rows))))

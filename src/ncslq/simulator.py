@@ -9,11 +9,10 @@ capped by the NCS_THREADS environment variable.
 A block advances all of its trials and all subsystems in one stacked step
 per time index, in the closed-loop form of the oracle module's docstring.
 Its arrays are state-major: column t of X, Xhat and U is trial t, and
-subsystem i's states are the contiguous rows n_offsets[i]:n_offsets[i+1].
-With D = X - Xhat the estimation error, F = A + B Khat and
-Phi = Abar + Bbar Khat, and the error gain Kt^i = GainSchedule.Ktilde[i]
-with its diagonal blocks G^i = A^i + B^i Kt^i and Psi^i = Abar^i + Bbar^i Kt^i,
-a step is
+subsystem i's states are the contiguous rows x^i = n_offsets[i]:n_offsets[i+1].
+simulate forms the ClosedLoop (F, Phi, G, Psi; GainSchedule.closed_loop)
+once; subsystem i reads its diagonal blocks Kt^i = Kt[u^i, x^i],
+G^i = G[x^i, x^i] and Psi^i = Psi[x^i, x^i].  With D = X - Xhat, a step is
 
     U = Khat Xhat + Kt^i D^i           (Kt^i D^i on the rows of u^i),
     P = F Xhat,
@@ -45,6 +44,7 @@ equal, bit for bit, the same columns of a whole-block product.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,6 +58,7 @@ from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
 BLOCK_TRIALS = 8192
+DECAY_FRACTION = 0.1
 # OpenBLAS computes a dgemm on the calling thread when m * n * k is at most
 # 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default)
 BLAS_SERIAL_MNK = 1 << 18
@@ -118,37 +119,6 @@ def _sqrt_factor(M):
 
 
 @dataclass
-class _Local:
-    """Subsystem i's diagonal blocks of the closed loop for k = 0..N."""
-
-    rows: slice               # its state rows
-    inputs: slice             # the rows of u^i
-    Kt: np.ndarray            # (N+1, m_i, n_i) error gain Kt^i_k
-    G: np.ndarray             # (N+1, n_i, n_i) A^i + B^i Kt^i_k
-    Psi: np.ndarray           # (N+1, n_i, n_i) Abar^i + Bbar^i Kt^i_k
-    chol_x0: np.ndarray       # factor of Sigma_x0^i
-    chol_v: np.ndarray        # factor of Sigma_v^i
-
-
-def _local_loops(stacked, Ktilde, N):
-    """Per subsystem, the _Local of the stacked instance under the error
-    gains Ktilde (GainSchedule.Ktilde, checked to cover k = 0..N).  B^i and
-    Bbar^i are the columns of u^i in block row i, which is all of B Kt^i
-    since the other block rows of those columns are zero."""
-    out = []
-    blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
-    for (inputs, rows), Kt in zip(blocks, Ktilde):
-        Kt = Kt[:N + 1]
-        out.append(_Local(
-            rows=rows, inputs=inputs, Kt=Kt,
-            G=stacked.A[rows, rows] + stacked.B[rows, inputs] @ Kt,
-            Psi=stacked.Abar[rows, rows] + stacked.Bbar[rows, inputs] @ Kt,
-            chol_x0=_sqrt_factor(stacked.Sigma_x0[rows, rows]),
-            chol_v=_sqrt_factor(stacked.Sigma_v[rows, rows])))
-    return out
-
-
-@dataclass
 class SimulationTrace:
     """One realized closed-loop path."""
 
@@ -192,7 +162,7 @@ class SimulationSummary:
         }
 
 
-def _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, trials,
+def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
                     base_trial, retain):
     """Roll `trials` paths with one generator; returns block partials.
 
@@ -204,8 +174,9 @@ def _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, trials,
     turn (a C-ordered (trials, n_i) array each), and a uniform (L, trials)
     array whose row i is gamma^i.  The generator fills each call in order,
     so the draws are the same values as one call per subsystem.  Every
-    statistic comes from `stacked` and `local`; `model` gives only Q, R and
-    P_terminal.  Khat, F and Phi hold the stacked matrices for k = 0..N.
+    statistic comes from `stacked`, the ClosedLoop cl for k = 0..N and the
+    factors chol_x0[i], chol_v[i] of Sigma_x0^i, Sigma_v^i; `model` gives
+    only Q, R and P_terminal.
 
     Every array is state-major, (N_L x trials) or (M_L x trials): subsystem
     i's states are the contiguous rows noff[i]:noff[i+1], and `sub` maps
@@ -217,14 +188,15 @@ def _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, trials,
     sizes = np.diff(noff)
     sub = np.repeat(np.arange(L), sizes)
     mm = _panel_matmul
+    blocks = local_blocks(noff, stacked.m_offsets)
 
     # subsystem i's p_i and sigma_w^i, read at its first state row
     p = stacked.p_rows[noff[:-1]][:, None]
     sd_w = np.sqrt(np.diag(stacked.Sw)[noff[:-1]])[:, None]
     X = np.repeat(stacked.mu[:, None], trials, axis=1)
     arrived = np.empty((L, trials), dtype=bool)
-    for i, loc in enumerate(local):
-        X[loc.rows] += mm(loc.chol_x0, rng.standard_normal((trials, sizes[i])).T)
+    for i, (_, rows) in enumerate(blocks):
+        X[rows] += mm(chol_x0[i], rng.standard_normal((trials, sizes[i])).T)
         arrived[i] = rng.random(trials) < p[i, 0]
     Xhat = np.where(arrived[sub], X, stacked.mu[:, None])
     costs = np.zeros(trials)
@@ -262,28 +234,28 @@ def _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, trials,
         stage = quadratic(Q, X)
         # from here on X's buffer holds the estimation error D = X - Xhat
         X -= Xhat
-        U = mm(Khat[k], Xhat)
-        for loc in local:
-            U[loc.inputs] += mm(loc.Kt[k], X[loc.rows])
+        U = mm(cl.Khat[k], Xhat)
+        for inputs, rows in blocks:
+            U[inputs] += mm(cl.Kt[k, inputs, rows], X[rows])
         stage += quadratic(R, U)
         costs += stage
         if retain:
             Us[k], stage_rec[k] = U, stage
         del U
-        P = mm(F[k], Xhat)
+        P = mm(cl.F[k], Xhat)
         # X' - P, built one row block at a time in Phi Xhat's buffer
-        Xn = mm(Phi[k], Xhat)
+        Xn = mm(cl.Phi[k], Xhat)
         del Xhat
         w = rng.standard_normal((L, trials))
         w *= sd_w
         v = rng.standard_normal(trials * NL)
-        for i, loc in enumerate(local):
-            D_i, Y = X[loc.rows], Xn[loc.rows]
-            Y += mm(loc.Psi[k], D_i)
+        for i, (_, rows) in enumerate(blocks):
+            D_i, Y = X[rows], Xn[rows]
+            Y += mm(cl.Psi[k, rows, rows], D_i)
             Y *= w[i]
-            Y += mm(loc.G[k], D_i)
+            Y += mm(cl.G[k, rows, rows], D_i)
             v_i = v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
-            Y += mm(loc.chol_v, v_i.T)
+            Y += mm(chol_v[i], v_i.T)
         # D_i is a view of the old X: drop it so X's rebinding frees D
         del v, v_i, D_i
         Xn += P
@@ -321,8 +293,9 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
 
     Deterministic in (seed, trials): the block decomposition and each
     block's generator depend only on the seed and the block index.  The
-    closed-loop matrices F_k, Phi_k and each subsystem's G^i_k, Psi^i_k
-    are formed once per call, for k = 0..N.
+    ClosedLoop (GainSchedule.closed_loop, which raises HorizonMismatch
+    unless the gains cover k = 0..N) and the factors of each Sigma_x0^i and
+    Sigma_v^i are formed once per call and shared by every block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -331,26 +304,24 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
         raise HorizonMismatch(f"horizon override {N} is negative")
     if N > model.N:
         raise HorizonMismatch(f"horizon override {N} exceeds configured N={model.N}")
-    gain_schedule.check_horizon(N)
-    Khat = gain_schedule.Khat[:N + 1]
-    F = stacked.A + stacked.B @ Khat
-    Phi = stacked.Abar + stacked.Bbar @ Khat
-    local = _local_loops(stacked, gain_schedule.Ktilde, N)
+    cl = gain_schedule.closed_loop(stacked, N)
+    diag = [c for _, c in local_blocks(stacked.n_offsets, stacked.m_offsets)]
+    chol_x0 = [_sqrt_factor(stacked.Sigma_x0[c, c]) for c in diag]
+    chol_v = [_sqrt_factor(stacked.Sigma_v[c, c]) for c in diag]
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
+
+    caller = contextvars.copy_context()  # a caller's np.errstate holds in workers
 
     def run(block):
         b, nt = block
         rng = np.random.default_rng([int(seed), b])
-        return _simulate_block(model, stacked, Khat, F, Phi, local, N, rng, nt,
-                               b * BLOCK_TRIALS, retain_traces)
+        return caller.copy().run(_simulate_block, model, stacked, cl, chol_x0,
+                                 chol_v, N, rng, nt, b * BLOCK_TRIALS,
+                                 retain_traces)
 
-    workers = min(thread_count(), len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(bl) for bl in blocks]
+    with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as pool:
+        results = list(pool.map(run, blocks))
     total = math.fsum(r["cost_sum"] for r in results)
     total_sq = math.fsum(r["cost_sq_sum"] for r in results)
     mean = total / trials
@@ -367,12 +338,11 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
         nonfinite=nonfinite, traces=traces)
 
 
-def decay_time(traj, fraction=0.1):
-    """First step at which a statistic falls below `fraction` of its initial
-    value; None if it never does."""
+def decay_time(traj):
+    """First step at which a statistic falls below DECAY_FRACTION of its
+    initial value; None if it never does."""
     traj = np.asarray(traj, dtype=float)
-    threshold = fraction * traj[0]
-    below = np.nonzero(traj < threshold)[0]
+    below = np.nonzero(traj < DECAY_FRACTION * traj[0])[0]
     return int(below[0]) if below.size else None
 
 

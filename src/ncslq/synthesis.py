@@ -10,15 +10,22 @@ Khat_k = -Lambda_k^{-1} Psi_k acts on the remote estimate and the local
 error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the error
 family of the same backward sweep.  riccati.solve_cre computes and stores
 both while it closes each step, so `gains` only copies them into a
-GainSchedule.
+GainSchedule.  GainSchedule.closed_loop is the one place where the gains
+meet A, B, Abar and Bbar: the oracle and the simulator both read its
+ClosedLoop.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import HorizonMismatch, local_blocks
+
+# A gain schedule's closed loop for k = 0..N (GainSchedule.closed_loop):
+# F = A + B Khat, Phi = Abar + Bbar Khat, G = A + B Kt, Psi = Abar + Bbar Kt.
+ClosedLoop = namedtuple("ClosedLoop", "Khat Kt F Phi G Psi")
 
 
 @dataclass
@@ -32,10 +39,6 @@ class GainSchedule:
     m_offsets: list[int]
 
     @property
-    def L(self):
-        return len(self.Ktilde)
-
-    @property
     def NL(self):
         return self.n_offsets[-1]
 
@@ -43,33 +46,36 @@ class GainSchedule:
     def ML(self):
         return self.m_offsets[-1]
 
-    def check_horizon(self, N):
-        """Raise HorizonMismatch unless Khat and every Ktilde^i cover
-        steps k = 0..N."""
-        named = [("Khat", self.Khat)] + [
-            (f"Ktilde^{i + 1}", Kt) for i, Kt in enumerate(self.Ktilde)]
-        for name, K in named:
-            if len(K) < N + 1:
-                raise HorizonMismatch(
-                    f"{name} covers {len(K)} steps, horizon needs {N + 1}")
-
-    @property
-    def Ktilde_blocks(self):
-        """Where each Ktilde^i sits in a stacked error gain: the pair (input
-        rows of u^i, state columns of subsystem i) per subsystem."""
-        return local_blocks(self.n_offsets, self.m_offsets)
-
     def Ktilde_stacked(self, N):
         """The N_L-input error gains for k = 0..N as one (N+1, M_L, N_L)
         array: Ktilde^i on diagonal block (i, i), zero rows for the remote
         input (which cannot see the error).  Built from the current entries
         on every call, so edits to Ktilde show in the next one; raises
         HorizonMismatch unless every gain covers k = 0..N."""
-        self.check_horizon(N)
+        for name, K in [("Khat", self.Khat)] + [
+                (f"Ktilde^{i + 1}", Kt) for i, Kt in enumerate(self.Ktilde)]:
+            if len(K) < N + 1:
+                raise HorizonMismatch(
+                    f"{name} covers {len(K)} steps, horizon needs {N + 1}")
         K = np.zeros((N + 1, self.ML, self.NL))
-        for (rows, cols), Kt in zip(self.Ktilde_blocks, self.Ktilde):
+        for (rows, cols), Kt in zip(local_blocks(self.n_offsets, self.m_offsets),
+                                    self.Ktilde):
             K[:, rows, cols] = Kt[:N + 1]
         return K
+
+    def closed_loop(self, stacked, N):
+        """The ClosedLoop of the stacked instance under these gains for
+        k = 0..N, formed by batched products from the current entries on
+        every call (nothing is cached, so edits show in the next call);
+        raises HorizonMismatch unless every gain covers k = 0..N."""
+        Kh, Kt = self.Khat[:N + 1], self.Ktilde_stacked(N)
+        loops = []
+        for K in (Kh, Kt):
+            for A, B in ((stacked.A, stacked.B), (stacked.Abar, stacked.Bbar)):
+                M = B @ K
+                M += A      # in place: no temporary beside the result
+                loops.append(M)
+        return ClosedLoop(Kh, Kt, *loops)
 
 
 def gains(sol):

@@ -205,15 +205,10 @@ def gains_by_refactoring(sol):
                         n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
 
 
-def _unwrap(model):
-    return getattr(model, "model", model)
-
-
 def dense_noise_channels(model):
     """Per-subsystem noise channels (sigma_w^i, Abold_i, Bbold_i) as dense
     N_L x N_L and N_L x M_L matrices, zero outside block row i, placed by
     explicit index arithmetic from the subsystem matrices alone."""
-    model = _unwrap(model)
     NL, ML, m0 = model.n_total, model.m_total, model.m0
     out = []
     r0, c0 = 0, m0
@@ -276,7 +271,6 @@ def solve_cre_additive(stacked, model):
     0).  The noise channels vanish, so the estimate family is the plain
     stacked LQ recursion and never meets the error family; p enters only
     through M^i in the error family."""
-    model = _unwrap(model)
     if any(s.sigma_w != 0.0 for s in model.subsystems):
         raise ValueError("solve_cre_additive requires sigma_w = 0 for every subsystem")
     sol = _alloc(model, stacked)
@@ -297,7 +291,6 @@ def solve_cre_single(stacked, model):
     Bbar = [Bbar^{10}, Bbar^1] over (u^0, u^1), and M = p P + (1 - p) Pt;
     the error family steps on the local input u^1 alone (_error_step).
     Both families stay symmetric; this is asserted."""
-    model = _unwrap(model)
     if model.L != 1:
         raise ValueError(f"solve_cre_single requires L = 1, got L = {model.L}")
     sol = _alloc(model, stacked)
@@ -339,7 +332,6 @@ def solve_generalized(stacked, model):
     1e-9 (1 + max |eigenvalue|).  On definite weights the pseudo-inverses
     are inverses, and this is the two-family recursion itself.
     """
-    model = _unwrap(model)
     N, NL, ML = model.N, stacked.NL, stacked.ML
     channels = dense_noise_channels(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
@@ -380,7 +372,6 @@ def rollout_by_loop(model, gain_schedule, seed, trials):
     (N+1, trials, M_L), stage of shape (N+1, trials) and terminal of
     shape (trials,).
     """
-    model = _unwrap(model)
     subs, m0, N = model.subsystems, model.m0, model.N
     moff = [m0]
     for s in subs:
@@ -432,7 +423,6 @@ def bernoulli_weights(model):
       Wcc: E[(1-gamma_i)(1-gamma_j)]   = (1-p_i)(1-p_j) (i != j), 1-p_i (i = j)
       Wgc: E[gamma_i (1-gamma_j)]      = p_i (1-p_j) (i != j),    0 (i = j)
     """
-    model = _unwrap(model)
     NL = model.n_total
     noff = model.n_offsets
     Wgg = np.zeros((NL, NL))
@@ -464,7 +454,6 @@ def propagate_moments_full(model, stacked, gain_schedule):
     each yielded record has fields k, S, T, C, mean_xhat, mean_xtilde and
     state_second_moment = S + C + C' + T.
     """
-    model = _unwrap(model)
     N = model.N
     if gain_schedule.Khat.shape[0] < N + 1:
         raise ValueError(
@@ -511,7 +500,6 @@ def propagate_moments_full(model, stacked, gain_schedule):
 def priced_moments_full(model, stacked, gain_schedule):
     """Yield (moments, cost) for k = 0..N+1 from propagate_moments_full:
     the exact expected stage cost at k <= N, then the terminal cost."""
-    model = _unwrap(model)
     Q, R, PT = model.Q, model.R, model.P_terminal
     for ms in propagate_moments_full(model, stacked, gain_schedule):
         XX = ms.state_second_moment
@@ -612,7 +600,6 @@ def stationarity_by_differences(model, stacked, gain_schedule, max_entries=500,
     back.  Returns stationarity_check's numbers, with (label, value) pairs
     labelled by _gain_entries.
     """
-    model = _unwrap(model)
     base = exact_cost(model, stacked, gain_schedule)
     entries = _gain_entries(gain_schedule)
     if len(entries) > max_entries:
@@ -654,7 +641,6 @@ def descend_gains(model, stacked, gtol=1e-13):
     the recursion's only where S_k and T_k give curvature, so compare
     costs.  Returns (cost, GainSchedule).
     """
-    model = _unwrap(model)
     N = model.N
     shapes = [(N + 1, model.m_total, model.n_total)] + [
         (N + 1, s.m, s.n) for s in model.subsystems]

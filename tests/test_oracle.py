@@ -172,6 +172,19 @@ def test_exact_cost_is_deterministic():
     assert exact_cost(vm, stk, sched) == exact_cost(vm, stk, sched)
 
 
+def test_exact_cost_reads_in_place_edits():
+    # nothing is cached between calls: an edited entry changes the next
+    # cost, and restoring it gives back the first cost bit for bit
+    vm, stk, _, sched = solve_all(make_unequal_blocks())
+    base = exact_cost(vm, stk, sched)
+    entry = sched.Ktilde[2][3]
+    old = entry[0, 1]
+    entry[0, 1] += 0.05
+    assert exact_cost(vm, stk, sched) > base
+    entry[0, 1] = old
+    assert exact_cost(vm, stk, sched) == base
+
+
 def test_moment_psd_invariants():
     model = make_random_definite(np.random.default_rng(43), L=2, N=6)
     vm, stk, _, sched = solve_all(model)

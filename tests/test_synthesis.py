@@ -8,7 +8,7 @@ from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_unequal_blocks,
                       validated_pair)
 from reference import (gains_by_refactoring, ktilde_full_by_loop,
-                       solve_generalized)
+                       place_blocks_by_loop, solve_generalized)
 
 
 def solve_all(model, mode="definite"):
@@ -81,7 +81,7 @@ def test_zero_coupling_zero_gains():
 
 def test_ktilde_full_layout():
     model = make_random_definite(np.random.default_rng(29), L=2, N=2)
-    _, _, _, sched = solve_all(model)
+    vm, stk, _, sched = solve_all(model)
     Ks = sched.Ktilde_stacked(sched.N)
     assert Ks.shape == (sched.N + 1, sched.ML, sched.NL)
     for k in range(sched.N + 1):
@@ -96,11 +96,48 @@ def test_ktilde_full_layout():
         other = K[r, :].copy()
         other[:, c] = 0.0
         assert not other.any()          # off-diagonal error coupling is zero
+
+    def close(X, Y):
+        return np.max(np.abs(X - Y)) <= 1e-14 * (1.0 + np.max(np.abs(Y)))
+
+    # the closed loop: F, Phi on the estimate and the block-diagonal G, Psi
+    # on the error, per step as on the stacked instance and per subsystem
+    noff, NL, subs = sched.n_offsets, sched.NL, vm.subsystems
+    off = place_blocks_by_loop([np.ones((s.n, s.n)) for s in subs], noff, NL) == 0
+    cl = sched.closed_loop(stk, sched.N)
+    for k in range(sched.N + 1):
+        Kh, Kt = sched.Khat[k], Ks[k]
+        assert np.array_equal(cl.Khat[k], Kh) and np.array_equal(cl.Kt[k], Kt)
+        assert close(cl.F[k], stk.A + stk.B @ Kh)
+        assert close(cl.Phi[k], stk.Abar + stk.Bbar @ Kh)
+        assert close(cl.G[k], stk.A + stk.B @ Kt)
+        assert close(cl.Psi[k], stk.Abar + stk.Bbar @ Kt)
+        Kti = [Kt_i[k] for Kt_i in sched.Ktilde]
+        assert close(cl.G[k], place_blocks_by_loop(
+            [s.A + s.B @ g for s, g in zip(subs, Kti)], noff, NL))
+        assert close(cl.Psi[k], place_blocks_by_loop(
+            [s.Abar + s.Bbar @ g for s, g in zip(subs, Kti)], noff, NL))
+        assert not cl.G[k][off].any() and not cl.Psi[k][off].any()
+
     # built from the current entries: an in-place edit shows in the next call
     sched.Ktilde[1][2][0, 0] += 1.0
     assert sched.Ktilde_stacked(sched.N)[2][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
+    cl2 = sched.closed_loop(stk, sched.N)
+    Kt2 = ktilde_full_by_loop(sched, 2)
+    assert np.array_equal(cl2.Kt[2], Kt2)
+    assert close(cl2.G[2], stk.A + stk.B @ Kt2)
+    assert close(cl2.Psi[2], stk.Abar + stk.Bbar @ Kt2)
+    assert not np.array_equal(cl2.G[2], cl.G[2])
+    sched.Khat[1][m0, 0] += 1.0
+    cl3 = sched.closed_loop(stk, sched.N)
+    assert np.array_equal(cl3.Khat[1], sched.Khat[1])
+    assert close(cl3.F[1], stk.A + stk.B @ sched.Khat[1])
+    assert close(cl3.Phi[1], stk.Abar + stk.Bbar @ sched.Khat[1])
+    assert not np.array_equal(cl3.F[1], cl.F[1])
     # a shorter horizon takes the leading steps
     assert np.array_equal(sched.Ktilde_stacked(1), sched.Ktilde_stacked(sched.N)[:2])
+    short = sched.closed_loop(stk, 1)
+    assert all(np.array_equal(a, b[:2]) for a, b in zip(short, cl3))
 
 
 def test_scaling_invariance():
