@@ -190,7 +190,7 @@ def cmd_sweep(args, outdir):
                                       args.seed, args.trials, mode=args.mode)
     doc = {}
     for rec in records:
-        entry = {k: v for k, v in rec.items() if k not in ("summary", "p")}
+        entry = {k: v for k, v in rec.items() if k != "p"}
         doc[str(rec["p"])] = entry
     serialize.dump(doc, outdir / "sweep.json")
     return EXIT_OK

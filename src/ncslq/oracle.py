@@ -50,7 +50,10 @@ w^i and gamma^i are independent across subsystems and steps.
 The cost then needs E[X X'] = S + T and E[U U'] = Khat S Khat' + Kt T Kt',
 priced as the Frobenius products <Q, S_k + T_k> + <R Khat_k, Khat_k S_k>
 + <R Kt_k, Kt_k T_k> per stage and <P_T, S_{N+1} + T_{N+1}> at the end.
-The reduction does not depend on how the gains were computed.
+The one forward pass prices each step where it propagates it: every
+MomentState carries its step's cost, and exact_cost, cost_gradient and
+costate_moments all read that pass.  The reduction does not depend on how
+the gains were computed.
 
 Adjoint.  Given the gains, J is linear in (S_k, T_k), with V_k = dJ/dS_k
 and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
@@ -95,25 +98,25 @@ from .synthesis import GainSchedule
 
 @dataclass
 class MomentState:
-    """Second moments of (Xhat, Xtilde) at one step; T is zero outside
-    its diagonal blocks, so subsystem i's error moment is a slice of it."""
+    """Second moments of (Xhat, Xtilde) at one step and the step's exact
+    expected cost: the stage cost for k <= N, the terminal cost at k = N+1.
+    T is zero outside its diagonal blocks, so subsystem i's error moment is
+    a slice of it."""
 
     k: int
     S: np.ndarray
     T: np.ndarray
-
-    @property
-    def state_second_moment(self):
-        """E[X X'] with X = Xhat + Xtilde."""
-        return self.S + self.T
+    cost: float
 
 
 def _moments(model, stacked, cl):
-    """propagate_moments on the ClosedLoop cl of the gains.
+    """propagate_moments on the ClosedLoop cl of the gains: the oracle's one
+    forward pass, pricing each step as it yields it.
 
     The start S_0 = mu mu' + p * Sigma_x0, T_0 = (1 - p) * Sigma_x0 and the
     noise Sigma_v are the stacked instance's own arrays (model.stack)."""
     N = model.N
+    Q, R = model.Q, model.R
     p = stacked.p_rows[:, None]
     q = 1.0 - p
     mu, Sigma0, Sigma_v = stacked.mu, stacked.Sigma_x0, stacked.Sigma_v
@@ -121,12 +124,15 @@ def _moments(model, stacked, cl):
     T = q * Sigma0
     Sw = stacked.Sw
     for k in range(N + 1):
-        yield MomentState(k=k, S=S, T=T)
+        Kh, Kt = cl.Khat[k], cl.Kt[k]
+        yield MomentState(k=k, S=S, T=T, cost=float(
+            np.vdot(Q, S + T) + np.vdot(R @ Kh, Kh @ S) + np.vdot(R @ Kt, Kt @ T)))
         F, Phi, G, Psi = cl.F[k], cl.Phi[k], cl.G[k], cl.Psi[k]
         W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Psi @ T @ Psi.T)
         S = F @ S @ F.T + p * W
         T = q * W
-    yield MomentState(k=N + 1, S=S, T=T)
+    yield MomentState(k=N + 1, S=S, T=T,
+                      cost=float(np.vdot(model.P_terminal, S + T)))
 
 
 def propagate_moments(model, stacked, gain_schedule):
@@ -135,32 +141,10 @@ def propagate_moments(model, stacked, gain_schedule):
                         gain_schedule.closed_loop(stacked, model.N))
 
 
-def _priced_moments(model, stacked, cl):
-    """Yield (MomentState, cost) for k = 0..N+1 under the ClosedLoop cl: the
-    exact expected stage cost <Q, S + T> + <R Khat, Khat S> + <R Kt, Kt T>
-    at k <= N, then the terminal cost <P_T, S + T>."""
-    Q, R, PT = model.Q, model.R, model.P_terminal
-    for ms in _moments(model, stacked, cl):
-        XX = ms.state_second_moment
-        if ms.k == model.N + 1:
-            yield ms, float(np.vdot(PT, XX))
-            return
-        Kh, Kt = cl.Khat[ms.k], cl.Kt[ms.k]
-        yield ms, float(np.vdot(Q, XX) + np.vdot(R @ Kh, Kh @ ms.S)
-                        + np.vdot(R @ Kt, Kt @ ms.T))
-
-
-def stage_costs(model, stacked, gain_schedule):
-    """Exact expected stage costs for k = 0..N and the terminal cost."""
-    costs = [c for _, c in _priced_moments(
-        model, stacked, gain_schedule.closed_loop(stacked, model.N))]
-    return costs[:-1], costs[-1]
-
-
 def exact_cost(model, stacked, gain_schedule):
     """Exact expected total cost of the strategy (no sampling involved)."""
-    stages, terminal = stage_costs(model, stacked, gain_schedule)
-    return math.fsum(stages + [terminal])
+    return math.fsum(ms.cost for ms in propagate_moments(model, stacked,
+                                                         gain_schedule))
 
 
 @dataclass
@@ -184,11 +168,11 @@ def cost_gradient(model, stacked, gain_schedule):
     The schedule is only read."""
     N = model.N
     cl = gain_schedule.closed_loop(stacked, N)
-    priced = list(_priced_moments(model, stacked, cl))
+    moments = list(_moments(model, stacked, cl))
     dKh, ddKh = (np.zeros(cl.Khat.shape) for _ in range(2))
     dKt, ddKt = (np.zeros(cl.Kt.shape) for _ in range(2))
     for st in sweep(stacked, model, lambda k, *_: (cl.Khat[k], cl.Kt[k])):
-        S, T = priced[st.k][0].S, priced[st.k][0].T
+        S, T = moments[st.k].S, moments[st.k].T
         dKh[st.k] = 2.0 * st.H @ S
         ddKh[st.k] = 2.0 * np.outer(np.diag(st.Lam), np.diag(S))
         dKt[st.k] = 2.0 * st.Ht @ T
@@ -199,13 +183,13 @@ def cost_gradient(model, stacked, gain_schedule):
         return replace(gain_schedule, N=N, Khat=dK,
                        Ktilde=[dKt[:, r, c] for r, c in blocks])
 
-    return CostGradient(cost=math.fsum(c for _, c in priced),
+    return CostGradient(cost=math.fsum(ms.cost for ms in moments),
                         gradient=per_block(dKh, dKt),
                         curvature=per_block(ddKh, ddKt))
 
 
 @dataclass
-class CostateCheck:
+class StationarityCheck:
     """Results of the gain-space stationarity probe.  The reported entries
     are kept as their flat indices in probe order (_flat) and their exact
     derivatives; `derivatives` labels them when it is read."""
@@ -266,7 +250,7 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
         rng = np.random.default_rng(rng_seed)
         idx = np.sort(rng.choice(d.size, size=max_entries, replace=False))
     d, dd = d[idx], dd[idx]
-    return CostateCheck(
+    return StationarityCheck(
         cost=cg.cost, max_abs_derivative=float(np.abs(d).max(initial=0.0)),
         threshold=1e-6 * (1.0 + abs(cg.cost)), entries_probed=len(idx),
         min_second_difference=float(dd.min(initial=math.inf)),
@@ -301,26 +285,21 @@ class CostateMomentsReport:
 def costate_moments(model, stacked, gain_schedule, sol):
     """Evaluate both sides of the telescoping identity from exact moments."""
     N = model.N
-    noff = sol.n_offsets
-    rows = [slice(lo, hi) for lo, hi in zip(noff[:-1], noff[1:])]
+    rows = [c for _, c in local_blocks(sol.n_offsets, sol.m_offsets)]
     stages, V = [], []
-    for ms, cost in _priced_moments(model, stacked,
-                                    gain_schedule.closed_loop(stacked, N)):
-        stages.append(cost)
+    for ms in _moments(model, stacked, gain_schedule.closed_loop(stacked, N)):
+        stages.append(ms.cost)
         V.append(float(np.vdot(sol.P[ms.k], ms.S) + sum(
             np.vdot(Pt[ms.k], ms.T[r, r]) for Pt, r in zip(sol.P_sub, rows))))
     stages.pop()  # the terminal cost enters through V[N+1]
     M = sol.M_sub
     noise = [float(sum(np.vdot(stacked.Sigma_v[r, r], Mi[k + 1])
                        for Mi, r in zip(M, rows))) for k in range(N + 1)]
-    residuals = []
-    worst = 0.0
-    for k in range(N + 1):
-        lhs = V[k] - V[k + 1]
-        rhs = stages[k] - noise[k]
-        res = lhs - rhs
-        residuals.append(res)
-        worst = max(worst, abs(res) / (1.0 + max(abs(lhs), abs(rhs))))
+    Va = np.array(V)
+    lhs = Va[:-1] - Va[1:]
+    rhs = np.array(stages) - np.array(noise)
+    res = lhs - rhs
+    rel = np.abs(res) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
     return CostateMomentsReport(
-        costate_value=V, stage=stages, noise_term=noise,
-        residuals=residuals, max_relative_residual=worst)
+        costate_value=V, stage=stages, noise_term=noise, residuals=res.tolist(),
+        max_relative_residual=float(rel.max(initial=0.0)))

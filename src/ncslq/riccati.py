@@ -142,9 +142,9 @@ class CRESolution:
         """The innovation weights M_k^i = p_i [P_k]_ii + (1 - p_i) Pt_k^i
         for k = 0..N+1, one (N+2, n_i, n_i) array per subsystem, formed on
         each access; bit for bit the diagonal blocks of the sweep's Y."""
-        off = self.n_offsets
-        return [p * self.P[:, lo:hi, lo:hi] + (1.0 - p) * Pt
-                for p, lo, hi, Pt in zip(self.p, off[:-1], off[1:], self.P_sub)]
+        blocks = local_blocks(self.n_offsets, self.m_offsets)
+        return [p * self.P[:, c, c] + (1.0 - p) * Pt
+                for p, (_, c), Pt in zip(self.p, blocks, self.P_sub)]
 
     @property
     def lambda_psd(self):

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 
+from .synthesis import GainSchedule
+
 
 def _plain(obj):
     if isinstance(obj, np.ndarray):
@@ -73,7 +75,6 @@ def gains_to_dict(sched):
 
 
 def gains_from_dict(doc):
-    from .synthesis import GainSchedule
     return GainSchedule(
         N=int(doc["N"]),
         Khat=np.asarray(doc["Khat"], dtype=float),

@@ -375,7 +375,6 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
             x1 = summary.mean_sq_norms[:, 0]
             rec.update(
                 cost_mean=summary.cost_mean, cost_stderr=summary.cost_stderr,
-                x1_traj=x1.tolist(), decay_time_x1=decay_time(x1),
-                summary=summary)
+                x1_traj=x1.tolist(), decay_time_x1=decay_time(x1))
         out.append(rec)
     return out

@@ -7,7 +7,6 @@ from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
                    cost_gradient, costate_moments, exact_cost,
                    propagate_moments, stationarity_check)
 from ncslq.model import psd_tolerance, stack
-from ncslq.oracle import stage_costs
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_random_definite, make_scalar_coupled,
@@ -361,10 +360,20 @@ def test_costate_telescoping_zero_noise():
     assert all(n == 0.0 for n in rep.noise_term)
     assert rep.max_relative_residual <= 1e-12
     # the telescoped sum equals the total cost
-    stages, terminal = stage_costs(vm, stk, sched)
     import math
     assert rep.costate_value[0] == pytest.approx(
-        math.fsum(stages + [terminal]), rel=1e-10)
+        math.fsum(ms.cost for ms in propagate_moments(vm, stk, sched)),
+        rel=1e-10)
+
+
+def test_costate_audit_reports_a_nonfinite_residual():
+    # a NaN costate value must surface as the worst residual, not be
+    # skipped by the maximum
+    vm, stk, sol, sched = solve_all(make_scalar_coupled(N=5))
+    sol.P[3] = np.nan
+    rep = costate_moments(vm, stk, sched, sol)
+    assert [np.isnan(r) for r in rep.residuals] == [k in (2, 3) for k in range(6)]
+    assert np.isnan(rep.max_relative_residual)
 
 
 def perfect_channel(seed, L, N):
@@ -414,7 +423,7 @@ REFEREE_INSTANCES = {
 @pytest.mark.parametrize("make", list(REFEREE_INSTANCES.values()),
                          ids=list(REFEREE_INSTANCES))
 def test_reduced_oracle_matches_full_referee(make, perturb):
-    vm, stk, _, sched = solve_all(make())
+    vm, stk, sol, sched = solve_all(make())
     if perturb:
         perturbed(sched)
     off = off_block_mask(stk.n_offsets)
@@ -427,5 +436,6 @@ def test_reduced_oracle_matches_full_referee(make, perturb):
         assert not ref.T[off].any()
         assert_rel_close(ms.S, ref.S)
         assert_rel_close(ms.T, ref.T)
-    stages, terminal = stage_costs(vm, stk, sched)
-    assert_rel_close(stages + [terminal], [c for _, c in full])
+    assert_rel_close([ms.cost for ms in reduced], [c for _, c in full])
+    assert (costate_moments(vm, stk, sched, sol).stage
+            == [ms.cost for ms in reduced][:-1])
