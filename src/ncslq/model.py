@@ -80,13 +80,6 @@ def _check_finite(M, name):
         raise ModelError(f"{name} has a non-finite entry")
 
 
-def _as_matrix(M, name, shape):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != shape:
-        raise DimensionMismatch(f"{name} has shape {M.shape}, expected {shape}")
-    return M
-
-
 @dataclass
 class SubsystemModel:
     """One subsystem: dynamics matrices, noise statistics, channel quality."""
@@ -105,21 +98,22 @@ class SubsystemModel:
     p: float                  # uplink success probability
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        n = self.A.shape[0]
-        self.mu = np.asarray(self.mu, dtype=float).reshape(n)
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        m = self.B.shape[1]
-        self.B0 = np.atleast_2d(np.asarray(self.B0, dtype=float))
-        m0 = self.B0.shape[1]
-        self.A = _as_matrix(self.A, f"A^{self.index}", (n, n))
-        self.Abar = _as_matrix(self.Abar, f"Abar^{self.index}", (n, n))
-        self.B = _as_matrix(self.B, f"B^{self.index}", (n, m))
-        self.Bbar = _as_matrix(self.Bbar, f"Bbar^{self.index}", (n, m))
-        self.B0 = _as_matrix(self.B0, f"B^{self.index}0", (n, m0))
-        self.Bbar0 = _as_matrix(self.Bbar0, f"Bbar^{self.index}0", (n, m0))
-        self.Sigma_v = _as_matrix(self.Sigma_v, f"Sigma_v^{self.index}", (n, n))
-        self.Sigma_x0 = _as_matrix(self.Sigma_x0, f"Sigma_x0^{self.index}", (n, n))
+        i = self.index
+        names = ("A", "Abar", "B", "Bbar", "B0", "Bbar0", "Sigma_v", "Sigma_x0")
+        for name in names:
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, M)
+        n, m, m0 = self.A.shape[0], self.B.shape[1], self.B0.shape[1]
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.size != n:
+            raise DimensionMismatch(f"mu^{i} has {mu.size} entries, expected {n}")
+        self.mu = mu.reshape(n)
+        shapes = [(n, n), (n, n), (n, m), (n, m), (n, m0), (n, m0), (n, n), (n, n)]
+        for name, shape in zip(names, shapes):
+            M = getattr(self, name)
+            if M.shape != shape:
+                label = {"B0": f"B^{i}0", "Bbar0": f"Bbar^{i}0"}.get(name, f"{name}^{i}")
+                raise DimensionMismatch(f"{label} has shape {M.shape}, expected {shape}")
         self.sigma_w = float(self.sigma_w)
         self.p = float(self.p)
 
@@ -159,14 +153,6 @@ class NetworkModel:
         return len(self.subsystems)
 
     @property
-    def n_total(self):
-        return sum(s.n for s in self.subsystems)
-
-    @property
-    def m_total(self):
-        return self.m0 + sum(s.m for s in self.subsystems)
-
-    @property
     def n_offsets(self):
         """Row offsets of each subsystem's state block (length L+1)."""
         off = [0]
@@ -181,22 +167,6 @@ class NetworkModel:
         for s in self.subsystems:
             off.append(off[-1] + s.m)
         return off
-
-    def state_slice(self, i):
-        """Slice of the stacked state owned by subsystem i (1-based)."""
-        off = self.n_offsets
-        return slice(off[i - 1], off[i])
-
-    def input_slice(self, i):
-        """Slice of the stacked input owned by controller i (0 = remote)."""
-        off = self.m_offsets
-        return slice(off[i], off[i + 1])
-
-    def Q_block(self, i, j):
-        return self.Q[self.state_slice(i), self.state_slice(j)]
-
-    def R_block(self, i, j):
-        return self.R[self.input_slice(i), self.input_slice(j)]
 
 
 @dataclass
@@ -231,7 +201,7 @@ def validate(model, mode="definite"):
         raise DimensionMismatch("model has no subsystems")
     if model.N < 0:
         raise DimensionMismatch("horizon N must be >= 0")
-    NL, ML = model.n_total, model.m_total
+    NL, ML = model.n_offsets[-1], model.m_offsets[-1]
     for s in model.subsystems:
         for name in ("A", "Abar", "B", "Bbar", "B0", "Bbar0", "sigma_w",
                      "Sigma_v", "mu", "Sigma_x0"):
@@ -315,8 +285,8 @@ def local_blocks(n_offsets, m_offsets):
 
 def stack(model):
     """The StackedModel of a validated model; nothing else stacks its data."""
-    NL, ML = model.n_total, model.m_total
     noff, moff = model.n_offsets, model.m_offsets
+    NL, ML = noff[-1], moff[-1]
     A = np.zeros((NL, NL))
     B = np.zeros((NL, ML))
     Abar = np.zeros((NL, NL))
@@ -326,9 +296,7 @@ def stack(model):
     Sigma_v = np.zeros((NL, NL))
     mu = np.zeros(NL)
     p_rows = np.zeros(NL)
-    for i, s in enumerate(model.subsystems, start=1):
-        r = slice(noff[i - 1], noff[i])
-        c = slice(moff[i], moff[i + 1])
+    for s, (c, r) in zip(model.subsystems, local_blocks(noff, moff)):
         A[r, r] = s.A
         B[r, 0:model.m0] = s.B0
         B[r, c] = s.B

@@ -265,9 +265,9 @@ def check_definiteness(sol, model):
     gain in use.
     """
     rep = DefinitenessReport()
-    for i, (s, M) in enumerate(zip(model.subsystems, sol.M_sub)):
-        Qii = model.Q_block(i + 1, i + 1)
-        Rii = model.R_block(i + 1, i + 1)
+    blocks = local_blocks(sol.n_offsets, sol.m_offsets)
+    for i, (s, M, (r, c)) in enumerate(zip(model.subsystems, sol.M_sub, blocks)):
+        Qii, Rii = model.Q[c, c], model.R[r, r]
         for k in range(model.N, -1, -1):
             Pi = sol.Pi[i][k]
             eigs = np.linalg.eigvalsh(_sym(Pi))

@@ -275,11 +275,15 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
                 trial=base_trial + t, X=Xs[:, :, t].copy(), Xhat=Xhs[:, :, t].copy(),
                 U=Us[:, :, t].copy(), Gamma=Gs[:, :, t].copy(),
                 stage_costs=stage_rec[:, t].copy(), terminal_cost=float(terminal[t])))
-    # numpy's pairwise sums within the block; simulate adds the blocks'
-    # sums with math.fsum in block order
+    # numpy's pairwise sums within the block; simulate combines the blocks'
+    # sums with math.fsum in block order.  The sum of squares is taken about
+    # the block's own mean, so equal costs give zero, not the cancellation
+    # of two nearly equal squares
+    cost_sum = float(costs.sum())
+    costs -= cost_sum / trials
     return {
-        "cost_sum": float(costs.sum()),
-        "cost_sq_sum": float((costs * costs).sum()),
+        "cost_sum": cost_sum,
+        "cost_m2": float((costs * costs).sum()),
         "sq_norms": sq_norms,
         "gamma_sum": gamma_sum,
         "nonfinite": nonfinite,
@@ -323,9 +327,14 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as pool:
         results = list(pool.map(run, blocks))
     total = math.fsum(r["cost_sum"] for r in results)
-    total_sq = math.fsum(r["cost_sq_sum"] for r in results)
     mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
+    # each block's centred sum of squares, moved to the overall mean by its
+    # count times the squared offset of its mean (Chan, Golub & LeVeque)
+    m2 = []
+    for (_, nt), r in zip(blocks, results):
+        d = r["cost_sum"] / nt - mean
+        m2 += [r["cost_m2"], nt * d * d]
+    var = math.fsum(m2) / trials
     stderr = math.sqrt(var / trials) if trials > 1 else math.inf
     sq_norms = sum(r["sq_norms"] for r in results) / trials
     gamma_total = sum(r["gamma_sum"] for r in results)

@@ -38,37 +38,22 @@ class GainSchedule:
     n_offsets: list[int]
     m_offsets: list[int]
 
-    @property
-    def NL(self):
-        return self.n_offsets[-1]
-
-    @property
-    def ML(self):
-        return self.m_offsets[-1]
-
-    def Ktilde_stacked(self, N):
-        """The N_L-input error gains for k = 0..N as one (N+1, M_L, N_L)
-        array: Ktilde^i on diagonal block (i, i), zero rows for the remote
-        input (which cannot see the error).  Built from the current entries
-        on every call, so edits to Ktilde show in the next one; raises
-        HorizonMismatch unless every gain covers k = 0..N."""
+    def closed_loop(self, stacked, N):
+        """The ClosedLoop of the stacked instance under these gains for
+        k = 0..N, formed by batched products from the current entries on
+        every call (nothing is cached, so edits show in the next call).
+        Kt holds each Ktilde^i on its local block (u^i, x^i) and is zero
+        elsewhere, the remote rows included (u^0 cannot see the error).
+        Raises HorizonMismatch unless every gain covers k = 0..N."""
         for name, K in [("Khat", self.Khat)] + [
                 (f"Ktilde^{i + 1}", Kt) for i, Kt in enumerate(self.Ktilde)]:
             if len(K) < N + 1:
                 raise HorizonMismatch(
                     f"{name} covers {len(K)} steps, horizon needs {N + 1}")
-        K = np.zeros((N + 1, self.ML, self.NL))
-        for (rows, cols), Kt in zip(local_blocks(self.n_offsets, self.m_offsets),
-                                    self.Ktilde):
-            K[:, rows, cols] = Kt[:N + 1]
-        return K
-
-    def closed_loop(self, stacked, N):
-        """The ClosedLoop of the stacked instance under these gains for
-        k = 0..N, formed by batched products from the current entries on
-        every call (nothing is cached, so edits show in the next call);
-        raises HorizonMismatch unless every gain covers k = 0..N."""
-        Kh, Kt = self.Khat[:N + 1], self.Ktilde_stacked(N)
+        Kh, Kt = self.Khat[:N + 1], np.zeros((N + 1, stacked.ML, stacked.NL))
+        for (rows, cols), Kt_i in zip(
+                local_blocks(stacked.n_offsets, stacked.m_offsets), self.Ktilde):
+            Kt[:, rows, cols] = Kt_i[:N + 1]
         loops = []
         for K in (Kh, Kt):
             for A, B in ((stacked.A, stacked.B), (stacked.Abar, stacked.Bbar)):

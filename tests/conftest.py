@@ -63,6 +63,31 @@ def make_scalar_coupled(N=1, p=0.5):
                         R=np.eye(2), P_terminal=[[1.0]])
 
 
+def make_zero_plant(R, Q=0.0):
+    """Scalar subsystem whose dynamics, noise and initial state are all
+    zero, at N = 2, with Q = [[Q]] and R = diag(R) over (u^0, u^1): then
+    Pi_k^1 = R[1] and Pt_k^1 = Q at every k, and every cost is exactly 0."""
+    sub = SubsystemModel(index=1, A=[[0.0]], Abar=[[0.0]], B=[[0.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
+                         sigma_w=0.0, Sigma_v=[[0.0]], mu=[0.0],
+                         Sigma_x0=[[0.0]], p=0.5)
+    return NetworkModel(subsystems=[sub], m0=1, N=2, Q=[[Q]], R=np.diag(R),
+                        P_terminal=[[0.0]])
+
+
+def make_deterministic(mu=(1.0, 2.0)):
+    """Two-state subsystem without randomness: every noise term and
+    covariance is zero and p = 1, so every Monte Carlo trial of its closed
+    loop has the same cost, bit for bit."""
+    z = np.zeros((2, 2))
+    sub = SubsystemModel(index=1, A=[[1.0, 0.2], [0.0, 0.9]], Abar=z,
+                         B=[[1.0], [0.3]], Bbar=[[0.0], [0.0]],
+                         B0=[[0.3], [0.1]], Bbar0=[[0.0], [0.0]], sigma_w=0.0,
+                         Sigma_v=z, mu=mu, Sigma_x0=z, p=1.0)
+    return NetworkModel(subsystems=[sub], m0=1, N=10, Q=np.eye(2), R=np.eye(2),
+                        P_terminal=np.eye(2))
+
+
 def make_random_definite(rng, L=None, N=None):
     """Seeded random instance with PSD Q / PD R / PSD terminal weight."""
     L = L if L is not None else int(rng.integers(1, 4))
@@ -126,7 +151,7 @@ def make_indefinite():
     others while every Lambda_k stays nonsingular; it validates in
     indefinite mode only."""
     model = make_random_definite(np.random.default_rng(3), L=3, N=60)
-    model.R = model.R - 3.0 * np.eye(model.m_total)
+    model.R = model.R - 3.0 * np.eye(len(model.R))
     return model
 
 
@@ -143,8 +168,8 @@ def make_singular_pi():
     return model
 
 
-def _with_sigma_w(doc, value):
-    subs = [dict(doc["subsystems"][0], sigma_w=value)] + doc["subsystems"][1:]
+def _with_field(doc, name, value):
+    subs = [dict(doc["subsystems"][0], **{name: value})] + doc["subsystems"][1:]
     return dict(doc, subsystems=subs)
 
 
@@ -157,7 +182,12 @@ MALFORMED_CONFIGS = {
     "m0_float": (lambda d: dict(d, m0=1.5), "m0 must be an integer"),
     "subsystems_int": (lambda d: dict(d, subsystems=5), "malformed configuration"),
     "top_level_list": (lambda d: [d], "malformed configuration"),
-    "sigma_w_list": (lambda d: _with_sigma_w(d, [1, 2]), "malformed configuration"),
+    "sigma_w_list": (lambda d: _with_field(d, "sigma_w", [1, 2]),
+                     "malformed configuration"),
+    "mu_length": (lambda d: _with_field(d, "mu", [1.0, 2.0, 3.0]),
+                  "mu^1 has 3 entries, expected 1"),
+    "Abar_shape": (lambda d: _with_field(d, "Abar", [[1.0, 2.0]]),
+                   "Abar^1 has shape (1, 2), expected (1, 1)"),
 }
 
 

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written in plain scalar arithmetic or
 brute-force loops, sharing no code with the package, so that agreement is
-meaningful evidence of correctness.  The full moment system
+meaningful evidence of correctness.  That includes the block layout:
+`offsets` sums each subsystem's sizes here, and no reference reads the
+package's offsets, block slices or stacked sizes.  The stacked matrices
+that some references take are the package's StackedModel data, the
+input under test, not code.  The full moment system
 (propagate_moments_full) carries the cross moment and the means that the
 package's oracle proves zero and drops, so it checks that reduction.
 
@@ -165,6 +169,17 @@ def quadrature_cost(coeffs, khat, ktilde, N, npts=13):
     return total
 
 
+def offsets(model):
+    """(n_offsets, m_offsets) of the stacked layout, summed here from each
+    subsystem's matrix shapes: state rows x^i = n_offsets[i]:n_offsets[i+1]
+    and input columns u^i = m_offsets[i]:m_offsets[i+1], u^0 first."""
+    noff, moff = [0], [0, model.m0]
+    for s in model.subsystems:
+        noff.append(noff[-1] + s.A.shape[0])
+        moff.append(moff[-1] + s.B.shape[1])
+    return noff, moff
+
+
 def place_blocks_by_loop(subsystem_mats, n_offsets, NL):
     """Brute-force block-diagonal placement via explicit index arithmetic."""
     M = np.zeros((NL, NL))
@@ -209,7 +224,8 @@ def dense_noise_channels(model):
     """Per-subsystem noise channels (sigma_w^i, Abold_i, Bbold_i) as dense
     N_L x N_L and N_L x M_L matrices, zero outside block row i, placed by
     explicit index arithmetic from the subsystem matrices alone."""
-    NL, ML, m0 = model.n_total, model.m_total, model.m0
+    noff, moff = offsets(model)
+    NL, ML, m0 = noff[-1], moff[-1], model.m0
     out = []
     r0, c0 = 0, m0
     for s in model.subsystems:
@@ -228,12 +244,13 @@ def dense_noise_channels(model):
     return out
 
 
-def _alloc(model, stacked):
+def _alloc(model):
     """Zeroed two-family solution: the estimate family P with Lambda and
     Psi, stacked, and per subsystem the error family P_sub with Pi, Omega
     and the innovation weights M_sub; P, P_sub and M_sub start at
     P_terminal (diagonal block i per subsystem) at k = N + 1."""
-    N, NL, ML = model.N, stacked.NL, stacked.ML
+    noff, moff = offsets(model)
+    N, NL, ML = model.N, noff[-1], moff[-1]
     subs = model.subsystems
     sol = SimpleNamespace(
         P=np.zeros((N + 2, NL, NL)),
@@ -244,7 +261,7 @@ def _alloc(model, stacked):
         Omega=[np.zeros((N + 1, s.m, s.n)) for s in subs])
     sol.P[N + 1] = model.P_terminal
     for i in range(len(subs)):
-        r = model.state_slice(i + 1)
+        r = slice(noff[i], noff[i + 1])
         sol.P_sub[i][N + 1] = sol.M_sub[i][N + 1] = model.P_terminal[r, r]
     return sol
 
@@ -252,9 +269,10 @@ def _alloc(model, stacked):
 def _error_step(sol, model, k, inverse):
     """Step k of every subsystem's error family from M^i_{k+1}, with
     inverse() in place of (Pi^i)^{-1}; then M^i_k from P_k and Pt^i_k."""
+    noff, moff = offsets(model)
     for i, s in enumerate(model.subsystems):
-        Qii = model.Q_block(i + 1, i + 1)
-        Rii = model.R_block(i + 1, i + 1)
+        r, c = slice(noff[i], noff[i + 1]), slice(moff[i + 1], moff[i + 2])
+        Qii, Rii = model.Q[r, r], model.R[c, c]
         M1 = sol.M_sub[i][k + 1]
         Pi = Rii + s.B.T @ M1 @ s.B + s.sigma_w * s.Bbar.T @ M1 @ s.Bbar
         Om = s.B.T @ M1 @ s.A + s.sigma_w * s.Bbar.T @ M1 @ s.Abar
@@ -262,7 +280,6 @@ def _error_step(sol, model, k, inverse):
         sol.P_sub[i][k] = (Qii + s.A.T @ M1 @ s.A
                            + s.sigma_w * s.Abar.T @ M1 @ s.Abar
                            - Om.T @ inverse(Pi) @ Om)
-        r = model.state_slice(i + 1)
         sol.M_sub[i][k] = s.p * sol.P[k][r, r] + (1.0 - s.p) * sol.P_sub[i][k]
 
 
@@ -273,7 +290,7 @@ def solve_cre_additive(stacked, model):
     through M^i in the error family."""
     if any(s.sigma_w != 0.0 for s in model.subsystems):
         raise ValueError("solve_cre_additive requires sigma_w = 0 for every subsystem")
-    sol = _alloc(model, stacked)
+    sol = _alloc(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
     for k in range(model.N, -1, -1):
         P1 = sol.P[k + 1]
@@ -291,9 +308,10 @@ def solve_cre_single(stacked, model):
     Bbar = [Bbar^{10}, Bbar^1] over (u^0, u^1), and M = p P + (1 - p) Pt;
     the error family steps on the local input u^1 alone (_error_step).
     Both families stay symmetric; this is asserted."""
-    if model.L != 1:
-        raise ValueError(f"solve_cre_single requires L = 1, got L = {model.L}")
-    sol = _alloc(model, stacked)
+    if len(model.subsystems) != 1:
+        raise ValueError(
+            f"solve_cre_single requires L = 1, got L = {len(model.subsystems)}")
+    sol = _alloc(model)
     s = model.subsystems[0]
     B = np.hstack([s.B0, s.B])
     Bbar = np.hstack([s.Bbar0, s.Bbar])
@@ -332,18 +350,18 @@ def solve_generalized(stacked, model):
     1e-9 (1 + max |eigenvalue|).  On definite weights the pseudo-inverses
     are inverses, and this is the two-family recursion itself.
     """
-    N, NL, ML = model.N, stacked.NL, stacked.ML
+    noff, moff = offsets(model)
+    N, NL, ML = model.N, noff[-1], moff[-1]
     channels = dense_noise_channels(model)
     A, B, Q, R = stacked.A, stacked.B, model.Q, model.R
-    sol = _alloc(model, stacked)
+    sol = _alloc(model)
     pinv = lambda X: np.linalg.pinv(X, rcond=1e-12)
     gen = SimpleNamespace(
         Delta=sol.P, Delta_sub=sol.P_sub, Upsilon=sol.Lambda, M=sol.Psi,
         upsilon_psd=np.zeros(N + 1, dtype=bool))
     for k in range(N, -1, -1):
         D1 = sol.P[k + 1]
-        Mfull = place_blocks_by_loop([M[k + 1] for M in sol.M_sub],
-                                     stacked.n_offsets, NL)
+        Mfull = place_blocks_by_loop([M[k + 1] for M in sol.M_sub], noff, NL)
         nBB = np.zeros_like(R)
         nBA = np.zeros((ML, NL))
         nAA = np.zeros_like(Q)
@@ -423,8 +441,8 @@ def bernoulli_weights(model):
       Wcc: E[(1-gamma_i)(1-gamma_j)]   = (1-p_i)(1-p_j) (i != j), 1-p_i (i = j)
       Wgc: E[gamma_i (1-gamma_j)]      = p_i (1-p_j) (i != j),    0 (i = j)
     """
-    NL = model.n_total
-    noff = model.n_offsets
+    noff, _ = offsets(model)
+    NL = noff[-1]
     Wgg = np.zeros((NL, NL))
     Wcc = np.zeros((NL, NL))
     Wgc = np.zeros((NL, NL))
@@ -458,8 +476,8 @@ def propagate_moments_full(model, stacked, gain_schedule):
     if gain_schedule.Khat.shape[0] < N + 1:
         raise ValueError(
             f"gains cover {gain_schedule.Khat.shape[0]} steps, horizon needs {N + 1}")
-    NL = stacked.NL
-    noff = stacked.n_offsets
+    noff, _ = offsets(model)
+    NL = noff[-1]
     Wgg, Wcc, Wgc = bernoulli_weights(model)
     p_diag = np.diag(stacked.p_rows)
     I_p = np.eye(NL) - p_diag
@@ -642,14 +660,15 @@ def descend_gains(model, stacked, gtol=1e-13):
     costs.  Returns (cost, GainSchedule).
     """
     N = model.N
-    shapes = [(N + 1, model.m_total, model.n_total)] + [
+    noff, moff = offsets(model)
+    shapes = [(N + 1, moff[-1], noff[-1])] + [
         (N + 1, s.m, s.n) for s in model.subsystems]
     cuts = np.cumsum([math.prod(sh) for sh in shapes])
 
     def schedule(x):
         parts = [q.reshape(sh) for q, sh in zip(np.split(x, cuts[:-1]), shapes)]
         return GainSchedule(N=N, Khat=parts[0], Ktilde=parts[1:],
-                            n_offsets=model.n_offsets, m_offsets=model.m_offsets)
+                            n_offsets=noff, m_offsets=moff)
 
     def cost_and_gradient(x):
         cg = cost_gradient(model, stacked, schedule(x))

@@ -17,9 +17,10 @@ from ncslq import (gains, load_config, model_to_dict, simulate, solve_cre,
 from ncslq.cli import main
 from ncslq import serialize
 
-from conftest import (MALFORMED_CONFIGS, make_indefinite, make_scalar_coupled,
-                      make_scalar_decoupled, make_singular_pi,
-                      make_unequal_blocks, validated_pair)
+from conftest import (MALFORMED_CONFIGS, make_deterministic, make_indefinite,
+                      make_scalar_coupled, make_scalar_decoupled,
+                      make_singular_pi, make_unequal_blocks, make_zero_plant,
+                      validated_pair)
 from reference import gains_by_refactoring
 
 
@@ -166,6 +167,20 @@ def test_missing_config_is_input_error(tmp_path):
                 "solve"]) == 1
 
 
+def test_directory_config_is_input_error(tmp_path, capsys):
+    assert run(["--config", tmp_path, "--out", tmp_path / "out", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_output_write_error_is_not_an_input_error(scalar_config, tmp_path):
+    # only the configuration is read; an OSError while writing propagates
+    out = tmp_path / "out"
+    (out / "cre.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        run(["--config", scalar_config, "--out", out, "solve"])
+
+
 def test_nonfinite_config_is_input_error(tmp_path, capsys):
     doc = model_to_dict(make_scalar_coupled(N=3))
     doc["subsystems"][0]["sigma_w"] = math.nan
@@ -300,6 +315,33 @@ def test_check_passes_on_coupled(coupled_config, tmp_path):
         assert doc[name]["ok"], name
 
 
+def test_check_fails_and_names_an_indefinite_Pi(tmp_path, capsys):
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(model_to_dict(make_zero_plant((1.0, -2.5)))))
+    out = tmp_path / "out"
+    assert run(["--config", path, "--out", out, "--mode", "indefinite",
+                "check"]) == 3
+    assert "invariant failure: definiteness" in capsys.readouterr().err
+    doc = serialize.load(out / "check.json")
+    assert not doc["ok"]
+    assert doc["definiteness"]["violations"][0] == ["Pi", 2, 1, -2.5]
+    for name in ("stationarity", "costate_telescoping",
+                 "cost_formula_vs_oracle", "monte_carlo_vs_oracle"):
+        assert doc[name]["ok"], name
+
+
+def test_check_passes_a_closed_loop_without_randomness(tmp_path):
+    # every trial has the same cost, so the standard error is round-off
+    # and the z-score's floor at 1e-12 (1 + |J|) decides
+    path = tmp_path / "det.json"
+    path.write_text(json.dumps(model_to_dict(make_deterministic())))
+    out = tmp_path / "out"
+    assert run(["--config", path, "--out", out, "check"]) == 0
+    mc = serialize.load(out / "check.json")["monte_carlo_vs_oracle"]
+    assert mc["ok"] and mc["stderr"] <= 1e-12 * abs(mc["mean"])
+    assert mc["z"] <= 1.0
+
+
 def test_check_formats_no_entry_label(scalar_config, tmp_path, monkeypatch):
     # check.json carries no per-entry derivative, so no label is formatted
     def no_labels(*args):
@@ -322,6 +364,14 @@ def test_sweep(scalar_config, tmp_path):
 
 def test_sweep_empty_p_is_input_error(scalar_config, tmp_path):
     assert run(["--config", scalar_config, "--out", tmp_path, "sweep"]) == 1
+
+
+def test_sweep_trials_precondition(scalar_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "sweep", "--p", 0.5,
+                "--trials", 0]) == 1
+    assert "trials >= 1 required" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
 
 
 def test_sweep_validates_the_config_without_stacking_it(scalar_config, tmp_path,

@@ -11,6 +11,7 @@ from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
                    NetworkModel, ProbabilityOutOfRange, SubsystemModel,
                    ValidatedModel, load_config, model_from_dict, model_to_dict,
                    stack, validate)
+from ncslq.model import local_blocks
 
 from conftest import (MALFORMED_CONFIGS, SEC5_CONFIG, make_random_definite,
                       make_scalar_coupled, requires_sec5, validated_pair)
@@ -40,10 +41,16 @@ def two_subsystem_model():
                         R=np.eye(3), P_terminal=np.eye(3))
 
 
+def block_slices(model):
+    """Per subsystem, (state rows x^i, local input columns u^i), by offset
+    arithmetic of the test's own."""
+    noff, moff = model.n_offsets, model.m_offsets
+    return [(slice(noff[i], noff[i + 1]), slice(moff[i + 1], moff[i + 2]))
+            for i in range(model.L)]
+
+
 def test_identity_single_dimensions():
     vm = validate(identity_single())
-    assert vm.n_total == 1
-    assert vm.m_total == 2
     assert vm.n_offsets == [0, 1]
     assert vm.m_offsets == [0, 1, 2]
 
@@ -72,10 +79,10 @@ def test_stack_two_subsystems_against_loop_oracle():
         st_.Abar, place_blocks_by_loop([s.Abar for s in model.subsystems], noff, 3))
     assert np.array_equal(st_.Sw, place_blocks_by_loop(
         [s.sigma_w * np.ones((s.n, s.n)) for s in model.subsystems], noff, 3))
+    assert local_blocks(noff, model.m_offsets) == [
+        (c, r) for r, c in block_slices(model)]
     # round-trip block extraction is exact
-    for i, s in enumerate(model.subsystems, start=1):
-        r = model.state_slice(i)
-        c = model.input_slice(i)
+    for s, (r, c) in zip(model.subsystems, block_slices(model)):
         assert np.array_equal(st_.A[r, r], s.A)
         assert np.array_equal(st_.B[r, 0:model.m0], s.B0)
         assert np.array_equal(st_.B[r, c], s.B)
@@ -87,13 +94,13 @@ def test_stack_two_subsystems_against_loop_oracle():
 def assert_noise_confined_to_block_rows(model, st_):
     """Abar and Sw vanish off the diagonal blocks; block row i of Bbar
     vanishes outside input blocks 0 and i."""
-    for i in range(1, model.L + 1):
-        r = model.state_slice(i)
-        for j in range(1, model.L + 1):
+    blocks = block_slices(model)
+    for i, (r, _) in enumerate(blocks):
+        for j, (rj, cj) in enumerate(blocks):
             if j != i:
-                assert not st_.Abar[r, model.state_slice(j)].any()
-                assert not st_.Sw[r, model.state_slice(j)].any()
-                assert not st_.Bbar[r, model.input_slice(j)].any()
+                assert not st_.Abar[r, rj].any()
+                assert not st_.Sw[r, rj].any()
+                assert not st_.Bbar[r, cj].any()
 
 
 def test_noise_confined_to_block_rows():
@@ -126,12 +133,12 @@ def assert_stacked_statistics(model, st_):
     for name in ("Sigma_x0", "Sigma_v"):
         M = getattr(st_, name)
         assert M.shape == (st_.NL, st_.NL)
-        for i, s in enumerate(subs, start=1):
-            r = model.state_slice(i)
+        blocks = block_slices(model)
+        for i, (s, (r, _)) in enumerate(zip(subs, blocks)):
             assert np.array_equal(M[r, r], getattr(s, name))
-            for j in range(1, model.L + 1):
+            for j, (rj, _) in enumerate(blocks):
                 if j != i:
-                    assert not M[r, model.state_slice(j)].any()
+                    assert not M[r, rj].any()
 
 
 def test_stack_carries_initial_and_noise_statistics():
@@ -171,6 +178,43 @@ def test_dimension_mismatch_named():
     model.Q = np.eye(4)
     with pytest.raises(DimensionMismatch, match="Q"):
         validate(model)
+
+
+# validate's rejections of two_subsystem_model by case: (edit of the model,
+# mode, error type, message)
+VALIDATE_REJECTS = {
+    "unknown_mode": (lambda m: None, "semidefinite", ValueError,
+                     "unknown mode 'semidefinite'"),
+    "no_subsystems": (lambda m: setattr(m, "subsystems", []), "definite",
+                      DimensionMismatch, "model has no subsystems"),
+    "negative_N": (lambda m: setattr(m, "N", -1), "definite",
+                   DimensionMismatch, "horizon N must be >= 0"),
+    "B0_columns": (lambda m: setattr(m, "m0", 2), "definite",
+                   DimensionMismatch, "B^10 has 1 columns, expected m0=2"),
+    "Sigma_v_not_square": (
+        lambda m: setattr(m.subsystems[1], "Sigma_v", np.ones((2, 3))),
+        "definite", DimensionMismatch, "Sigma_v^2 must be square"),
+    "Sigma_v_not_psd": (
+        lambda m: setattr(m.subsystems[1], "Sigma_v", -np.eye(2)),
+        "indefinite", DefinitenessViolation, "Sigma_v^2 is not PSD"),
+    "Sigma_x0_not_psd": (
+        lambda m: setattr(m.subsystems[0], "Sigma_x0", np.array([[-0.5]])),
+        "indefinite", DefinitenessViolation, "Sigma_x0^1 is not PSD"),
+    "R_shape": (lambda m: setattr(m, "R", np.eye(4)), "definite",
+                DimensionMismatch, "R has shape (4, 4), expected (3, 3)"),
+    "P_terminal_shape": (lambda m: setattr(m, "P_terminal", np.eye(2)), "definite",
+                         DimensionMismatch,
+                         "P_terminal has shape (2, 2), expected (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_REJECTS)
+def test_validate_rejects(case):
+    edit, mode, error, message = VALIDATE_REJECTS[case]
+    model = two_subsystem_model()
+    edit(model)
+    with pytest.raises(error, match=re.escape(message)):
+        validate(model, mode=mode)
 
 
 def test_negative_sigma_w_rejected():
@@ -273,7 +317,7 @@ def test_missing_key_reported():
 def test_malformed_document_rejected(case):
     edit, message = MALFORMED_CONFIGS[case]
     doc = edit(model_to_dict(make_scalar_coupled(N=3)))
-    with pytest.raises(DimensionMismatch, match=message):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
         model_from_dict(doc)
 
 
@@ -290,8 +334,8 @@ def test_bundled_benchmark_shape_and_mode():
     model = load_config(SEC5_CONFIG)
     assert model.L == 3
     assert model.N == 60
-    assert model.n_total == 6
-    assert model.m_total == 8
+    assert model.n_offsets[-1] == 6
+    assert model.m_offsets[-1] == 8
     # the bundled weights are genuinely indefinite, so definite mode rejects
     assert np.linalg.eigvalsh(model.Q).min() < -1e-6
     with pytest.raises(DefinitenessViolation):
@@ -300,8 +344,8 @@ def test_bundled_benchmark_shape_and_mode():
     st_ = stack(vm)
     assert st_.A.shape == (6, 6) and st_.B.shape == (6, 8)
     # first block column of B stacks the three remote-input matrices
-    for i, s in enumerate(vm.model.subsystems, start=1):
-        assert np.array_equal(st_.B[vm.model.state_slice(i), 0:2], s.B0)
+    for s, (r, _) in zip(vm.model.subsystems, block_slices(vm.model)):
+        assert np.array_equal(st_.B[r, 0:2], s.B0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,9 +354,7 @@ def test_random_instances_validate_and_round_trip(seed):
     rng = np.random.default_rng(seed)
     model = make_random_definite(rng)
     vm, st_ = validated_pair(model)
-    for i, s in enumerate(vm.model.subsystems, start=1):
-        r = vm.model.state_slice(i)
-        c = vm.model.input_slice(i)
+    for s, (r, c) in zip(vm.model.subsystems, block_slices(vm.model)):
         assert np.array_equal(st_.A[r, r], s.A)
         assert np.array_equal(st_.B[r, c], s.B)
         assert np.array_equal(st_.Bbar[r, c], s.Bbar)

@@ -13,9 +13,9 @@ from conftest import (make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_unequal_blocks,
                       validated_pair)
 from reference import (_entry_ref, _gain_entries, bernoulli_weights,
-                       dense_noise_channels, place_blocks_by_loop,
-                       priced_moments_full, quadrature_cost,
-                       stationarity_by_differences)
+                       dense_noise_channels, ktilde_full_by_loop,
+                       place_blocks_by_loop, priced_moments_full,
+                       quadrature_cost, stationarity_by_differences)
 
 
 def solve_all(model):
@@ -27,7 +27,7 @@ def solve_all(model):
 def zero_gains(model):
     return GainSchedule(
         N=model.N,
-        Khat=np.zeros((model.N + 1, model.m_total, model.n_total)),
+        Khat=np.zeros((model.N + 1, model.m_offsets[-1], model.n_offsets[-1])),
         Ktilde=[np.zeros((model.N + 1, s.m, s.n)) for s in model.subsystems],
         n_offsets=model.n_offsets, m_offsets=model.m_offsets)
 
@@ -99,10 +99,9 @@ def test_masked_noise_moment_equals_per_channel_sums():
                                    noff, stk.NL)
     channels = dense_noise_channels(vm)
     states = list(propagate_moments(vm, stk, sched))
-    Ktilde = sched.Ktilde_stacked(model.N)
     for k in range(model.N + 1):
         S, T = states[k].S, states[k].T
-        Kh, Kt = sched.Khat[k], Ktilde[k]
+        Kh, Kt = sched.Khat[k], ktilde_full_by_loop(sched, k)
         G = stk.A + stk.B @ Kt
         W = G @ T @ G.T + Sigma_v
         for sw, Ab, Bb in channels:

@@ -13,7 +13,8 @@ from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
-                      make_singular_pi, make_unequal_blocks, validated_pair)
+                      make_singular_pi, make_unequal_blocks, make_zero_plant,
+                      validated_pair)
 from reference import (dense_noise_channels, descend_gains,
                        hand_recursion_scalar, place_blocks_by_loop,
                        solve_cre_additive, solve_cre_single,
@@ -40,19 +41,18 @@ def test_terminal_conditions():
     N = model.N
     PT = vm.model.P_terminal
     assert np.array_equal(sol.P[N + 1], PT)
-    for i in range(model.L):
-        blk = PT[vm.model.state_slice(i + 1), vm.model.state_slice(i + 1)]
-        assert np.array_equal(sol.P_sub[i][N + 1], blk)
+    for i, (_, c) in enumerate(local_blocks(vm.n_offsets, vm.m_offsets)):
+        assert np.array_equal(sol.P_sub[i][N + 1], PT[c, c])
 
 
 def innovation_weights(vm, sol, k):
     """Mfull at step k: M_k^i = p_i [P_k]_ii + (1 - p_i) P_sub[i][k] on
     diagonal block i, formed from the stored value matrices."""
-    model = vm.model
+    noff = vm.n_offsets
     return place_blocks_by_loop(
-        [s.p * sol.P[k][model.state_slice(i + 1), model.state_slice(i + 1)]
-         + (1 - s.p) * sol.P_sub[i][k] for i, s in enumerate(model.subsystems)],
-        model.n_offsets, model.n_total)
+        [s.p * sol.P[k][noff[i]:noff[i + 1], noff[i]:noff[i + 1]]
+         + (1 - s.p) * sol.P_sub[i][k] for i, s in enumerate(vm.subsystems)],
+        noff, noff[-1])
 
 
 def test_coefficient_rebuild_internal_consistency():
@@ -303,17 +303,35 @@ def test_step_equals_three_operand_form():
             assert np.array_equal(G, Q + A.T @ P1 @ A + Abar.T @ Pw @ Abar)
 
 
-def test_definiteness_reduces_to_R_block():
-    sub = SubsystemModel(index=1, A=[[0.0]], Abar=[[0.0]], B=[[0.0]],
-                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
-                         sigma_w=0.0, Sigma_v=[[0.0]], mu=[0.0],
-                         Sigma_x0=[[0.0]], p=0.5)
-    model = NetworkModel(subsystems=[sub], m0=1, N=2, Q=[[0.0]],
-                         R=np.diag([1.0, 2.5]), P_terminal=[[0.0]])
-    vm, stk, sol = solve(model)
+def test_definiteness_reduces_to_the_local_input_weight():
+    vm, stk, sol = solve(make_zero_plant((1.0, 2.5)))
     assert np.array_equal(sol.Pi[0][0], [[2.5]])
     rep = check_definiteness(sol, vm)
     assert rep.ok
+
+
+def test_definiteness_names_an_indefinite_Pi():
+    # the local input weight alone is negative: Pi_k^1 = -2.5 at each k
+    vm, _, sol = solve(make_zero_plant((1.0, -2.5)), mode="indefinite")
+    rep = check_definiteness(sol, vm)
+    assert rep.violations == [("Pi", k, 1, -2.5) for k in (2, 1, 0)]
+    assert not rep.ok and rep.closed_form_error == 0.0
+
+
+def test_definiteness_names_a_negative_error_value():
+    vm, _, sol = solve(make_zero_plant((1.0, 2.5), Q=-1.0), mode="indefinite")
+    rep = check_definiteness(sol, vm)
+    assert rep.violations == [("P", k, 1, -1.0) for k in (2, 1, 0)]
+
+
+def test_definiteness_names_a_failed_closed_form_rebuild():
+    # an edited Pt_2^2 no longer equals its completed-square rebuild
+    vm, _, sol = solve(make_unequal_blocks())
+    assert check_definiteness(sol, vm).ok
+    sol.P_sub[1][2] += 1e-3
+    rep = check_definiteness(sol, vm)
+    assert rep.violations == [("closed_form", -1, -1, rep.closed_form_error)]
+    assert rep.closed_form_error > 1e-8
 
 
 def block_mask(offsets):
@@ -345,9 +363,8 @@ def test_collapse_of_the_two_families_under_equal_terminals():
     vm, stk, cut = solve(model)
     scale = 1.0 + np.max(np.abs(cut.P))
     assert not cut.P[:, ~inside].any()
-    for i in range(model.L):
-        r = vm.model.state_slice(i + 1)
-        assert np.max(np.abs(cut.P[:, r, r] - cut.P_sub[i])) / scale <= 1e-10
+    for i, (_, c) in enumerate(local_blocks(vm.n_offsets, vm.m_offsets)):
+        assert np.max(np.abs(cut.P[:, c, c] - cut.P_sub[i])) / scale <= 1e-10
     # every stored value matrix is exactly symmetric, also on a long horizon
     # where an unsymmetrized recursion drifts into SingularLambda
     long = make_random_definite(np.random.default_rng(77), L=3, N=60)

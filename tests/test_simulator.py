@@ -10,8 +10,9 @@ from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              thread_count)
 from ncslq.synthesis import GainSchedule
 
-from conftest import (make_equal_blocks, make_random_definite,
-                      make_scalar_coupled, make_unequal_blocks, validated_pair)
+from conftest import (make_deterministic, make_equal_blocks,
+                      make_random_definite, make_scalar_coupled,
+                      make_unequal_blocks, validated_pair)
 from reference import rollout_by_loop
 
 
@@ -24,7 +25,7 @@ def solve_all(model):
 def zero_gains(model):
     return GainSchedule(
         N=model.N,
-        Khat=np.zeros((model.N + 1, model.m_total, model.n_total)),
+        Khat=np.zeros((model.N + 1, model.m_offsets[-1], model.n_offsets[-1])),
         Ktilde=[np.zeros((model.N + 1, s.m, s.n)) for s in model.subsystems],
         n_offsets=model.n_offsets, m_offsets=model.m_offsets)
 
@@ -192,6 +193,26 @@ def test_empirical_dropout_frequency():
     draws = trials * (model.N + 2)
     bound = 4.0 * math.sqrt(0.35 * 0.65 / draws)
     assert abs(summary.dropout_freq[0] - 0.35) <= bound
+
+
+@pytest.mark.parametrize("mu", [(1.0, 2.0), (3.3, -7.1)])
+def test_equal_costs_give_a_round_off_stderr(mu):
+    # every trial's cost is the same bits: the variance is taken about the
+    # block means, not as the difference of two nearly equal squares
+    vm, stk, sched = solve_all(make_deterministic(mu))
+    s = simulate(vm, stk, sched, 0, 20000)
+    assert s.cost_stderr <= 1e-12 * abs(s.cost_mean)
+
+
+def test_stderr_combines_block_moments(monkeypatch):
+    # 5 blocks of 64, 64, 64, 64 and 44 trials, combined in block order,
+    # give the standard error of the per-trial costs
+    monkeypatch.setattr(simulator, "BLOCK_TRIALS", 64)
+    vm, stk, sched = solve_all(make_unequal_blocks())
+    s = simulate(vm, stk, sched, 5, 300, retain_traces=True)
+    costs = np.array([tr.total_cost for tr in s.traces])
+    assert s.cost_stderr == pytest.approx(costs.std() / math.sqrt(300),
+                                          rel=1e-12)
 
 
 def test_decay_time():

@@ -82,8 +82,8 @@ def test_zero_coupling_zero_gains():
 def test_ktilde_full_layout():
     model = make_random_definite(np.random.default_rng(29), L=2, N=2)
     vm, stk, _, sched = solve_all(model)
-    Ks = sched.Ktilde_stacked(sched.N)
-    assert Ks.shape == (sched.N + 1, sched.ML, sched.NL)
+    Ks = sched.closed_loop(stk, sched.N).Kt
+    assert Ks.shape == (sched.N + 1, stk.ML, stk.NL)
     for k in range(sched.N + 1):
         assert np.array_equal(Ks[k], ktilde_full_by_loop(sched, k))
     K = Ks[0]
@@ -102,7 +102,7 @@ def test_ktilde_full_layout():
 
     # the closed loop: F, Phi on the estimate and the block-diagonal G, Psi
     # on the error, per step as on the stacked instance and per subsystem
-    noff, NL, subs = sched.n_offsets, sched.NL, vm.subsystems
+    noff, NL, subs = sched.n_offsets, stk.NL, vm.subsystems
     off = place_blocks_by_loop([np.ones((s.n, s.n)) for s in subs], noff, NL) == 0
     cl = sched.closed_loop(stk, sched.N)
     for k in range(sched.N + 1):
@@ -121,8 +121,8 @@ def test_ktilde_full_layout():
 
     # built from the current entries: an in-place edit shows in the next call
     sched.Ktilde[1][2][0, 0] += 1.0
-    assert sched.Ktilde_stacked(sched.N)[2][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
     cl2 = sched.closed_loop(stk, sched.N)
+    assert cl2.Kt[2][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
     Kt2 = ktilde_full_by_loop(sched, 2)
     assert np.array_equal(cl2.Kt[2], Kt2)
     assert close(cl2.G[2], stk.A + stk.B @ Kt2)
@@ -135,7 +135,6 @@ def test_ktilde_full_layout():
     assert close(cl3.Phi[1], stk.Abar + stk.Bbar @ sched.Khat[1])
     assert not np.array_equal(cl3.F[1], cl.F[1])
     # a shorter horizon takes the leading steps
-    assert np.array_equal(sched.Ktilde_stacked(1), sched.Ktilde_stacked(sched.N)[:2])
     short = sched.closed_loop(stk, 1)
     assert all(np.array_equal(a, b[:2]) for a, b in zip(short, cl3))
 
