@@ -61,18 +61,19 @@ def symmetrized(M, name):
     return 0.5 * (M + M.T)
 
 
-def _check_psd(M, name):
-    eigs = np.linalg.eigvalsh(M)
-    tol = psd_tolerance(eigs)
-    if eigs.min() < -tol:
-        raise DefinitenessViolation(f"{name} is not PSD (eigenvalue {eigs.min():g})")
+def least_eigenvalue(M):
+    """(least eigenvalue of sym(M) = (M + M^T)/2, psd_tolerance of its
+    spectrum): sym(M) is PSD when least >= -tol and PD when least > tol."""
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    return eigs.min(), psd_tolerance(eigs)
 
 
-def _check_pd(M, name):
-    eigs = np.linalg.eigvalsh(M)
-    tol = psd_tolerance(eigs)
-    if eigs.min() <= tol:
-        raise DefinitenessViolation(f"{name} is not PD (eigenvalue {eigs.min():g})")
+def _check_definite(M, name, pd=False):
+    """Raise unless sym(M) is PSD, or PD when pd is set."""
+    least, tol = least_eigenvalue(M)
+    if (least <= tol) if pd else (least < -tol):
+        raise DefinitenessViolation(
+            f"{name} is not {'PD' if pd else 'PSD'} (eigenvalue {least:g})")
 
 
 def _check_finite(M, name):
@@ -218,8 +219,8 @@ def validate(model, mode="definite"):
             raise DefinitenessViolation(f"sigma_w^{s.index} = {s.sigma_w} < 0")
         s.Sigma_v = symmetrized(s.Sigma_v, f"Sigma_v^{s.index}")
         s.Sigma_x0 = symmetrized(s.Sigma_x0, f"Sigma_x0^{s.index}")
-        _check_psd(s.Sigma_v, f"Sigma_v^{s.index}")
-        _check_psd(s.Sigma_x0, f"Sigma_x0^{s.index}")
+        _check_definite(s.Sigma_v, f"Sigma_v^{s.index}")
+        _check_definite(s.Sigma_x0, f"Sigma_x0^{s.index}")
     for name in ("Q", "R", "P_terminal"):
         _check_finite(getattr(model, name), name)
     if model.Q.shape != (NL, NL):
@@ -233,9 +234,9 @@ def validate(model, mode="definite"):
     model.R = symmetrized(model.R, "R")
     model.P_terminal = symmetrized(model.P_terminal, "P_terminal")
     if mode == "definite":
-        _check_psd(model.Q, "Q")
-        _check_pd(model.R, "R")
-        _check_psd(model.P_terminal, "P_terminal")
+        _check_definite(model.Q, "Q")
+        _check_definite(model.R, "R", pd=True)
+        _check_definite(model.P_terminal, "P_terminal")
     return ValidatedModel(mode=mode, **{f.name: getattr(model, f.name)
                                         for f in fields(NetworkModel)})
 

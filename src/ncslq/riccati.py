@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .model import local_blocks, psd_tolerance
+from .model import least_eigenvalue, local_blocks
 
 # Reciprocal condition number below which a coefficient matrix is declared
 # singular (the solvability condition fails).
@@ -112,13 +112,15 @@ class CRESolution:
     Value arrays run k = 0..N+1 (index N+1 holds the terminal condition);
     coefficient and gain arrays run k = 0..N.  Per-subsystem entries are
     lists over i = 0..L-1 (subsystem i+1 in 1-based labelling): P_sub[i]
-    is the error family's Pt^i, and Pi[i], Omega[i] and Ktilde[i] are the
-    blocks of the error coefficients and gain at u^i and x^i.
+    is the error family's Pt^i, and Pi[i] and Ktilde[i] are the blocks of
+    the error coefficient Lt and gain at u^i and x^i.
 
     Khat and Ktilde are the gains Khat_k = -Lambda_k^{-1} Psi_k and
     Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these
     solves to form P_k and Pt_k^i, so it keeps them, and synthesis.gains
-    reads them without factoring any coefficient matrix again.
+    reads them without factoring any coefficient matrix again.  Psi_k and
+    Omega_k^i are not kept: each is one _step from P_{k+1} and Y, which P
+    and P_sub determine.
 
     solve_cre is the only producer: serialize.cre_to_dict writes a solution
     out as cre.json, and nothing reads that document back.
@@ -131,9 +133,7 @@ class CRESolution:
     P: np.ndarray                      # (N+2, NL, NL), symmetric
     P_sub: list[np.ndarray]            # each (N+2, n_i, n_i), symmetric
     Lambda: np.ndarray                 # (N+1, ML, ML)
-    Psi: np.ndarray                    # (N+1, ML, NL)
     Pi: list[np.ndarray]               # each (N+1, m_i, m_i)
-    Omega: list[np.ndarray]            # each (N+1, m_i, n_i)
     Khat: np.ndarray                   # (N+1, ML, NL)
     Ktilde: list[np.ndarray]           # each (N+1, m_i, n_i)
 
@@ -151,11 +151,8 @@ class CRESolution:
         """(N+1,) bool: sym(Lambda_k) >= 0 within psd_tolerance, the
         positive-semidefinite part of the generalized-Riccati solvability
         test under indefinite weights, read off Lambda on each access."""
-        flags = np.zeros(len(self.Lambda), dtype=bool)
-        for k, Lam in enumerate(self.Lambda):
-            eigs = np.linalg.eigvalsh(_sym(Lam))
-            flags[k] = eigs.min() >= -psd_tolerance(eigs)
-        return flags
+        return np.array([least >= -tol for least, tol
+                         in map(least_eigenvalue, self.Lambda)], dtype=bool)
 
 
 def _sym(M):
@@ -225,17 +222,16 @@ def solve_cre(stacked, model):
     # per-subsystem blocks at the end
     P, Pt = (np.zeros((N + 2, NL, NL)) for _ in range(2))
     Lam, Lt = (np.zeros((N + 1, ML, ML)) for _ in range(2))
-    Psi, Xt, Khat, Kt = (np.zeros((N + 1, ML, NL)) for _ in range(4))
+    Khat, Kt = (np.zeros((N + 1, ML, NL)) for _ in range(2))
     P[N + 1] = Pt[N + 1] = _sym(model.P_terminal)
     for st in sweep(stacked, model, minimizing):
         P[st.k], Pt[st.k], Lam[st.k], Lt[st.k] = st.P, st.Pt, st.Lam, st.Lt
-        Psi[st.k], Xt[st.k], Khat[st.k], Kt[st.k] = st.Psi, st.Xt, st.Khat, st.Kt
+        Khat[st.k], Kt[st.k] = st.Khat, st.Kt
     return CRESolution(
         N=N, n_offsets=stacked.n_offsets, m_offsets=stacked.m_offsets,
         p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=P,
-        P_sub=[Pt[:, c, c].copy() for _, c in blocks], Lambda=Lam, Psi=Psi,
-        Pi=[Lt[:, r, r].copy() for r, _ in blocks],
-        Omega=[Xt[:, r, c].copy() for r, c in blocks], Khat=Khat,
+        P_sub=[Pt[:, c, c].copy() for _, c in blocks], Lambda=Lam,
+        Pi=[Lt[:, r, r].copy() for r, _ in blocks], Khat=Khat,
         Ktilde=[Kt[:, r, c].copy() for r, c in blocks])
 
 
@@ -269,14 +265,13 @@ def check_definiteness(sol, model):
     for i, (s, M, (r, c)) in enumerate(zip(model.subsystems, sol.M_sub, blocks)):
         Qii, Rii = model.Q[c, c], model.R[r, r]
         for k in range(model.N, -1, -1):
-            Pi = sol.Pi[i][k]
-            eigs = np.linalg.eigvalsh(_sym(Pi))
-            if eigs.min() <= psd_tolerance(eigs):
-                rep.violations.append(("Pi", k, i + 1, float(eigs.min())))
+            least, tol = least_eigenvalue(sol.Pi[i][k])
+            if least <= tol:
+                rep.violations.append(("Pi", k, i + 1, float(least)))
             stored = sol.P_sub[i][k]
-            eigs = np.linalg.eigvalsh(_sym(stored))
-            if eigs.min() < -psd_tolerance(eigs):
-                rep.violations.append(("P", k, i + 1, float(eigs.min())))
+            least, tol = least_eigenvalue(stored)
+            if least < -tol:
+                rep.violations.append(("P", k, i + 1, float(least)))
             # completed-square closed form
             g = sol.Ktilde[i][k]
             Acl = s.A + s.B @ g

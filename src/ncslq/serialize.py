@@ -39,13 +39,13 @@ def load(path):
         return json.load(fh)
 
 
-# Version of the cre.json document.  Schema 3 holds the p-weighted sweep:
-# P_sub is the error family Pt^i, and Pi and Omega are its coefficients.
-# Schema 2 had the same keys and shapes but held a recursion in which p
-# shaped no step: P priced the noise at p = 1 and P_sub, the per-subsystem
-# P^i, at p = 0.  Schema 1 also carried eight duplicate families, each
-# equal to P, P^i or their coefficient matrices.
-CRE_SCHEMA = 3
+# Version of the cre.json document.  Schema 4 holds the solution P, P_sub
+# and p; each coefficient is one riccati._step from them and the model.
+# Schema 3 also held the coefficients Lambda, Psi, Pi and Omega.  Schema 2
+# had schema 3's keys but a recursion in which p shaped no step (P priced
+# the noise at p = 1, P_sub the per-subsystem P^i at p = 0).  Schema 1
+# also carried eight duplicate families of P, P^i and their coefficients.
+CRE_SCHEMA = 4
 
 
 def cre_to_dict(sol):
@@ -59,8 +59,6 @@ def cre_to_dict(sol):
         "p": sol.p,
         "P": sol.P,
         "P_sub": list(sol.P_sub),
-        "Lambda": sol.Lambda, "Psi": sol.Psi,
-        "Pi": list(sol.Pi), "Omega": list(sol.Omega),
     }
 
 

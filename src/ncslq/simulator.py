@@ -65,13 +65,16 @@ BLAS_SERIAL_MNK = 1 << 18
 
 
 def thread_count():
-    """Worker parallelism cap (NCS_THREADS, default: machine parallelism).
+    """Worker parallelism cap (NCS_THREADS, default: the cores this process
+    may run on, as its CPU affinity grants them where the platform has one).
 
     Raises ValueError when NCS_THREADS is set to anything but a positive
     integer.
     """
     env = os.environ.get("NCS_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)

@@ -52,16 +52,18 @@ those gains is mu' P_0 mu + sum_i Tr(Sigma_x0^i M_0^i)
 + sum_i sum_k Tr(Sigma_v^i M_{k+1}^i).  At p = 1 the error family drops
 out of the estimate family, which is then the full-information recursion.
 
-Four helpers are exceptions to the independence: the estimator-state
+Five helpers are exceptions to the independence: the estimator-state
 helpers drive the package's estimator step, which is what the closed-form
 error recursion next to them checks; stationarity_by_differences takes
 central differences of the package's exact_cost, which is what the
 adjoint gradient (oracle.cost_gradient) must reproduce; descend_gains
 minimizes the package's cost_gradient over every gain entry, which is what
-the recursion's gains must not be beaten by; and gains_by_refactoring
-factors every stored coefficient matrix again through the package's
-solve_checked, which is what the gains that solve_cre keeps must equal bit
-for bit.
+the recursion's gains must not be beaten by; and coefficients_by_step
+rebuilds every coefficient from the stored value matrices through the
+package's _step, and gains_by_refactoring factors them again through its
+solve_checked, which is what the solution that solve_cre keeps must equal
+bit for bit.  gains_from_cre_document is the independent counterpart: it
+re-derives the gains from an emitted cre.json with its own loops.
 """
 import itertools
 import math
@@ -73,7 +75,7 @@ from scipy.optimize import minimize
 
 from ncslq.estimator import init_estimate, update_estimate
 from ncslq.oracle import cost_gradient, exact_cost
-from ncslq.riccati import SingularLambda, SingularPi, solve_checked
+from ncslq.riccati import SingularLambda, SingularPi, _step, solve_checked
 from ncslq.synthesis import GainSchedule
 
 
@@ -202,22 +204,102 @@ def ktilde_full_by_loop(gain_schedule, k):
     return K
 
 
-def gains_by_refactoring(sol):
+def coefficients_by_step(sol, stacked, model):
+    """The coefficients Lambda_k, Psi_k, Pi_k^i and Omega_k^i of a CRE
+    solution for k = 0..N, rebuilt by the package's riccati._step from the
+    stored P_{k+1} and P_sub[i][k+1]: Y = sym(p * P_{k+1} + (1 - p) * Pt),
+    where Pt holds the P_sub blocks on its diagonal and zeros elsewhere, and
+    the noise weight is Sw * Y.  The sweep's own Pt also has off-diagonal
+    blocks, but Sw drops them from the noise weight and every product that
+    reaches a kept block meets them through exact zeros of B, so the
+    rebuild has the sweep's bits."""
+    noff, moff = offsets(model)
+    N, NL, ML = sol.N, noff[-1], moff[-1]
+    p = stacked.p_rows[:, None]
+    subs = model.subsystems
+    out = SimpleNamespace(
+        Lambda=np.zeros((N + 1, ML, ML)), Psi=np.zeros((N + 1, ML, NL)),
+        Pi=[np.zeros((N + 1, s.m, s.m)) for s in subs],
+        Omega=[np.zeros((N + 1, s.m, s.n)) for s in subs])
+    for k in range(N + 1):
+        P1 = sol.P[k + 1]
+        Pt = place_blocks_by_loop([Pt[k + 1] for Pt in sol.P_sub], noff, NL)
+        Z = p * P1 + (1.0 - p) * Pt
+        Y = 0.5 * (Z + Z.T)
+        Pw = stacked.Sw * Y
+        out.Lambda[k], out.Psi[k], _ = _step(P1, Pw, stacked, model.Q, model.R)
+        Lt, Xt, _ = _step(Y, Pw, stacked, model.Q, model.R)
+        for i in range(len(subs)):
+            r, c = slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1])
+            out.Pi[i][k], out.Omega[i][k] = Lt[r, r], Xt[r, c]
+    return out
+
+
+def gains_by_refactoring(sol, stacked, model):
     """The gain schedule with every Lambda_k and Pi_k^i of a CRE solution
-    factored again, step by step, rather than read from sol.Khat and
-    sol.Ktilde."""
+    rebuilt (coefficients_by_step) and factored again, step by step, rather
+    than read from sol.Khat and sol.Ktilde."""
     N = sol.N
-    Khat = np.zeros_like(sol.Psi)
-    Ktilde = [np.zeros_like(Om) for Om in sol.Omega]
+    coef = coefficients_by_step(sol, stacked, model)
+    Khat = np.zeros_like(coef.Psi)
+    Ktilde = [np.zeros_like(Om) for Om in coef.Omega]
     for k in range(N + 1):
         Khat[k] = -solve_checked(
-            sol.Lambda[k], sol.Psi[k], lambda rc: SingularLambda(k, rc))
-        for i in range(len(sol.Pi)):
+            coef.Lambda[k], coef.Psi[k], lambda rc: SingularLambda(k, rc))
+        for i in range(len(coef.Pi)):
             Ktilde[i][k] = -solve_checked(
-                sol.Pi[i][k], sol.Omega[i][k],
+                coef.Pi[i][k], coef.Omega[i][k],
                 lambda rc: SingularPi(k, i + 1, rc))
     return GainSchedule(N=N, Khat=Khat, Ktilde=Ktilde,
                         n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
+
+
+def gains_from_cre_document(cre, model):
+    """The gain schedule re-derived from an emitted schema-4 cre.json
+    document (its P and P_sub) and the model it was solved for, with no
+    package code: per step, Mfull holds M^i = p_i [P_{k+1}]_ii
+    + (1 - p_i) P_sub[i][k+1] on diagonal block i; the estimate family's
+    Lambda and Psi are formed at P_{k+1} with the noise priced through the
+    dense per-subsystem channels at Mfull, each error family's Pi^i and
+    Omega^i from the subsystem matrices at M^i (module docstring), and the
+    gains are -Lambda^{-1} Psi and -(Pi^i)^{-1} Omega^i.  Returns
+    (Khat, Ktilde) as arrays shaped like gains.json's."""
+    noff, moff = offsets(model)
+    N, NL, ML, m0 = model.N, noff[-1], moff[-1], model.m0
+    subs = model.subsystems
+    Q, R = np.asarray(model.Q), np.asarray(model.R)
+    # the stacked A and B, placed entry by entry from the subsystems
+    A, B = np.zeros((NL, NL)), np.zeros((NL, ML))
+    for i, s in enumerate(subs):
+        for a in range(s.n):
+            for b in range(s.n):
+                A[noff[i] + a, noff[i] + b] = s.A[a, b]
+            for b in range(m0):
+                B[noff[i] + a, b] = s.B0[a, b]
+            for b in range(s.m):
+                B[noff[i] + a, moff[i + 1] + b] = s.B[a, b]
+    channels = dense_noise_channels(model)
+    P = np.asarray(cre["P"], dtype=float)
+    P_sub = [np.asarray(Pt, dtype=float) for Pt in cre["P_sub"]]
+    Khat = np.zeros((N + 1, ML, NL))
+    Ktilde = [np.zeros((N + 1, s.m, s.n)) for s in subs]
+    for k in range(N + 1):
+        P1 = P[k + 1]
+        Ms = [s.p * P1[noff[i]:noff[i + 1], noff[i]:noff[i + 1]]
+              + (1.0 - s.p) * P_sub[i][k + 1] for i, s in enumerate(subs)]
+        Mfull = place_blocks_by_loop(Ms, noff, NL)
+        Lam = R + B.T @ P1 @ B
+        Psi = B.T @ P1 @ A
+        for sw, Ab, Bb in channels:
+            Lam = Lam + sw * Bb.T @ Mfull @ Bb
+            Psi = Psi + sw * Bb.T @ Mfull @ Ab
+        Khat[k] = -np.linalg.solve(Lam, Psi)
+        for i, (s, M) in enumerate(zip(subs, Ms)):
+            u = slice(moff[i + 1], moff[i + 2])
+            Pi = R[u, u] + s.B.T @ M @ s.B + s.sigma_w * s.Bbar.T @ M @ s.Bbar
+            Om = s.B.T @ M @ s.A + s.sigma_w * s.Bbar.T @ M @ s.Abar
+            Ktilde[i][k] = -np.linalg.solve(Pi, Om)
+    return Khat, Ktilde
 
 
 def dense_noise_channels(model):

@@ -18,10 +18,14 @@ from ncslq.cli import main
 from ncslq import serialize
 
 from conftest import (MALFORMED_CONFIGS, make_deterministic, make_indefinite,
-                      make_scalar_coupled, make_scalar_decoupled,
-                      make_singular_pi, make_unequal_blocks, make_zero_plant,
-                      validated_pair)
-from reference import gains_by_refactoring
+                      make_random_definite, make_scalar_coupled,
+                      make_scalar_decoupled, make_singular_pi,
+                      make_unequal_blocks, make_zero_plant, validated_pair)
+from reference import gains_by_refactoring, gains_from_cre_document
+
+# the keys of a schema-4 cre.json, in order; --mode indefinite appends
+# mode and lambda_psd
+CRE_KEYS = ["schema", "N", "n_offsets", "m_offsets", "p", "P", "P_sub"]
 
 
 @pytest.fixture
@@ -59,10 +63,12 @@ def test_solve_round_trips(scalar_config, tmp_path):
     sol = solve_cre(stk, vm)
     sched = gains(sol)
     doc = serialize.load(out / "cre.json")
-    assert doc["schema"] == 3
+    # schema 4 holds the solution and none of its coefficients
+    assert list(doc) == CRE_KEYS and doc["schema"] == 4
     # cre.json is an output: its values are the solution's, bit for bit
+    assert (doc["N"], doc["p"]) == (sol.N, sol.p)
+    assert (doc["n_offsets"], doc["m_offsets"]) == (sol.n_offsets, sol.m_offsets)
     assert np.array_equal(doc["P"], sol.P)
-    assert np.array_equal(doc["Lambda"], sol.Lambda)
     assert len(doc["P_sub"]) == len(sol.P_sub)
     for a, b in zip(doc["P_sub"], sol.P_sub):
         assert np.array_equal(a, b)
@@ -89,28 +95,64 @@ def test_solve_indefinite_mode_reports_flags(tmp_path):
                 "--mode", "indefinite", "solve"])
     assert code == 0
     doc = serialize.load(out / "cre.json")
-    assert doc["schema"] == 3 and doc["mode"] == "indefinite"
+    assert list(doc) == CRE_KEYS + ["mode", "lambda_psd"]
+    assert doc["schema"] == 4 and doc["mode"] == "indefinite"
     flags = doc["lambda_psd"]
     assert len(flags) == model.N + 1
     assert all(isinstance(v, bool) for v in flags)
     # the indefinite R violates the solvability condition at some step and
     # not at others
     assert not all(flags) and any(flags)
-    # the coefficients are the in-memory solution's, bit for bit, and
-    # factoring its Lambda_k and Pi_k^i again gives the gains of gains.json
+    # the values are the in-memory solution's, bit for bit, and its
+    # coefficients, rebuilt from them and factored again, give the gains of
+    # gains.json
     vm, stk = validated_pair(model, mode="indefinite")
     sol = solve_cre(stk, vm)
-    assert np.array_equal(doc["Lambda"], sol.Lambda)
-    assert np.array_equal(doc["Psi"], sol.Psi)
-    for name in ("Pi", "Omega"):
-        assert len(doc[name]) == model.L
-        for a, b in zip(doc[name], getattr(sol, name)):
-            assert np.array_equal(a, b)
-    back = gains_by_refactoring(sol)
+    assert flags == sol.lambda_psd.tolist()
+    assert np.array_equal(doc["P"], sol.P)
+    assert len(doc["P_sub"]) == model.L
+    for a, b in zip(doc["P_sub"], sol.P_sub):
+        assert np.array_equal(a, b)
+    back = gains_by_refactoring(sol, stk, vm)
     sched = serialize.gains_from_dict(serialize.load(out / "gains.json"))
     assert np.array_equal(back.Khat, sched.Khat)
     for a, b in zip(back.Ktilde, sched.Ktilde):
         assert np.array_equal(a, b)
+
+
+# The relative error of gains_from_cre_document against gains.json, per step
+# and gain, in the Frobenius norm.  Measured at most 4.4e-15 over the models
+# below and the 20 make_random_definite seeds of test_synthesis; the bound
+# leaves about 20x of headroom for other BLAS builds.
+CRE_REBUILD_RTOL = 1e-13
+
+
+REBUILD_MODELS = {
+    "unequal_blocks": (make_unequal_blocks(), "definite"),
+    "scalar_coupled": (make_scalar_coupled(N=5), "definite"),
+    "random_5": (make_random_definite(np.random.default_rng(5)), "definite"),
+    "indefinite": (make_indefinite(), "indefinite"),
+}
+
+
+@pytest.mark.parametrize("name", REBUILD_MODELS)
+def test_cre_document_rederives_gains(tmp_path, name):
+    # cre.json keeps no coefficient; an independent step from its P and
+    # P_sub and the model document gives back the gains of gains.json
+    model, mode = REBUILD_MODELS[name]
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(model_to_dict(model)))
+    out = tmp_path / "out"
+    assert run(["--config", config, "--out", out, "--mode", mode, "solve"]) == 0
+    Khat, Ktilde = gains_from_cre_document(serialize.load(out / "cre.json"),
+                                           load_config(config))
+    doc = serialize.load(out / "gains.json")
+    for ref, got in [(Khat, doc["Khat"])] + list(zip(Ktilde, doc["Ktilde"])):
+        got = np.asarray(got)
+        assert ref.shape == got.shape
+        for k in range(model.N + 1):
+            assert (np.linalg.norm(ref[k] - got[k])
+                    <= CRE_REBUILD_RTOL * np.linalg.norm(got[k]))
 
 
 def test_solve_indefinite_zero_weights_is_solvability_failure(tmp_path, capsys):
@@ -171,6 +213,16 @@ def test_directory_config_is_input_error(tmp_path, capsys):
     assert run(["--config", tmp_path, "--out", tmp_path / "out", "solve"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_output_directory_below_a_file_is_input_error(scalar_config, tmp_path,
+                                                     capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["--config", scalar_config, "--out", blocker / "out",
+                "solve"]) == 1
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
 
 
 def test_output_write_error_is_not_an_input_error(scalar_config, tmp_path):

@@ -15,10 +15,10 @@ from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
                       make_singular_pi, make_unequal_blocks, make_zero_plant,
                       validated_pair)
-from reference import (dense_noise_channels, descend_gains,
-                       hand_recursion_scalar, place_blocks_by_loop,
-                       solve_cre_additive, solve_cre_single,
-                       solve_generalized)
+from reference import (coefficients_by_step, dense_noise_channels,
+                       descend_gains, hand_recursion_scalar,
+                       place_blocks_by_loop, solve_cre_additive,
+                       solve_cre_single, solve_generalized)
 
 
 def solve(model, mode="definite"):
@@ -56,11 +56,14 @@ def innovation_weights(vm, sol, k):
 
 
 def test_coefficient_rebuild_internal_consistency():
-    # every stored coefficient is rebuilt bit for bit from the stored value
+    # every coefficient is rebuilt bit for bit from the stored value
     # matrices: Lambda_k and Psi_k at P_{k+1}, Pi_k^i and Omega_k^i at the
-    # innovation weights M_{k+1}^i, with the noise priced at M_{k+1}^i in both
+    # innovation weights M_{k+1}^i, with the noise priced at M_{k+1}^i in
+    # both.  Lambda and Pi are stored; Psi and Omega are not, so the
+    # formulas are held against the package's own rebuild of them
     model = make_random_definite(np.random.default_rng(7), L=2, N=4)
     vm, stk, sol = solve(model)
+    coef = coefficients_by_step(sol, stk, vm)
     R = vm.model.R
     blocks = local_blocks(stk.n_offsets, stk.m_offsets)
     for k in range(model.N + 1):
@@ -70,12 +73,14 @@ def test_coefficient_rebuild_internal_consistency():
         nBB = stk.Bbar.T @ Pw @ stk.Bbar
         nBA = stk.Bbar.T @ Pw @ stk.Abar
         assert np.array_equal(sol.Lambda[k], R + stk.B.T @ P1 @ stk.B + nBB)
-        assert np.array_equal(sol.Psi[k], stk.B.T @ P1 @ stk.A + nBA)
+        assert np.array_equal(coef.Lambda[k], sol.Lambda[k])
+        assert np.array_equal(coef.Psi[k], stk.B.T @ P1 @ stk.A + nBA)
         Lt = R + stk.B.T @ Y @ stk.B + nBB
         Xt = stk.B.T @ Y @ stk.A + nBA
         for i, (r, c) in enumerate(blocks):
             assert np.array_equal(sol.Pi[i][k], Lt[r, r])
-            assert np.array_equal(sol.Omega[i][k], Xt[r, c])
+            assert np.array_equal(coef.Pi[i][k], sol.Pi[i][k])
+            assert np.array_equal(coef.Omega[i][k], Xt[r, c])
             assert np.array_equal(sol.M_sub[i][k + 1], Y[c, c])
 
 
@@ -131,20 +136,21 @@ def test_zero_coupling_fixed_point():
                          Sigma_x0=[[0.0]], p=0.5)
     model = NetworkModel(subsystems=[sub], m0=1, N=4, Q=[[1.0]],
                          R=np.eye(2), P_terminal=[[1.0]])
-    _, _, sol = solve(model)
+    vm, stk, sol = solve(model)
+    coef = coefficients_by_step(sol, stk, vm)
     for k in range(5):
         assert sol.P[k][0, 0] == 1.0
-        assert not sol.Psi[k].any()
-        assert not sol.Omega[0][k].any()
+        assert not coef.Psi[k].any()
+        assert not coef.Omega[0][k].any()
 
 
 def test_zero_weights_zero_fixed_point():
     model = make_scalar_coupled(N=3)
     model.Q = np.zeros((1, 1))
     model.P_terminal = np.zeros((1, 1))
-    _, _, sol = solve(model)
+    vm, stk, sol = solve(model)
     assert not sol.P.any()
-    assert not sol.Psi.any()
+    assert not coefficients_by_step(sol, stk, vm).Psi.any()
 
 
 def test_additive_reduction_matches_general():

@@ -92,7 +92,23 @@ def test_thread_count_from_env(monkeypatch):
     monkeypatch.setenv("NCS_THREADS", "3")
     assert thread_count() == 3
     monkeypatch.setenv("NCS_THREADS", "")
-    assert thread_count() == (os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert thread_count() == usable
+
+
+def test_thread_count_default_follows_cpu_affinity(monkeypatch):
+    # unset, the cap is the cores the process may run on (taskset -c 0
+    # gives one), not the machine's core count
+    monkeypatch.delenv("NCS_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert thread_count() == 1
+    # without an affinity interface the machine's count is the cap
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_count() == 1
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])

@@ -4,11 +4,12 @@ import pytest
 from ncslq import gains, optimal_cost, solve_cre
 from ncslq.oracle import exact_cost
 
-from conftest import (make_random_definite, make_scalar_coupled,
-                      make_scalar_decoupled, make_unequal_blocks,
-                      validated_pair)
-from reference import (gains_by_refactoring, ktilde_full_by_loop,
-                       place_blocks_by_loop, solve_generalized)
+from conftest import (make_indefinite, make_random_definite,
+                      make_scalar_coupled, make_scalar_decoupled,
+                      make_unequal_blocks, validated_pair)
+from reference import (coefficients_by_step, gains_by_refactoring,
+                       ktilde_full_by_loop, place_blocks_by_loop,
+                       solve_generalized)
 
 
 def solve_all(model, mode="definite"):
@@ -19,12 +20,13 @@ def solve_all(model, mode="definite"):
 
 def test_gains_reproduce_from_solution():
     model = make_random_definite(np.random.default_rng(23), L=2, N=4)
-    _, _, sol, sched = solve_all(model)
+    vm, stk, sol, sched = solve_all(model)
+    coef = coefficients_by_step(sol, stk, vm)
     for k in range(model.N + 1):
-        ref = -np.linalg.solve(sol.Lambda[k], sol.Psi[k])
+        ref = -np.linalg.solve(coef.Lambda[k], coef.Psi[k])
         assert np.max(np.abs(sched.Khat[k] - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
         for i in range(model.L):
-            ref = -np.linalg.solve(sol.Pi[i][k], sol.Omega[i][k])
+            ref = -np.linalg.solve(coef.Pi[i][k], coef.Omega[i][k])
             assert np.max(np.abs(sched.Ktilde[i][k] - ref)) <= (
                 1e-12 * (1 + np.max(np.abs(ref))))
 
@@ -45,16 +47,29 @@ GAIN_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", GAIN_MODELS)
+def solve_gain_case(name):
+    """A GAIN_MODELS entry, or make_indefinite() in indefinite mode."""
+    if name == "indefinite":
+        return solve_all(make_indefinite(), mode="indefinite")
+    return solve_all(GAIN_MODELS[name])
+
+
+@pytest.mark.parametrize("name", [*GAIN_MODELS, "indefinite"])
 def test_stored_gains_equal_refactored_gains(name):
-    # solve_cre keeps the solves that close each step; factoring every
-    # Lambda_k and Pi_k^i again must give the same bits
-    _, _, sol, sched = solve_all(GAIN_MODELS[name])
-    _assert_same_gains(sched, gains_by_refactoring(sol))
+    # solve_cre keeps the solves that close each step; rebuilding every
+    # Lambda_k and Pi_k^i from the stored values and factoring them again
+    # must give the same bits
+    vm, stk, sol, sched = solve_gain_case(name)
+    # the coefficients solve_cre keeps are one _step from the stored values
+    coef = coefficients_by_step(sol, stk, vm)
+    assert np.array_equal(coef.Lambda, sol.Lambda)
+    for a, b in zip(coef.Pi, sol.Pi, strict=True):
+        assert np.array_equal(a, b)
+    _assert_same_gains(sched, gains_by_refactoring(sol, stk, vm))
     # the schedule is a copy: editing it leaves the solution as it was
     sched.Khat[0] += 1.0
     sched.Ktilde[0][0] += 1.0
-    _assert_same_gains(gains(sol), gains_by_refactoring(sol))
+    _assert_same_gains(gains(sol), gains_by_refactoring(sol, stk, vm))
 
 
 def test_frozen_scalar_gains():
