@@ -186,9 +186,10 @@ def cmd_sweep(args, model, outdir):
     if not args.p:
         print("at least one --p value required", file=sys.stderr)
         return EXIT_INPUT
-    if args.trials < 1:
-        print("trials >= 1 required", file=sys.stderr)
-        return EXIT_INPUT
+    for j, p in enumerate(args.p):
+        if p in args.p[:j]:   # sweep.json is keyed by p
+            print(f"--p {p} given more than once", file=sys.stderr)
+            return EXIT_INPUT
     records = simulator.sweep_dropout(model, args.p, args.seed, args.trials,
                                       mode=args.mode)
     doc = {}

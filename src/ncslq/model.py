@@ -76,6 +76,15 @@ def _check_definite(M, name, pd=False):
             f"{name} is not {'PD' if pd else 'PSD'} (eigenvalue {least:g})")
 
 
+def _real(value, name):
+    """value as a float array, refusing a boolean or a string where a number
+    belongs: numpy would read True as 1.0 and parse "0.5"."""
+    for x in np.asarray(value, dtype=object).flat:
+        if isinstance(x, (bool, np.bool_, str, bytes)):
+            raise DimensionMismatch(f"{name} must be numeric, got {x!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _check_finite(M, name):
     if not np.all(np.isfinite(M)):
         raise ModelError(f"{name} has a non-finite entry")
@@ -101,11 +110,13 @@ class SubsystemModel:
     def __post_init__(self):
         i = self.index
         names = ("A", "Abar", "B", "Bbar", "B0", "Bbar0", "Sigma_v", "Sigma_x0")
+        label = {name: f"{name}^{i}" for name in names + ("mu", "sigma_w", "p")}
+        label.update(B0=f"B^{i}0", Bbar0=f"Bbar^{i}0")
         for name in names:
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            M = np.atleast_2d(_real(getattr(self, name), label[name]))
             setattr(self, name, M)
         n, m, m0 = self.A.shape[0], self.B.shape[1], self.B0.shape[1]
-        mu = np.asarray(self.mu, dtype=float)
+        mu = _real(self.mu, label["mu"])
         if mu.size != n:
             raise DimensionMismatch(f"mu^{i} has {mu.size} entries, expected {n}")
         self.mu = mu.reshape(n)
@@ -113,10 +124,11 @@ class SubsystemModel:
         for name, shape in zip(names, shapes):
             M = getattr(self, name)
             if M.shape != shape:
-                label = {"B0": f"B^{i}0", "Bbar0": f"Bbar^{i}0"}.get(name, f"{name}^{i}")
-                raise DimensionMismatch(f"{label} has shape {M.shape}, expected {shape}")
-        self.sigma_w = float(self.sigma_w)
-        self.p = float(self.p)
+                raise DimensionMismatch(
+                    f"{label[name]} has shape {M.shape}, expected {shape}")
+        for name in ("sigma_w", "p"):
+            _real(getattr(self, name), label[name])
+        self.sigma_w, self.p = float(self.sigma_w), float(self.p)
 
     @property
     def n(self):
@@ -139,9 +151,8 @@ class NetworkModel:
     P_terminal: np.ndarray    # N_L x N_L terminal weight
 
     def __post_init__(self):
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        self.P_terminal = np.atleast_2d(np.asarray(self.P_terminal, dtype=float))
+        for name in ("Q", "R", "P_terminal"):
+            setattr(self, name, np.atleast_2d(_real(getattr(self, name), name)))
         for name, label in (("m0", "m0"), ("N", "horizon N")):
             value = getattr(self, name)
             # int() would truncate 2.7 or True silently
@@ -219,6 +230,7 @@ def validate(model, mode="definite"):
             raise DefinitenessViolation(f"sigma_w^{s.index} = {s.sigma_w} < 0")
         s.Sigma_v = symmetrized(s.Sigma_v, f"Sigma_v^{s.index}")
         s.Sigma_x0 = symmetrized(s.Sigma_x0, f"Sigma_x0^{s.index}")
+        s.__post_init__()   # shapes of fields replaced after construction
         _check_definite(s.Sigma_v, f"Sigma_v^{s.index}")
         _check_definite(s.Sigma_x0, f"Sigma_x0^{s.index}")
     for name in ("Q", "R", "P_terminal"):

@@ -62,19 +62,19 @@ and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
     Y = sym(p * V_{k+1} + (1 - p) * Vt_{k+1}),
 
 the noise term of W prices with Sw * Y.  This backward pass is
-riccati.sweep run with the schedule's gains: its P and Pt are V_k and
-Vt_k, and with its coefficients (Lambda, Psi) at V_{k+1} and (Lt, Xt) at Y,
+riccati.sweep run with the schedule's gains: its value pair is
+(V_k, Vt_k), and with its coefficients (Lambda, Psi) at V_{k+1} and
+(Lt, Xt) at Y, H = (Lambda Khat_k + Psi, Lt Kt_k + Xt) and
 
-    dJ/dKhat_k = 2 (Lambda Khat_k + Psi) S_k = 2 H S_k,
-    dJ/dKt_k   = 2 (Lt Kt_k + Xt) T_k       = 2 Ht T_k,
+    (dJ/dKhat_k, dJ/dKt_k) = 2 H (S_k, T_k),
 
-and dJ/dKtilde^i_k is block (i, i) of the last: the input rows of u^i and
-the state columns of subsystem i.  On diagonal block i, Y is
-p_i [V_{k+1}]_ii + (1 - p_i) [Vt_{k+1}]_ii.  Neither S_k nor V_{k+1}
-depends on Khat_k, so J is an exact quadratic in any single entry (r, c) of
-Khat_k, with second derivative 2 Lambda_rr (S_k)_cc; for Kt_k it is
-2 (Lt)_rr (T_k)_cc.  At the gains riccati.solve_cre picks, H and the
-diagonal blocks of Ht vanish, so the gradient is zero: the solved gains
+taken per family, and dJ/dKtilde^i_k is block (i, i) of the second: the
+input rows of u^i and the state columns of subsystem i.  On diagonal
+block i, Y is p_i [V_{k+1}]_ii + (1 - p_i) [Vt_{k+1}]_ii.  Neither S_k nor
+V_{k+1} depends on Khat_k, so J is an exact quadratic in any single entry
+(r, c) of Khat_k, with second derivative 2 Lambda_rr (S_k)_cc; for Kt_k it
+is 2 (Lt)_rr (T_k)_cc.  At the gains riccati.solve_cre picks, H[0] and the
+diagonal blocks of H[1] vanish, so the gradient is zero: the solved gains
 are stationary, and V_k, Vt_k are the solution's P_k and Pt_k^i.
 
 This module is the quantitative stand-in for the equilibrium (stationarity)
@@ -169,23 +169,22 @@ def cost_gradient(model, stacked, gain_schedule):
     N = model.N
     cl = gain_schedule.closed_loop(stacked, N)
     moments = list(_moments(model, stacked, cl))
-    dKh, ddKh = (np.zeros(cl.Khat.shape) for _ in range(2))
-    dKt, ddKt = (np.zeros(cl.Kt.shape) for _ in range(2))
-    for st in sweep(stacked, model, lambda k, *_: (cl.Khat[k], cl.Kt[k])):
-        S, T = moments[st.k].S, moments[st.k].T
-        dKh[st.k] = 2.0 * st.H @ S
-        ddKh[st.k] = 2.0 * np.outer(np.diag(st.Lam), np.diag(S))
-        dKt[st.k] = 2.0 * st.Ht @ T
-        ddKt[st.k] = 2.0 * np.outer(np.diag(st.Lt), np.diag(T))
+    # each step's gain pair is stacked alone: no copy of the whole schedule
+    dK, ddK = (np.zeros((N + 1, 2, *cl.Khat.shape[1:])) for _ in range(2))
+    for st in sweep(stacked, model,
+                    lambda k, *_: np.stack((cl.Khat[k], cl.Kt[k]))):
+        ST = np.stack((moments[st.k].S, moments[st.k].T))
+        dK[st.k] = 2.0 * st.H @ ST
+        ddK[st.k] = 2.0 * (np.diagonal(st.Lam, axis1=1, axis2=2)[:, :, None]
+                           * np.diagonal(ST, axis1=1, axis2=2)[:, None, :])
     blocks = local_blocks(gain_schedule.n_offsets, gain_schedule.m_offsets)
 
-    def per_block(dK, dKt):
-        return replace(gain_schedule, N=N, Khat=dK,
-                       Ktilde=[dKt[:, r, c] for r, c in blocks])
+    def per_block(dK):
+        return replace(gain_schedule, N=N, Khat=dK[:, 0],
+                       Ktilde=[dK[:, 1, r, c] for r, c in blocks])
 
     return CostGradient(cost=math.fsum(ms.cost for ms in moments),
-                        gradient=per_block(dKh, dKt),
-                        curvature=per_block(ddKh, ddKt))
+                        gradient=per_block(dK), curvature=per_block(ddK))
 
 
 @dataclass

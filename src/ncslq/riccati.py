@@ -14,29 +14,30 @@ prices subsystem i's next-step innovation with
 the diagonal block i of Y = sym(p * P_{k+1} + (1 - p) * Pt_{k+1}), with p
 the column of p_i per state row.  A step of the sweep forms Y, the noise
 weight Pw = Sw * Y (model.StackedModel: the mask keeps the diagonal blocks
-of Y only) and the kernel's coefficients (_step) twice:
+of Y only) and, with one _step on the pair (P_{k+1}, Y), the coefficients
+of both families, axis 0 of every pair array (0 the estimate, 1 the error):
 
   (Lambda, Psi, G)  at P_{k+1}, for the estimate, over the full input U;
   (Lt, Xt, Gt)      at Y, for the error, whose block of local input rows
                     u^i and state columns x^i gives Pi_k^i = Lt[u^i, u^i]
                     and Omega_k^i = Xt[u^i, x^i].
 
-Given the step's remote gain Khat_k and block-diagonal error gain Kt_k,
-with H = Lambda Khat_k + Psi and Ht = Lt Kt_k + Xt,
+Given the step's gains K = (Khat_k, Kt_k), the remote gain and the
+block-diagonal error gain, and H = Lam K + Psi, with Lam = (Lambda, Lt),
+Psi = (Psi, Xt), G = (G, Gt) and every product taken per family,
 
-    P_k  = sym(G  + Khat_k' (H  + Psi)),
-    Pt_k = sym(Gt + Kt_k' (Ht + Xt))
+    V_k = (P_k, Pt_k) = sym(G + K' (H + Psi))
 
 is the cost-to-go's exact backward map.  `sweep` runs it for two callers
 that differ only in how they pick the gains.  solve_cre minimizes: S_k and
 T_k enter the step apart and T_k is block diagonal, so the gains separate
 into Khat_k = -Lambda^{-1} Psi and one Ktilde_k^i = -(Pi_k^i)^{-1}
 Omega_k^i per subsystem.  oracle.cost_gradient passes a given schedule
-and reads H and Ht, the costates of the gradient.  The off-diagonal
-blocks of Pt_k are carried along but change nothing that is read: the
-mask Sw drops them from the noise weight, and through Y they reach only
-blocks of Lt, Xt, Gt and Ht other than the local (u^i, u^i), (u^i, x^i)
-and (x^i, x^i).  At p = 1, M^i = [P]_ii and the estimate family no longer
+and reads H, the costates of the gradient.  The off-diagonal blocks of
+Pt_k are carried along but change nothing that is read: the mask Sw drops
+them from the noise weight, and through Y they reach only blocks of Lt,
+Xt, Gt and H[1] other than the local (u^i, u^i), (u^i, x^i) and
+(x^i, x^i).  At p = 1, M^i = [P]_ii and the estimate family no longer
 sees the error family.
 
 Every stored value matrix is the symmetric part of what the step computes,
@@ -156,7 +157,7 @@ class CRESolution:
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _step(P1, Pw, stacked, Q, R):
@@ -176,29 +177,27 @@ def _step(P1, Pw, stacked, Q, R):
     return Lam, Psi, G
 
 
-# Step k of the backward sweep: the coefficients at P_{k+1} (Lam, Psi) and
-# at Y (Lt, Xt), the gains in use (Khat, and Kt, the M_L x N_L error gain),
-# H = Lam Khat + Psi, Ht = Lt Kt + Xt, and the step's P = P_k and Pt = Pt_k.
-SweepStep = namedtuple("SweepStep", "k Lam Psi Lt Xt Khat Kt H Ht P Pt")
+# Step k of the backward sweep, as (2, ...) stacks over the two families:
+# the coefficients Lam = (Lambda, Lt) at (P_{k+1}, Y), the gains in use
+# K = (Khat, Kt), H = Lam K + Psi and the step's values V = (P_k, Pt_k).
+SweepStep = namedtuple("SweepStep", "k Lam K H V")
 
 
 def sweep(stacked, model, choose):
     """Run the backward sweep from P_{N+1} = Pt_{N+1} = sym(P_terminal),
-    yielding a SweepStep for k = N down to 0.  choose(k, Lam, Psi, Lt, Xt)
-    returns the step's gains (Khat_k, Kt_k)."""
+    yielding a SweepStep for k = N down to 0.  choose(k, Lam, Psi) gets the
+    pair coefficients and returns the step's pair gains K = (Khat_k, Kt_k)."""
     p = stacked.p_rows[:, None]
     q = 1.0 - p
     Q, R = model.Q, model.R
-    P = Pt = _sym(model.P_terminal)
+    V = np.stack([_sym(model.P_terminal)] * 2)
     for k in range(model.N, -1, -1):
-        Y = _sym(p * P + q * Pt)
-        Pw = stacked.Sw * Y
-        Lam, Psi, G = _step(P, Pw, stacked, Q, R)
-        Lt, Xt, Gt = _step(Y, Pw, stacked, Q, R)
-        Khat, Kt = choose(k, Lam, Psi, Lt, Xt)
-        H, Ht = Lam @ Khat + Psi, Lt @ Kt + Xt
-        P, Pt = _sym(G + Khat.T @ (H + Psi)), _sym(Gt + Kt.T @ (Ht + Xt))
-        yield SweepStep(k, Lam, Psi, Lt, Xt, Khat, Kt, H, Ht, P, Pt)
+        Y = _sym(p * V[0] + q * V[1])
+        Lam, Psi, G = _step(np.stack((V[0], Y)), stacked.Sw * Y, stacked, Q, R)
+        K = choose(k, Lam, Psi)
+        H = Lam @ K + Psi
+        V = _sym(G + K.swapaxes(1, 2) @ (H + Psi))
+        yield SweepStep(k, Lam, K, H, V)
 
 
 def solve_cre(stacked, model):
@@ -207,32 +206,31 @@ def solve_cre(stacked, model):
     N, NL, ML = model.N, stacked.NL, stacked.ML
     blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
 
-    def minimizing(k, Lam, Psi, Lt, Xt):
+    def minimizing(k, Lam, Psi):
         # Lambda_k is factored before any Pi_k^i, so SingularLambda is
         # raised before SingularPi at the same step; each Pi_k^i is
         # factored alone, so its rcond is that block's own
-        Khat = -solve_checked(Lam, Psi, lambda rc: SingularLambda(k, rc))
-        Kt = np.zeros((ML, NL))
+        K = np.zeros((2, ML, NL))
+        K[0] = -solve_checked(Lam[0], Psi[0], lambda rc: SingularLambda(k, rc))
         for i, (r, c) in enumerate(blocks):
-            Kt[r, c] = -solve_checked(Lt[r, r], Xt[r, c],
-                                      lambda rc: SingularPi(k, i + 1, rc))
-        return Khat, Kt
+            K[1, r, c] = -solve_checked(Lam[1, r, r], Psi[1, r, c],
+                                        lambda rc: SingularPi(k, i + 1, rc))
+        return K
 
-    # the stacked arrays of the sweep; the error family's are sliced into
-    # per-subsystem blocks at the end
-    P, Pt = (np.zeros((N + 2, NL, NL)) for _ in range(2))
-    Lam, Lt = (np.zeros((N + 1, ML, ML)) for _ in range(2))
-    Khat, Kt = (np.zeros((N + 1, ML, NL)) for _ in range(2))
-    P[N + 1] = Pt[N + 1] = _sym(model.P_terminal)
+    # the pair arrays of the sweep; the estimate family's are copied out
+    # and the error family's sliced into per-subsystem blocks at the end
+    V = np.zeros((N + 2, 2, NL, NL))
+    Lam = np.zeros((N + 1, 2, ML, ML))
+    K = np.zeros((N + 1, 2, ML, NL))
+    V[N + 1] = _sym(model.P_terminal)
     for st in sweep(stacked, model, minimizing):
-        P[st.k], Pt[st.k], Lam[st.k], Lt[st.k] = st.P, st.Pt, st.Lam, st.Lt
-        Khat[st.k], Kt[st.k] = st.Khat, st.Kt
+        V[st.k], Lam[st.k], K[st.k] = st.V, st.Lam, st.K
     return CRESolution(
         N=N, n_offsets=stacked.n_offsets, m_offsets=stacked.m_offsets,
-        p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=P,
-        P_sub=[Pt[:, c, c].copy() for _, c in blocks], Lambda=Lam,
-        Pi=[Lt[:, r, r].copy() for r, _ in blocks], Khat=Khat,
-        Ktilde=[Kt[:, r, c].copy() for r, c in blocks])
+        p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=V[:, 0].copy(),
+        P_sub=[V[:, 1, c, c].copy() for _, c in blocks], Lambda=Lam[:, 0].copy(),
+        Pi=[Lam[:, 1, r, r].copy() for r, _ in blocks], Khat=K[:, 0].copy(),
+        Ktilde=[K[:, 1, r, c].copy() for r, c in blocks])
 
 
 @dataclass

@@ -362,16 +362,18 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     """Re-solve, re-synthesize, and simulate for each dropout setting.
 
     Every subsystem's uplink probability is set to p.  Each p must lie in
-    [0, 1], or ProbabilityOutOfRange names it before anything is solved.
-    The model is validated (in `mode`) and stacked once; p then replaces
-    the stacked instance's p_rows, the only place the solver and the
-    simulator read it.  Returns a list of per-p records; a setting that
-    the solver rejects (RiccatiError) is recorded and the sweep continues.
-    Any other error, such as trials < 1, propagates.
+    [0, 1], or ProbabilityOutOfRange names it, and trials < 1 raises
+    ValueError, both before anything is solved.  The model is validated (in
+    `mode`) and stacked once; p then replaces the stacked instance's
+    p_rows, the only place the solver and the simulator read it.  Returns a
+    list of per-p records; a setting that the solver rejects (RiccatiError)
+    is recorded and the sweep continues.  Any other error propagates.
     """
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ProbabilityOutOfRange(f"sweep p = {p} not in [0, 1]")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     vm = validate(model, mode=mode)
     st = stack(vm)
     out = []

@@ -188,6 +188,27 @@ MALFORMED_CONFIGS = {
                   "mu^1 has 3 entries, expected 1"),
     "Abar_shape": (lambda d: _with_field(d, "Abar", [[1.0, 2.0]]),
                    "Abar^1 has shape (1, 2), expected (1, 1)"),
+    # a boolean or a string where a number belongs: numpy would read the
+    # first as 1.0 or 0.0 and parse the second
+    "p_string": (lambda d: _with_field(d, "p", "0.5"),
+                 "p^1 must be numeric, got '0.5'"),
+    "p_bool": (lambda d: _with_field(d, "p", True), "p^1 must be numeric, got True"),
+    "sigma_w_bool": (lambda d: _with_field(d, "sigma_w", False),
+                     "sigma_w^1 must be numeric, got False"),
+    "sigma_w_string": (lambda d: _with_field(d, "sigma_w", "1"),
+                       "sigma_w^1 must be numeric, got '1'"),
+    "A_string": (lambda d: _with_field(d, "A", [["1.5"]]),
+                 "A^1 must be numeric, got '1.5'"),
+    "A_bool": (lambda d: _with_field(d, "A", [[True]]),
+               "A^1 must be numeric, got True"),
+    "B0_bool": (lambda d: _with_field(d, "B0", [[True]]),
+                "B^10 must be numeric, got True"),
+    # numpy would read this mixed row as an integer array
+    "R_mixed_bool": (lambda d: dict(d, R=[[1.0, 0.0], [False, 1.0]]),
+                     "R must be numeric, got False"),
+    "mu_string": (lambda d: _with_field(d, "mu", ["1"]),
+                  "mu^1 must be numeric, got '1'"),
+    "Q_string": (lambda d: dict(d, Q=[["1"]]), "Q must be numeric, got '1'"),
 }
 
 

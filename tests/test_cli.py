@@ -426,6 +426,20 @@ def test_sweep_trials_precondition(scalar_config, tmp_path, capsys):
     assert not (out / "sweep.json").exists()
 
 
+def test_sweep_repeated_p_is_input_error(scalar_config, tmp_path, capsys,
+                                         monkeypatch):
+    # sweep.json is keyed by p, so a second 0.5 would overwrite the first;
+    # the values are compared as parsed, before anything is solved
+    def no_solve(*args):
+        raise AssertionError("sweep solved before checking p")
+    monkeypatch.setattr(ncslq.simulator, "solve_cre", no_solve)
+    out = tmp_path / "out"
+    assert run(["--config", scalar_config, "--out", out, "sweep", "--p", 0.5,
+                "--p", "0.50", "--p", 0.9, "--trials", 100]) == 1
+    assert "--p 0.5 given more than once" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists()
+
+
 def test_sweep_validates_the_config_without_stacking_it(scalar_config, tmp_path,
                                                         monkeypatch, capsys):
     # the command hands the loaded model to sweep_dropout, which validates

@@ -205,6 +205,16 @@ VALIDATE_REJECTS = {
     "P_terminal_shape": (lambda m: setattr(m, "P_terminal", np.eye(2)), "definite",
                          DimensionMismatch,
                          "P_terminal has shape (2, 2), expected (3, 3)"),
+    # fields replaced after construction get the constructor's shape checks;
+    # left to stack, they fail with numpy's broadcast error, naming no field
+    "Abar_replaced": (lambda m: setattr(m.subsystems[0], "Abar", np.eye(2)),
+                      "definite", DimensionMismatch,
+                      "Abar^1 has shape (2, 2), expected (1, 1)"),
+    "mu_replaced": (lambda m: setattr(m.subsystems[1], "mu", np.zeros(3)),
+                    "definite", DimensionMismatch, "mu^2 has 3 entries, expected 2"),
+    "Bbar_replaced": (lambda m: setattr(m.subsystems[1], "Bbar", np.zeros((2, 2))),
+                      "definite", DimensionMismatch,
+                      "Bbar^2 has shape (2, 2), expected (2, 1)"),
 }
 
 
@@ -319,6 +329,18 @@ def test_malformed_document_rejected(case):
     doc = edit(model_to_dict(make_scalar_coupled(N=3)))
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
         model_from_dict(doc)
+
+
+def test_numpy_numbers_accepted():
+    # only booleans and strings are refused: numpy scalars and arrays of
+    # integers or floats are numbers
+    doc = model_to_dict(make_scalar_coupled(N=3))
+    sub = doc["subsystems"][0]
+    sub["p"], sub["sigma_w"] = np.float64(0.25), np.int64(2)
+    sub["A"], doc["Q"] = np.array([[2]]), [[np.float32(1.5)]]
+    model = model_from_dict(doc)
+    assert (model.subsystems[0].p, model.subsystems[0].sigma_w) == (0.25, 2.0)
+    assert (model.subsystems[0].A[0, 0], model.Q[0, 0]) == (2.0, 1.5)
 
 
 def test_numpy_integer_horizon_accepted():

@@ -35,6 +35,14 @@ def test_frozen_scalar_values_12_digits():
     assert sol.P_sub[0][0][0, 0] == pytest.approx(2.0738636363636367, rel=1e-12)
 
 
+def test_solution_arrays_own_their_data():
+    # the sweep fills one array per quantity for both families; a view into
+    # it would keep the error family's N_L x N_L matrices alive
+    _, _, sol = solve(make_unequal_blocks())
+    for a in (sol.P, sol.Lambda, sol.Khat, *sol.P_sub, *sol.Pi, *sol.Ktilde):
+        assert a.flags.owndata and a.flags.c_contiguous
+
+
 def test_terminal_conditions():
     model = make_random_definite(np.random.default_rng(3))
     vm, _, sol = solve(model)

@@ -349,6 +349,16 @@ def test_sweep_propagates_errors_other_than_model_and_solver():
         sweep_dropout(model, [0.5], seed=0, trials=0)
 
 
+def test_sweep_checks_trials_before_solving():
+    # at A = 1e200 the solver rejects p = 0.5, so simulate and its own trials
+    # check never run; a check left to simulate would record the
+    # SingularLambda instead of raising
+    model = make_scalar_coupled(N=3)
+    model.subsystems[0].A = np.array([[1e200]])
+    with pytest.raises(ValueError, match="trials >= 1 required"):
+        sweep_dropout(model, [0.5], seed=0, trials=0)
+
+
 def test_monte_carlo_matches_oracle_random_model():
     model = make_random_definite(np.random.default_rng(53), L=2, N=5)
     vm, stk, sched = solve_all(model)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ncslq import gains, optimal_cost, solve_cre
-from ncslq.oracle import exact_cost
+from ncslq.oracle import cost_gradient, exact_cost, propagate_moments
+from ncslq.riccati import _step
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
@@ -70,6 +73,61 @@ def test_stored_gains_equal_refactored_gains(name):
     sched.Khat[0] += 1.0
     sched.Ktilde[0][0] += 1.0
     _assert_same_gains(gains(sol), gains_by_refactoring(sol, stk, vm))
+
+
+def gradient_by_two_steps(vm, stk, sched):
+    """cost_gradient's gradient and curvature, (dKhat, dKt, ddKhat, ddKt) on
+    the stacked layout, by a loop that takes one riccati._step per family
+    per step: (Lambda, Psi) at P_{k+1} and (Lt, Xt) at Y, each forming its
+    own products with the shared noise weight Sw * Y."""
+    cl = sched.closed_loop(stk, vm.N)
+    moments = list(propagate_moments(vm, stk, sched))
+    p = stk.p_rows[:, None]
+    q = 1.0 - p
+
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    P = Pt = sym(vm.P_terminal)
+    dKh, dKt, ddKh, ddKt = (np.zeros(cl.Khat.shape) for _ in range(4))
+    for k in range(vm.N, -1, -1):
+        Kh, Kt, S, T = cl.Khat[k], cl.Kt[k], moments[k].S, moments[k].T
+        Y = sym(p * P + q * Pt)
+        Pw = stk.Sw * Y
+        Lam, Psi, G = _step(P, Pw, stk, vm.Q, vm.R)
+        Lt, Xt, Gt = _step(Y, Pw, stk, vm.Q, vm.R)
+        H, Ht = Lam @ Kh + Psi, Lt @ Kt + Xt
+        P, Pt = sym(G + Kh.T @ (H + Psi)), sym(Gt + Kt.T @ (Ht + Xt))
+        dKh[k], dKt[k] = 2.0 * H @ S, 2.0 * Ht @ T
+        ddKh[k] = 2.0 * np.outer(np.diag(Lam), np.diag(S))
+        ddKt[k] = 2.0 * np.outer(np.diag(Lt), np.diag(T))
+    return dKh, dKt, ddKh, ddKt
+
+
+@pytest.mark.parametrize("name", [*GAIN_MODELS, "indefinite"])
+def test_pair_sweep_equals_two_steps_off_the_solved_gains(name):
+    # the sweep steps both families as one pair; at gains the solve never
+    # picks (1% multiplicative jitter), its gradient and curvature must equal
+    # the per-family loop's bit for bit
+    vm, stk, sol, sched = solve_gain_case(name)
+    rng = np.random.default_rng(7)
+
+    def jitter(a):
+        return a * (1.0 + 0.01 * rng.standard_normal(a.shape))
+    sched = dataclasses.replace(sched, Khat=jitter(sched.Khat),
+                                Ktilde=[jitter(K) for K in sched.Ktilde])
+    cg = cost_gradient(vm, stk, sched)
+    assert cg.cost == exact_cost(vm, stk, sched)
+    dKh, dKt, ddKh, ddKt = gradient_by_two_steps(vm, stk, sched)
+    assert np.array_equal(cg.gradient.Khat, dKh)
+    assert np.array_equal(cg.curvature.Khat, ddKh)
+    assert np.abs(dKh).max() > 0.0   # off the stationary point
+    noff, moff = vm.n_offsets, vm.m_offsets
+    for i, (g, c) in enumerate(zip(cg.gradient.Ktilde, cg.curvature.Ktilde,
+                                   strict=True)):
+        r, x = slice(moff[i + 1], moff[i + 2]), slice(noff[i], noff[i + 1])
+        assert np.array_equal(g, dKt[:, r, x])
+        assert np.array_equal(c, ddKt[:, r, x])
 
 
 def test_frozen_scalar_gains():
