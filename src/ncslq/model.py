@@ -12,10 +12,9 @@ and reads/writes the JSON configuration format.
 """
 from __future__ import annotations
 
-import copy
 import json
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,22 +76,30 @@ def _check_definite(M, name, pd=False):
 
 
 def _real(value, name):
-    """value as a float array, refusing a boolean or a string where a number
-    belongs: numpy would read True as 1.0 and parse "0.5"."""
-    for x in np.asarray(value, dtype=object).flat:
-        if isinstance(x, (bool, np.bool_, str, bytes)):
-            raise DimensionMismatch(f"{name} must be numeric, got {x!r}")
-    return np.asarray(value, dtype=float)
-
-
-def _check_finite(M, name):
+    """A new float array of value, every entry finite.  A boolean or a string
+    where a number belongs is refused (numpy would read True as 1.0 and parse
+    "0.5"); a numeric array, as a constructed model holds, has neither."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        for x in np.asarray(value, dtype=object).flat:
+            if isinstance(x, (bool, np.bool_, str, bytes)):
+                raise DimensionMismatch(f"{name} must be numeric, got {x!r}")
+    M = np.array(value, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ModelError(f"{name} has a non-finite entry")
+    return M
+
+
+def integer(value, label, error=DimensionMismatch):
+    """value as an int; int() would truncate 2.7 or True silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{label} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
 class SubsystemModel:
-    """One subsystem: dynamics matrices, noise statistics, channel quality."""
+    """One subsystem: dynamics matrices, noise statistics, channel quality.
+    Construction converts and checks each field; `validate` lists the checks."""
 
     index: int                # 1-based position in the network
     A: np.ndarray             # n_i x n_i
@@ -115,6 +122,8 @@ class SubsystemModel:
         for name in names:
             M = np.atleast_2d(_real(getattr(self, name), label[name]))
             setattr(self, name, M)
+        self.Sigma_v = symmetrized(self.Sigma_v, label["Sigma_v"])
+        self.Sigma_x0 = symmetrized(self.Sigma_x0, label["Sigma_x0"])
         n, m, m0 = self.A.shape[0], self.B.shape[1], self.B0.shape[1]
         mu = _real(self.mu, label["mu"])
         if mu.size != n:
@@ -126,9 +135,16 @@ class SubsystemModel:
             if M.shape != shape:
                 raise DimensionMismatch(
                     f"{label[name]} has shape {M.shape}, expected {shape}")
+        if m == 0:
+            raise DimensionMismatch(
+                f"subsystem {i} has no local input (B^{i} has 0 columns)")
         for name in ("sigma_w", "p"):
             _real(getattr(self, name), label[name])
         self.sigma_w, self.p = float(self.sigma_w), float(self.p)
+        if not 0.0 <= self.p <= 1.0:
+            raise ProbabilityOutOfRange(f"p^{i} = {self.p} not in [0, 1]")
+        if self.sigma_w < 0.0:
+            raise DefinitenessViolation(f"sigma_w^{i} = {self.sigma_w} < 0")
 
     @property
     def n(self):
@@ -141,7 +157,8 @@ class SubsystemModel:
 
 @dataclass
 class NetworkModel:
-    """The full problem instance: subsystems, weights, horizon."""
+    """The full problem instance: subsystems, weights, horizon.  Construction
+    converts and checks each field; `validate` lists the checks."""
 
     subsystems: list[SubsystemModel]
     m0: int                   # remote input dimension
@@ -151,14 +168,23 @@ class NetworkModel:
     P_terminal: np.ndarray    # N_L x N_L terminal weight
 
     def __post_init__(self):
-        for name in ("Q", "R", "P_terminal"):
-            setattr(self, name, np.atleast_2d(_real(getattr(self, name), name)))
-        for name, label in (("m0", "m0"), ("N", "horizon N")):
-            value = getattr(self, name)
-            # int() would truncate 2.7 or True silently
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DimensionMismatch(f"{label} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+        if not self.subsystems:
+            raise DimensionMismatch("model has no subsystems")
+        self.m0 = integer(self.m0, "m0")
+        self.N = integer(self.N, "horizon N")
+        if self.N < 0:
+            raise DimensionMismatch("horizon N must be >= 0")
+        for s in self.subsystems:
+            if s.B0.shape[1] != self.m0:
+                raise DimensionMismatch(
+                    f"B^{s.index}0 has {s.B0.shape[1]} columns, expected m0={self.m0}")
+        NL, ML = self.n_offsets[-1], self.m_offsets[-1]
+        for name, size in (("Q", NL), ("R", ML), ("P_terminal", NL)):
+            M = np.atleast_2d(_real(getattr(self, name), name))
+            if M.shape != (size, size):
+                raise DimensionMismatch(
+                    f"{name} has shape {M.shape}, expected {(size, size)}")
+            setattr(self, name, symmetrized(M, name))
 
     @property
     def L(self):
@@ -196,61 +222,29 @@ class ValidatedModel(NetworkModel):
 def validate(model, mode="definite"):
     """Check a NetworkModel for structural and definiteness errors.
 
-    Every matrix, vector and noise variance must be finite, and every
-    subsystem needs its local input (m_i >= 1; m0 may be 0).  `definite`
-    mode requires Q >= 0, R > 0, P_terminal >= 0 (the standard weighting
-    assumptions).  `indefinite` mode requires symmetry only; the instance
-    goes through the same recursion, whose CRESolution.lambda_psd flags the
-    steps at which Lambda_k is positive semidefinite.
-    The caller's model is left untouched: the returned ValidatedModel is
-    built from a copy of its data, whose symmetric weights and covariances
-    are made exactly symmetric.
+    The constructors check each field on its own: finite numbers, shapes,
+    integer m0 and N >= 0, m_i >= 1, p in [0, 1], sigma_w >= 0, and the
+    symmetric matrices made exactly symmetric.  validate rebuilds the model
+    from the caller's current fields through them, so a field edited after
+    construction is checked too and the caller's model is left untouched.
+    Its own tests are the eigenvalues: Sigma_v^i, Sigma_x0^i PSD in both
+    modes; `definite` mode requires Q >= 0, R > 0, P_terminal >= 0.
+    `indefinite` mode requires symmetry only; CRESolution.lambda_psd flags
+    the steps at which Lambda_k is positive semidefinite.
     """
     if mode not in ("definite", "indefinite"):
         raise ValueError(f"unknown mode {mode!r}")
-    model = copy.deepcopy(model)
-    if not model.subsystems:
-        raise DimensionMismatch("model has no subsystems")
-    if model.N < 0:
-        raise DimensionMismatch("horizon N must be >= 0")
-    NL, ML = model.n_offsets[-1], model.m_offsets[-1]
-    for s in model.subsystems:
-        for name in ("A", "Abar", "B", "Bbar", "B0", "Bbar0", "sigma_w",
-                     "Sigma_v", "mu", "Sigma_x0"):
-            _check_finite(getattr(s, name), f"{name}^{s.index}")
-        if s.B0.shape[1] != model.m0:
-            raise DimensionMismatch(
-                f"B^{s.index}0 has {s.B0.shape[1]} columns, expected m0={model.m0}")
-        if s.m == 0:
-            raise DimensionMismatch(
-                f"subsystem {s.index} has no local input (B^{s.index} has 0 columns)")
-        if not (0.0 <= s.p <= 1.0):
-            raise ProbabilityOutOfRange(f"p^{s.index} = {s.p} not in [0, 1]")
-        if s.sigma_w < 0.0:
-            raise DefinitenessViolation(f"sigma_w^{s.index} = {s.sigma_w} < 0")
-        s.Sigma_v = symmetrized(s.Sigma_v, f"Sigma_v^{s.index}")
-        s.Sigma_x0 = symmetrized(s.Sigma_x0, f"Sigma_x0^{s.index}")
-        s.__post_init__()   # shapes of fields replaced after construction
+    vm = ValidatedModel(
+        subsystems=[replace(s) for s in model.subsystems], m0=model.m0,
+        N=model.N, Q=model.Q, R=model.R, P_terminal=model.P_terminal, mode=mode)
+    for s in vm.subsystems:
         _check_definite(s.Sigma_v, f"Sigma_v^{s.index}")
         _check_definite(s.Sigma_x0, f"Sigma_x0^{s.index}")
-    for name in ("Q", "R", "P_terminal"):
-        _check_finite(getattr(model, name), name)
-    if model.Q.shape != (NL, NL):
-        raise DimensionMismatch(f"Q has shape {model.Q.shape}, expected {(NL, NL)}")
-    if model.R.shape != (ML, ML):
-        raise DimensionMismatch(f"R has shape {model.R.shape}, expected {(ML, ML)}")
-    if model.P_terminal.shape != (NL, NL):
-        raise DimensionMismatch(
-            f"P_terminal has shape {model.P_terminal.shape}, expected {(NL, NL)}")
-    model.Q = symmetrized(model.Q, "Q")
-    model.R = symmetrized(model.R, "R")
-    model.P_terminal = symmetrized(model.P_terminal, "P_terminal")
     if mode == "definite":
-        _check_definite(model.Q, "Q")
-        _check_definite(model.R, "R", pd=True)
-        _check_definite(model.P_terminal, "P_terminal")
-    return ValidatedModel(mode=mode, **{f.name: getattr(model, f.name)
-                                        for f in fields(NetworkModel)})
+        _check_definite(vm.Q, "Q")
+        _check_definite(vm.R, "R", pd=True)
+        _check_definite(vm.P_terminal, "P_terminal")
+    return vm
 
 
 @dataclass

@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (HorizonMismatch, ProbabilityOutOfRange, local_blocks, stack,
-                    validate)
+from .model import (HorizonMismatch, ProbabilityOutOfRange, integer,
+                    local_blocks, stack, validate)
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
@@ -298,15 +298,19 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
              horizon=None):
     """Monte Carlo estimate of the closed-loop cost and state statistics.
 
-    Deterministic in (seed, trials): the block decomposition and each
-    block's generator depend only on the seed and the block index.  The
-    ClosedLoop (GainSchedule.closed_loop, which raises HorizonMismatch
-    unless the gains cover k = 0..N) and the factors of each Sigma_x0^i and
-    Sigma_v^i are formed once per call and shared by every block.
+    trials >= 1 and a horizon override must be integers (2.7 or True is
+    refused, not truncated).  Deterministic in (seed, trials): the block
+    decomposition and each block's generator depend only on the seed and
+    the block index.  The ClosedLoop (GainSchedule.closed_loop, which raises
+    HorizonMismatch unless the gains cover k = 0..N) and the factors of each
+    Sigma_x0^i and Sigma_v^i are formed once per call and shared by every
+    block.
     """
+    trials = integer(trials, "trials", ValueError)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    N = model.N if horizon is None else int(horizon)
+        raise ValueError("trials >= 1 required")
+    N = model.N if horizon is None else integer(horizon, "horizon override",
+                                                HorizonMismatch)
     if N < 0:
         raise HorizonMismatch(f"horizon override {N} is negative")
     if N > model.N:
@@ -372,7 +376,7 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ProbabilityOutOfRange(f"sweep p = {p} not in [0, 1]")
-    if trials < 1:
+    if integer(trials, "trials", ValueError) < 1:
         raise ValueError("trials >= 1 required")
     vm = validate(model, mode=mode)
     st = stack(vm)

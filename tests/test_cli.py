@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -251,6 +252,40 @@ def test_malformed_config_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and message in err
     assert not (tmp_path / "out" / "cre.json").exists()
+
+
+def _asymmetric(Q):
+    Q[0][1] += 0.5
+    return Q
+
+
+# a field out of its range, asymmetric or of the wrong shape fails where the
+# document is read: (field, its edit in make_unequal_blocks' document, whose
+# N_L is 6, text of the error)
+OUT_OF_RANGE_CONFIGS = {
+    "p_above_one": ("p", lambda p: 1.5, "p^1 = 1.5 not in [0, 1]"),
+    "sigma_w_negative": ("sigma_w", lambda s: -0.1, "sigma_w^1 = -0.1 < 0"),
+    "Q_asymmetric": ("Q", _asymmetric, "Q is not symmetric"),
+    "Q_shape": ("Q", lambda Q: np.eye(5).tolist(),
+                "Q has shape (5, 5), expected (6, 6)"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE_CONFIGS)
+def test_out_of_range_config_is_input_error(case, tmp_path, capsys):
+    field, edit, message = OUT_OF_RANGE_CONFIGS[case]
+    doc = model_to_dict(make_unequal_blocks(N=3))
+    owner = doc if field == "Q" else doc["subsystems"][0]
+    owner[field] = edit(owner[field])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ncslq.ModelError, match=re.escape(message)):
+        load_config(path)
+    out = tmp_path / "out"
+    assert run(["--config", path, "--out", out, "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_subsystem_without_local_input_is_input_error(tmp_path, capfd):

@@ -215,6 +215,18 @@ VALIDATE_REJECTS = {
     "Bbar_replaced": (lambda m: setattr(m.subsystems[1], "Bbar", np.zeros((2, 2))),
                       "definite", DimensionMismatch,
                       "Bbar^2 has shape (2, 2), expected (2, 1)"),
+    # the same conversions as at construction: a list is read as an array,
+    # and a string or a float where an integer belongs is named
+    "R_indefinite_list": (
+        lambda m: setattr(m, "R", [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        "definite", DefinitenessViolation, "R is not PD"),
+    "p_string": (lambda m: setattr(m.subsystems[0], "p", "0.5"), "definite",
+                 DimensionMismatch, "p^1 must be numeric, got '0.5'"),
+    "sigma_w_string": (lambda m: setattr(m.subsystems[0], "sigma_w", "1"),
+                       "definite", DimensionMismatch,
+                       "sigma_w^1 must be numeric, got '1'"),
+    "m0_float": (lambda m: setattr(m, "m0", 1.5), "definite", DimensionMismatch,
+                 "m0 must be an integer, got 1.5"),
 }
 
 
@@ -225,6 +237,13 @@ def test_validate_rejects(case):
     edit(model)
     with pytest.raises(error, match=re.escape(message)):
         validate(model, mode=mode)
+
+
+def test_weight_list_set_after_construction_validates():
+    model = two_subsystem_model()
+    expected = model_to_dict(validate(model))
+    model.Q = model.Q.tolist()
+    assert model_to_dict(validate(model)) == expected
 
 
 def test_negative_sigma_w_rejected():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -349,6 +350,25 @@ def test_sweep_propagates_errors_other_than_model_and_solver():
         sweep_dropout(model, [0.5], seed=0, trials=0)
 
 
+@pytest.mark.parametrize("argument, value, error, message", [
+    ("horizon", 2.7, HorizonMismatch,
+     "horizon override must be an integer, got 2.7"),
+    ("horizon", True, HorizonMismatch,
+     "horizon override must be an integer, got True"),
+    ("trials", True, ValueError, "trials must be an integer, got True"),
+    ("trials", 2.5, ValueError, "trials must be an integer, got 2.5"),
+])
+def test_simulate_refuses_non_integer_arguments(argument, value, error, message):
+    # int() would run horizon 2 for 2.7 and 1 for True, and trials=True
+    # would run one trial reported as `True`
+    vm, stk, sched = solve_all(make_scalar_coupled(N=3))
+    args = {"seed": 0, "trials": 10, argument: value}
+    with pytest.raises(error, match=re.escape(message)):
+        simulate(vm, stk, sched, **args)
+    numpy_int = {**args, argument: np.int64(2)}
+    assert simulate(vm, stk, sched, **numpy_int).to_dict()[argument] == 2
+
+
 def test_sweep_checks_trials_before_solving():
     # at A = 1e200 the solver rejects p = 0.5, so simulate and its own trials
     # check never run; a check left to simulate would record the
@@ -357,6 +377,8 @@ def test_sweep_checks_trials_before_solving():
     model.subsystems[0].A = np.array([[1e200]])
     with pytest.raises(ValueError, match="trials >= 1 required"):
         sweep_dropout(model, [0.5], seed=0, trials=0)
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        sweep_dropout(model, [0.5], seed=0, trials=2.5)
 
 
 def test_monte_carlo_matches_oracle_random_model():
