@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ EXIT_INVARIANT = 3
 CHECK_SCHEMA = 2
 
 
+@functools.cache   # parse_args leaves the parser as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ncslq",

@@ -78,12 +78,16 @@ def _check_definite(M, name, pd=False):
 def _real(value, name):
     """A new float array of value, every entry finite.  A boolean or a string
     where a number belongs is refused (numpy would read True as 1.0 and parse
-    "0.5"); a numeric array, as a constructed model holds, has neither."""
+    "0.5"); a numeric array, as a constructed model holds, has neither.  So
+    is a ragged nesting of lists, whose rows differ in length."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
         for x in np.asarray(value, dtype=object).flat:
             if isinstance(x, (bool, np.bool_, str, bytes)):
                 raise DimensionMismatch(f"{name} must be numeric, got {x!r}")
-    M = np.array(value, dtype=float)
+    try:
+        M = np.array(value, dtype=float)
+    except ValueError as exc:   # numpy's "inhomogeneous shape"
+        raise DimensionMismatch(f"{name} is not a rectangular array") from exc
     if not np.all(np.isfinite(M)):
         raise ModelError(f"{name} has a non-finite entry")
     return M
@@ -139,8 +143,11 @@ class SubsystemModel:
             raise DimensionMismatch(
                 f"subsystem {i} has no local input (B^{i} has 0 columns)")
         for name in ("sigma_w", "p"):
-            _real(getattr(self, name), label[name])
-        self.sigma_w, self.p = float(self.sigma_w), float(self.p)
+            x = _real(getattr(self, name), label[name])
+            if x.ndim:   # as float() would; model_from_dict calls it malformed
+                raise TypeError(f"{label[name]} must be a number, got "
+                                f"{getattr(self, name)!r}")
+            setattr(self, name, float(x))
         if not 0.0 <= self.p <= 1.0:
             raise ProbabilityOutOfRange(f"p^{i} = {self.p} not in [0, 1]")
         if self.sigma_w < 0.0:

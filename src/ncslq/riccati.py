@@ -42,10 +42,14 @@ sees the error family.
 
 Every stored value matrix is the symmetric part of what the step computes,
 so P_k = P_k' exactly: left alone, the antisymmetric round-off of P_k
-grows step by step on long horizons.  The solves go straight to LAPACK
-(getrf, lange, gecon, getrs): the matrices are 1x1 to about 30x30, where
-the per-call overhead of scipy's LU factor and solve wrappers costs more
-than the factorization.
+grows step by step on long horizons.  The matrices are 1x1 to about
+30x30, where a call's overhead costs more than the factorization, so a
+step of solve_cre makes few numpy calls: one solve for Lambda_k and one
+batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape.
+The solvability test is not in the step.  It is one pass over the stored
+Lambda and Pi stacks (_raise_if_singular) with the exact 1-norm condition
+number, which LAPACK's gecon only estimates (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2nd ed., SIAM 2002, ch. 15).
 
 Both validation modes run this one recursion.  Under indefinite weights
 CRESolution.lambda_psd flags the steps at which Lambda_k is positive
@@ -55,22 +59,16 @@ single-subsystem reductions live in the test suite as independent oracles.
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .model import least_eigenvalue, local_blocks
 
-# Reciprocal condition number below which a coefficient matrix is declared
-# singular (the solvability condition fails).
+# Reciprocal 1-norm condition number 1 / (||M||_1 ||M^-1||_1) below which a
+# coefficient matrix is declared singular (the solvability condition fails).
 RCOND_SINGULAR = 1e-12
-
-# Double-precision LU factorization, 1-norm, condition estimate and LU solve.
-_getrf, _lange, _gecon, _getrs = get_lapack_funcs(
-    ("getrf", "lange", "gecon", "getrs"), (np.zeros((1, 1)),))
 
 
 class RiccatiError(RuntimeError):
@@ -89,21 +87,48 @@ class SingularPi(RiccatiError):
         self.k, self.i, self.rcond = k, i, rcond
 
 
-def solve_checked(M, rhs, exc_factory):
-    """Solve M @ X = rhs via LU with a condition estimate.
+def _rcond(M):
+    """Reciprocal 1-norm condition numbers 1 / (||M||_1 ||M^-1||_1) of a
+    stack of square matrices (..., n, n), with one inversion of the stack:
+    0.0 for an exactly singular finite matrix, nan for a non-finite one."""
+    M = np.asarray(M, dtype=float)
+    flat = M.reshape(-1, *M.shape[-2:])
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    F = flat[finite]
+    try:
+        inv = np.linalg.inv(F)
+    except np.linalg.LinAlgError:
+        # an exactly singular matrix in the stack: ||M^-1||_1 = inf
+        inv = np.stack([_inverse_or_inf(m) for m in F])
+    out = np.full(len(flat), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = 1.0 / (np.linalg.norm(F, 1, axis=(1, 2))
+                    * np.linalg.norm(inv, 1, axis=(1, 2)))
+    # a nan here is a finite matrix with no finite inverse
+    out[finite] = np.where(np.isnan(rc), 0.0, rc)
+    return out.reshape(M.shape[:-2])
 
-    Raises exc_factory(rcond) when the estimated reciprocal condition
-    number falls below RCOND_SINGULAR or is not finite, which is also how
-    a diverged (non-finite) M is reported.  The result is bit-identical to
-    solving with scipy.linalg's LU factor and solve functions, which call
-    the same LAPACK routines behind a per-call overhead.
+
+def _inverse_or_inf(M):
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full_like(M, np.inf)
+
+
+def solve_checked(M, rhs, exc_factory):
+    """Solve M @ X = rhs with np.linalg.solve, the routine solve_cre calls
+    on each Lambda_k and Pi_k^i, so the two agree bit for bit.
+
+    Raises exc_factory(rcond) when the exact reciprocal condition number
+    (_rcond) falls below RCOND_SINGULAR or is not finite, which is also how
+    a diverged (non-finite) M is reported.
     """
     M = np.asarray(M, dtype=float)
-    lu, piv, _ = _getrf(M)
-    rcond, _ = _gecon(lu, _lange("1", M))
-    if not math.isfinite(rcond) or rcond < RCOND_SINGULAR:
-        raise exc_factory(rcond)
-    return _getrs(lu, piv, rhs)[0]
+    rc = float(_rcond(M))
+    if not rc >= RCOND_SINGULAR:
+        raise exc_factory(rc)
+    return np.linalg.solve(M, rhs)
 
 
 @dataclass
@@ -200,22 +225,63 @@ def sweep(stacked, model, choose):
         yield SweepStep(k, Lam, K, H, V)
 
 
+def _shape_groups(n_offsets, m_offsets):
+    """The subsystems grouped by block shape (m_i, n_i), each group as
+    (0-based subsystem indices, flat indices of their Pi^i blocks in an
+    M_L x M_L matrix, of their Omega^i blocks in an M_L x N_L one), with
+    shapes (g,), (g, m_i, m_i) and (g, m_i, n_i)."""
+    ML, NL = m_offsets[-1], n_offsets[-1]
+    groups = {}
+    for i, (r, c) in enumerate(local_blocks(n_offsets, m_offsets)):
+        rows, cols = np.arange(ML)[r, None], np.arange(NL)[c]
+        subs, pi, omega = groups.setdefault((len(rows), len(cols)), ([], [], []))
+        subs.append(i)
+        pi.append(rows * ML + rows.T)
+        omega.append(rows * NL + cols)
+    return [(np.array(subs), np.array(pi), np.array(omega))
+            for subs, pi, omega in groups.values()]
+
+
+def _raise_if_singular(Lam, k0, groups):
+    """Raise for the first coefficient matrix in sweep order, the largest k
+    first and Lambda_k before Pi_k^1..Pi_k^L, whose _rcond is below
+    RCOND_SINGULAR or not finite.  Lam holds the pair coefficients of steps
+    k0, k0 + 1, ...; each stack is inverted once."""
+    steps = len(Lam)
+    L = sum(len(subs) for subs, _, _ in groups)
+    rc = np.empty((steps, 1 + L))
+    rc[:, 0] = _rcond(Lam[:, 0])
+    Lt = Lam[:, 1].reshape(steps, -1)
+    for subs, pi, _ in groups:
+        rc[:, 1 + subs] = _rcond(Lt[:, pi])
+    failed = ~(rc >= RCOND_SINGULAR)
+    if failed.any():
+        # rows reversed, so that the first failure found is the largest k's
+        back, j = divmod(int(np.argmax(failed[::-1])), 1 + L)
+        row = steps - 1 - back
+        k, worst = k0 + row, float(rc[row, j])
+        raise SingularLambda(k, worst) if j == 0 else SingularPi(k, j, worst)
+
+
 def solve_cre(stacked, model):
     """Solve the coupled recursions backward from k = N to 0: the sweep
-    with the minimizing gains, kept with the coefficients they solve."""
+    with the minimizing gains, kept with the coefficients they solve.
+
+    Every Lambda_k and Pi_k^i is tested once the sweep is done.  A sweep
+    that overflows or meets an exactly singular matrix is run again with
+    each step's matrices tested before its solves, so that it stops at the
+    first that fails and numpy warns only of the arithmetic before it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _solve_cre(stacked, model, each_step=False)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        return _solve_cre(stacked, model, each_step=True)
+
+
+def _solve_cre(stacked, model, each_step):
     N, NL, ML = model.N, stacked.NL, stacked.ML
     blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
-
-    def minimizing(k, Lam, Psi):
-        # Lambda_k is factored before any Pi_k^i, so SingularLambda is
-        # raised before SingularPi at the same step; each Pi_k^i is
-        # factored alone, so its rcond is that block's own
-        K = np.zeros((2, ML, NL))
-        K[0] = -solve_checked(Lam[0], Psi[0], lambda rc: SingularLambda(k, rc))
-        for i, (r, c) in enumerate(blocks):
-            K[1, r, c] = -solve_checked(Lam[1, r, r], Psi[1, r, c],
-                                        lambda rc: SingularPi(k, i + 1, rc))
-        return K
+    groups = _shape_groups(stacked.n_offsets, stacked.m_offsets)
 
     # the pair arrays of the sweep; the estimate family's are copied out
     # and the error family's sliced into per-subsystem blocks at the end
@@ -223,8 +289,20 @@ def solve_cre(stacked, model):
     Lam = np.zeros((N + 1, 2, ML, ML))
     K = np.zeros((N + 1, 2, ML, NL))
     V[N + 1] = _sym(model.P_terminal)
+
+    def minimizing(k, Lam_k, Psi):
+        Lam[k] = Lam_k
+        if each_step:
+            _raise_if_singular(Lam[k:k + 1], k, groups)
+        K[k, 0] = -np.linalg.solve(Lam_k[0], Psi[0])
+        for _, pi, omega in groups:
+            np.put(K[k, 1], omega, -np.linalg.solve(
+                np.take(Lam_k[1], pi), np.take(Psi[1], omega)))
+        return K[k]
+
     for st in sweep(stacked, model, minimizing):
-        V[st.k], Lam[st.k], K[st.k] = st.V, st.Lam, st.K
+        V[st.k] = st.V
+    _raise_if_singular(Lam, 0, groups)
     return CRESolution(
         N=N, n_offsets=stacked.n_offsets, m_offsets=stacked.m_offsets,
         p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=V[:, 0].copy(),

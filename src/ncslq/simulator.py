@@ -294,14 +294,22 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     }
 
 
+def _seed(seed):
+    """seed as a non-negative int, the key every block's generator needs."""
+    seed = integer(seed, "seed", ValueError)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
              horizon=None):
     """Monte Carlo estimate of the closed-loop cost and state statistics.
 
-    trials >= 1 and a horizon override must be integers (2.7 or True is
-    refused, not truncated).  Deterministic in (seed, trials): the block
-    decomposition and each block's generator depend only on the seed and
-    the block index.  The ClosedLoop (GainSchedule.closed_loop, which raises
+    trials >= 1, seed >= 0 and a horizon override must be integers (2.7
+    or True is refused, not truncated).  Deterministic in (seed, trials):
+    the block decomposition and each block's generator depend only on the
+    seed and the block index.  The ClosedLoop (GainSchedule.closed_loop, which raises
     HorizonMismatch unless the gains cover k = 0..N) and the factors of each
     Sigma_x0^i and Sigma_v^i are formed once per call and shared by every
     block.
@@ -309,6 +317,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     trials = integer(trials, "trials", ValueError)
     if trials < 1:
         raise ValueError("trials >= 1 required")
+    seed = _seed(seed)
     N = model.N if horizon is None else integer(horizon, "horizon override",
                                                 HorizonMismatch)
     if N < 0:
@@ -326,7 +335,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
 
     def run(block):
         b, nt = block
-        rng = np.random.default_rng([int(seed), b])
+        rng = np.random.default_rng([seed, b])
         return caller.copy().run(_simulate_block, model, stacked, cl, chol_x0,
                                  chol_v, N, rng, nt, b * BLOCK_TRIALS,
                                  retain_traces)
@@ -349,7 +358,7 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     nonfinite = [t for r in results for t in r["nonfinite"]]
     traces = [tr for r in results for tr in r["traces"]]
     return SimulationSummary(
-        trials=trials, seed=int(seed), horizon=N, cost_mean=mean,
+        trials=trials, seed=seed, horizon=N, cost_mean=mean,
         cost_stderr=stderr, mean_sq_norms=sq_norms, dropout_freq=freq,
         nonfinite=nonfinite, traces=traces)
 
@@ -366,10 +375,11 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     """Re-solve, re-synthesize, and simulate for each dropout setting.
 
     Every subsystem's uplink probability is set to p.  Each p must lie in
-    [0, 1], or ProbabilityOutOfRange names it, and trials < 1 raises
-    ValueError, both before anything is solved.  The model is validated (in
-    `mode`) and stacked once; p then replaces the stacked instance's
-    p_rows, the only place the solver and the simulator read it.  Returns a
+    [0, 1], or ProbabilityOutOfRange names it, and trials and seed are
+    checked as simulate checks them (ValueError), all before anything is
+    solved.  The model is validated (in `mode`) and stacked once; p then
+    replaces the stacked instance's p_rows, the only place the solver and
+    the simulator read it.  Returns a
     list of per-p records; a setting that the solver rejects (RiccatiError)
     is recorded and the sweep continues.  Any other error propagates.
     """
@@ -378,6 +388,7 @@ def sweep_dropout(model, p_values, seed, trials, mode="definite"):
             raise ProbabilityOutOfRange(f"sweep p = {p} not in [0, 1]")
     if integer(trials, "trials", ValueError) < 1:
         raise ValueError("trials >= 1 required")
+    _seed(seed)
     vm = validate(model, mode=mode)
     st = stack(vm)
     out = []

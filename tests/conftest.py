@@ -184,6 +184,8 @@ MALFORMED_CONFIGS = {
     "top_level_list": (lambda d: [d], "malformed configuration"),
     "sigma_w_list": (lambda d: _with_field(d, "sigma_w", [1, 2]),
                      "malformed configuration"),
+    "A_ragged": (lambda d: _with_field(d, "A", [[1.0], []]),
+                 "A^1 is not a rectangular array"),
     "mu_length": (lambda d: _with_field(d, "mu", [1.0, 2.0, 3.0]),
                   "mu^1 has 3 entries, expected 1"),
     "Abar_shape": (lambda d: _with_field(d, "Abar", [[1.0, 2.0]]),

@@ -504,6 +504,33 @@ def test_sweep_p_out_of_range_is_input_error(scalar_config, tmp_path, capsys,
     assert not (out / "sweep.json").exists()
 
 
+def test_calls_in_one_process_parse_their_own_arguments(scalar_config, tmp_path):
+    # the parser is built once per process; no call may see the flags, the
+    # subcommand or the appended --p values of the call before it
+    assert ncslq.cli._build_parser() is ncslq.cli._build_parser()
+
+    def main_in(name, *args):
+        out = tmp_path / name
+        assert run(["--config", scalar_config, "--out", out, *args]) == 0
+        return out
+
+    out = main_in("a", "--seed", 7, "sweep", "--p", 0.8, "--p", 0.3, "--trials", 50)
+    assert list(serialize.load(out / "sweep.json")) == ["0.8", "0.3"]
+    out = main_in("b", "sweep", "--p", 0.5, "--trials", 50)
+    assert list(serialize.load(out / "sweep.json")) == ["0.5"]
+    out = main_in("c", "--seed", 7, "simulate", "--trials", 3, "--retain-traces")
+    assert serialize.load(out / "summary.json")["seed"] == 7
+    assert len(list(out.glob("trace_*.csv"))) == 3
+    out = main_in("d", "simulate", "--trials", 5)
+    summary = serialize.load(out / "summary.json")
+    assert (summary["seed"], summary["trials"]) == (0, 5)
+    assert not list(out.glob("trace_*.csv"))
+    out = main_in("e", "--mode", "indefinite", "solve")
+    assert serialize.load(out / "cre.json")["mode"] == "indefinite"
+    out = main_in("f", "solve")
+    assert list(serialize.load(out / "cre.json")) == CRE_KEYS
+
+
 def test_console_script(scalar_config, tmp_path):
     # the child imports the package from where this process found it, so the
     # test also runs when ncslq is importable only through pytest's pythonpath

@@ -227,6 +227,14 @@ VALIDATE_REJECTS = {
                        "sigma_w^1 must be numeric, got '1'"),
     "m0_float": (lambda m: setattr(m, "m0", 1.5), "definite", DimensionMismatch,
                  "m0 must be an integer, got 1.5"),
+    # a sequence where a scalar belongs, or a ragged matrix, is named too;
+    # float() and numpy would name no field
+    "sigma_w_list": (lambda m: setattr(m.subsystems[0], "sigma_w", [1, 2]),
+                     "definite", TypeError, "sigma_w^1 must be a number, got [1, 2]"),
+    "p_list": (lambda m: setattr(m.subsystems[1], "p", [0.5]), "definite",
+               TypeError, "p^2 must be a number, got [0.5]"),
+    "A_ragged": (lambda m: setattr(m.subsystems[0], "A", [[1.0], []]), "definite",
+                 DimensionMismatch, "A^1 is not a rectangular array"),
 }
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import ncslq
 from ncslq import (NetworkModel, SingularLambda, SingularPi, SubsystemModel,
-                   check_definiteness, exact_cost, gains, solve_cre)
+                   check_definiteness, exact_cost, gains, model_to_dict,
+                   solve_cre)
 from ncslq.model import local_blocks
-from ncslq.riccati import RCOND_SINGULAR, _step, solve_checked
+from ncslq.riccati import (RCOND_SINGULAR, _raise_if_singular, _rcond,
+                           _shape_groups, _step, solve_checked)
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
@@ -217,6 +225,81 @@ def test_generalized_flags_match_independent_eigenvalues():
     assert np.array_equal(flags, solve_generalized(stk, vm).upsilon_psd)
 
 
+def test_rcond_of_a_stack_is_exact():
+    # one inversion of the stack gives 1 / (||M||_1 ||M^-1||_1) for each
+    # matrix; an exactly singular one gives 0.0, and a non-finite one nan,
+    # whatever else the stack holds
+    rng = np.random.default_rng(5)
+    good = rng.standard_normal((4, 3, 3)) + 3 * np.eye(3)
+    stack = np.concatenate([good, [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                    [0.0, 0.0, 1.0]]],
+                            [np.full((3, 3), np.inf)]]).reshape(2, 3, 3, 3)
+    rc = _rcond(stack)
+    assert rc.shape == (2, 3)
+    expected = [1.0 / np.linalg.cond(M, 1) for M in good]
+    assert np.allclose(rc.ravel()[:4], expected, rtol=1e-12, atol=0)
+    assert rc.ravel()[4] == 0.0 and np.isnan(rc.ravel()[5])
+    assert np.allclose(_rcond(good), expected, rtol=1e-12, atol=0)
+
+
+def test_singularity_pass_names_the_first_failure_in_sweep_order():
+    # the sweep runs k = N down to 0 and forms Lambda_k before Pi_k^1..Pi_k^L;
+    # here L = 2, n = (1, 2), m0 = m_i = 1, and steps k = 1..4 are stored
+    groups = _shape_groups([0, 1, 3], [0, 1, 2, 3])
+    Lam = np.stack([np.eye(3)] * 8).reshape(4, 2, 3, 3)
+    Lam[0, 0] = 0.0                  # Lambda_1 singular
+    Lam[1, 0, 0, 0] = np.nan         # Lambda_2 non-finite
+    Lam[1, 1, 2, 2] = 0.0            # Pi_2^2 singular
+
+    def named():
+        with pytest.raises((SingularLambda, SingularPi)) as info:
+            _raise_if_singular(Lam, 1, groups)
+        return type(info.value).__name__, info.value.k, getattr(info.value, "i", None)
+
+    assert named() == ("SingularLambda", 2, None)
+    Lam[1, 0] = np.eye(3)
+    assert named() == ("SingularPi", 2, 2)
+    Lam[1, 1] = np.eye(3)
+    assert named() == ("SingularLambda", 1, None)
+    Lam[0, 0] = np.eye(3)
+    _raise_if_singular(Lam, 1, groups)
+
+
+def test_no_scipy_at_runtime():
+    # numpy is the package's one runtime dependency: importing it and
+    # solving loads no scipy module
+    src = str(pathlib.Path(ncslq.__file__).resolve().parents[1])
+    code = ("import sys, ncslq\n"
+            "m = ncslq.validate(ncslq.model_from_dict({doc!r}))\n"
+            "ncslq.solve_cre(ncslq.stack(m), m)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    doc = model_to_dict(make_unequal_blocks())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code.format(doc=doc)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_overflowing_sweep_stops_at_the_failing_step():
+    # the scalar instance with A = 1.5, B = 1, Bbar = 2 grows about 1.8x per
+    # step: Lambda_1257 of N = 1300 is diag(1, ~1e12), and P overflows some
+    # 1,200 steps further on.  The solve names Lambda_1257 and warns of
+    # nothing, as a solve that stops at the first failing step does
+    sub = SubsystemModel(index=1, A=[[1.5]], Abar=[[0.0]], B=[[1.0]],
+                         Bbar=[[2.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=1.0,
+                         Sigma_v=[[0.1]], mu=[1.0], Sigma_x0=[[0.1]], p=0.9)
+    model = NetworkModel(subsystems=[sub], m0=1, N=1300, Q=[[1.0]],
+                         R=np.eye(2), P_terminal=[[1.0]])
+    vm, stk = validated_pair(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularLambda) as info:
+            solve_cre(stk, vm)
+    assert info.value.k == 1257
+
+
 def test_singular_lambda_detected():
     model = make_scalar_coupled(N=1)
     model.R = np.zeros((2, 2))
@@ -236,6 +319,25 @@ def test_singular_pi_detected():
         solve_cre(stk, vm)
     assert (info.value.k, info.value.i) == (3, 1)
     assert info.value.rcond < RCOND_SINGULAR
+
+
+def test_singular_pi_named_in_a_second_shape_group():
+    # subsystem 2 (n = 2) has no local input and no weight on it, so
+    # Pi_k^2 = 0 while Lambda_k and Pi_k^1 (n = 1, another block shape)
+    # stay invertible: the test must name subsystem 2 at the first step
+    def sub(index, n, B):
+        return SubsystemModel(index=index, A=0.9 * np.eye(n), Abar=np.zeros((n, n)),
+                              B=B, Bbar=np.zeros((n, 1)), B0=np.ones((n, 1)),
+                              Bbar0=np.zeros((n, 1)), sigma_w=0.1,
+                              Sigma_v=np.eye(n), mu=np.ones(n),
+                              Sigma_x0=np.eye(n), p=0.5)
+    R = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    model = NetworkModel(subsystems=[sub(1, 1, [[1.0]]), sub(2, 2, np.zeros((2, 1)))],
+                         m0=1, N=4, Q=np.eye(3), R=R, P_terminal=np.eye(3))
+    vm, stk = validated_pair(model, mode="indefinite")
+    with pytest.raises(SingularPi) as info:
+        solve_cre(stk, vm)
+    assert (info.value.k, info.value.i, info.value.rcond) == (4, 2, 0.0)
 
 
 def test_diverged_recursion_reported_as_singular():
@@ -262,17 +364,22 @@ def test_solve_checked_well_conditioned():
 
 
 def test_solve_checked_equals_scipy_lu_solve():
-    # the direct LAPACK calls are the routines behind lu_factor / lu_solve,
-    # so the solution must agree bit for bit
+    # solve_checked solves with np.linalg.solve, as solve_cre does, so the
+    # two agree bit for bit; scipy's lu_factor / lu_solve run the same
+    # LAPACK routines on another BLAS build, so they agree only to a few
+    # ulps times the 1-norm condition number
     rng = np.random.default_rng(41)
     fail = lambda rc: SingularLambda(0, rc)
+    eps = np.finfo(float).eps
     for n in range(1, 31):
         M = rng.standard_normal((n, n)) + n * np.eye(n)
+        kappa = np.linalg.cond(M, 1)
         for rhs in (rng.standard_normal((n, 3)), rng.standard_normal(n)):
             out = solve_checked(M, rhs, fail)
+            assert np.array_equal(out, np.linalg.solve(M, rhs))
             ref = lu_solve(lu_factor(M), rhs)
             assert out.shape == ref.shape
-            assert np.array_equal(out, ref)
+            assert np.max(np.abs(out - ref)) <= 4 * eps * kappa * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("M", [

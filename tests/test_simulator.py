@@ -357,6 +357,10 @@ def test_sweep_propagates_errors_other_than_model_and_solver():
      "horizon override must be an integer, got True"),
     ("trials", True, ValueError, "trials must be an integer, got True"),
     ("trials", 2.5, ValueError, "trials must be an integer, got 2.5"),
+    # int() would run seed 2 for 2.7 and seed 1 for True
+    ("seed", 2.7, ValueError, "seed must be an integer, got 2.7"),
+    ("seed", True, ValueError, "seed must be an integer, got True"),
+    ("seed", -1, ValueError, "seed must be >= 0, got -1"),
 ])
 def test_simulate_refuses_non_integer_arguments(argument, value, error, message):
     # int() would run horizon 2 for 2.7 and 1 for True, and trials=True
@@ -379,6 +383,17 @@ def test_sweep_checks_trials_before_solving():
         sweep_dropout(model, [0.5], seed=0, trials=0)
     with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
         sweep_dropout(model, [0.5], seed=0, trials=2.5)
+
+
+def test_sweep_checks_seed_before_solving():
+    # as for trials: the solver rejects p = 0.5, so a seed left to simulate
+    # would never be checked
+    model = make_scalar_coupled(N=3)
+    model.subsystems[0].A = np.array([[1e200]])
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sweep_dropout(model, [0.5], seed=-1, trials=10)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+        sweep_dropout(model, [0.5], seed=2.7, trials=10)
 
 
 def test_monte_carlo_matches_oracle_random_model():
