@@ -75,15 +75,20 @@ def _check_definite(M, name, pd=False):
             f"{name} is not {'PD' if pd else 'PSD'} (eigenvalue {least:g})")
 
 
-def _real(value, name):
-    """A new float array of value, every entry finite.  A boolean or a string
-    where a number belongs is refused (numpy would read True as 1.0 and parse
-    "0.5"); a numeric array, as a constructed model holds, has neither.  So
-    is a ragged nesting of lists, whose rows differ in length."""
+def numeric(value, name):
+    """Refuse a boolean or a string where a number belongs (numpy would read
+    True as 1.0 and parse "0.5"); a numeric array, as a constructed model
+    holds, has neither."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
         for x in np.asarray(value, dtype=object).flat:
             if isinstance(x, (bool, np.bool_, str, bytes)):
                 raise DimensionMismatch(f"{name} must be numeric, got {x!r}")
+
+
+def _real(value, name):
+    """A new float array of value, every entry finite and each one `numeric`.
+    A ragged nesting of lists, whose rows differ in length, is refused."""
+    numeric(value, name)
     try:
         M = np.array(value, dtype=float)
     except ValueError as exc:   # numpy's "inhomogeneous shape"

@@ -46,10 +46,13 @@ grows step by step on long horizons.  The matrices are 1x1 to about
 30x30, where a call's overhead costs more than the factorization, so a
 step of solve_cre makes few numpy calls: one solve for Lambda_k and one
 batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape.
-The solvability test is not in the step.  It is one pass over the stored
-Lambda and Pi stacks (_raise_if_singular) with the exact 1-norm condition
-number, which LAPACK's gecon only estimates (Higham, "Accuracy and
-Stability of Numerical Algorithms", 2nd ed., SIAM 2002, ch. 15).
+The solvability test is not in the step.  solve_cre runs the sweep once,
+with numpy's overflow and invalid-value warnings off, and an exactly
+singular solve ends it.  One pass over the stored Lambda and Pi stacks
+(_raise_if_singular) then inverts each of them again for the exact 1-norm
+condition number, which LAPACK's gecon only estimates (Higham, "Accuracy
+and Stability of Numerical Algorithms", 2nd ed., SIAM 2002, ch. 15), and
+names the first failure in sweep order.
 
 Both validation modes run this one recursion.  Under indefinite weights
 CRESolution.lambda_psd flags the steps at which Lambda_k is positive
@@ -59,6 +62,7 @@ single-subsystem reductions live in the test suite as independent oracles.
 """
 from __future__ import annotations
 
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -90,30 +94,11 @@ class SingularPi(RiccatiError):
 def _rcond(M):
     """Reciprocal 1-norm condition numbers 1 / (||M||_1 ||M^-1||_1) of a
     stack of square matrices (..., n, n), with one inversion of the stack:
-    0.0 for an exactly singular finite matrix, nan for a non-finite one."""
+    0.0 for an exactly singular finite matrix (numpy's cond is inf there),
+    nan for a non-finite one."""
     M = np.asarray(M, dtype=float)
-    flat = M.reshape(-1, *M.shape[-2:])
-    finite = np.isfinite(flat).all(axis=(1, 2))
-    F = flat[finite]
-    try:
-        inv = np.linalg.inv(F)
-    except np.linalg.LinAlgError:
-        # an exactly singular matrix in the stack: ||M^-1||_1 = inf
-        inv = np.stack([_inverse_or_inf(m) for m in F])
-    out = np.full(len(flat), np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = 1.0 / (np.linalg.norm(F, 1, axis=(1, 2))
-                    * np.linalg.norm(inv, 1, axis=(1, 2)))
-    # a nan here is a finite matrix with no finite inverse
-    out[finite] = np.where(np.isnan(rc), 0.0, rc)
-    return out.reshape(M.shape[:-2])
-
-
-def _inverse_or_inf(M):
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return np.full_like(M, np.inf)
+    return np.where(np.isfinite(M).all(axis=(-2, -1)),
+                    1.0 / np.linalg.cond(M, 1), np.nan)
 
 
 def solve_checked(M, rhs, exc_factory):
@@ -243,10 +228,12 @@ def _shape_groups(n_offsets, m_offsets):
 
 
 def _raise_if_singular(Lam, k0, groups):
-    """Raise for the first coefficient matrix in sweep order, the largest k
-    first and Lambda_k before Pi_k^1..Pi_k^L, whose _rcond is below
-    RCOND_SINGULAR or not finite.  Lam holds the pair coefficients of steps
-    k0, k0 + 1, ...; each stack is inverted once."""
+    """The solvability test: raise for the first coefficient matrix in
+    sweep order, the largest k first and Lambda_k before Pi_k^1..Pi_k^L,
+    whose _rcond is below RCOND_SINGULAR or not finite.  Lam holds the pair
+    coefficients of steps k0, k0 + 1, ...; each stack is inverted once.
+    Steps that a sweep ended early never reached hold zeros, and come after
+    the failure that ended it in sweep order."""
     steps = len(Lam)
     L = sum(len(subs) for subs, _, _ in groups)
     rc = np.empty((steps, 1 + L))
@@ -267,18 +254,12 @@ def solve_cre(stacked, model):
     """Solve the coupled recursions backward from k = N to 0: the sweep
     with the minimizing gains, kept with the coefficients they solve.
 
-    Every Lambda_k and Pi_k^i is tested once the sweep is done.  A sweep
-    that overflows or meets an exactly singular matrix is run again with
-    each step's matrices tested before its solves, so that it stops at the
-    first that fails and numpy warns only of the arithmetic before it."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _solve_cre(stacked, model, each_step=False)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return _solve_cre(stacked, model, each_step=True)
-
-
-def _solve_cre(stacked, model, each_step):
+    The sweep runs once, with numpy's overflow and invalid-value warnings
+    off; an exactly singular solve ends it at that step.  Then one pass,
+    _raise_if_singular, tests every stored Lambda_k and Pi_k^i.  A value
+    P_k or Pt_k that overflowed at k >= 1 shows there as a non-finite
+    Lambda_{k-1} or Pi_{k-1}^i.  P_0 and Pt_0 feed no coefficient: if one
+    is not finite, a RuntimeWarning names it and the solution is returned."""
     N, NL, ML = model.N, stacked.NL, stacked.ML
     blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
     groups = _shape_groups(stacked.n_offsets, stacked.m_offsets)
@@ -291,24 +272,34 @@ def _solve_cre(stacked, model, each_step):
     V[N + 1] = _sym(model.P_terminal)
 
     def minimizing(k, Lam_k, Psi):
-        Lam[k] = Lam_k
-        if each_step:
-            _raise_if_singular(Lam[k:k + 1], k, groups)
+        Lam[k] = Lam_k      # stored before the solves, for the pass to name
         K[k, 0] = -np.linalg.solve(Lam_k[0], Psi[0])
         for _, pi, omega in groups:
             np.put(K[k, 1], omega, -np.linalg.solve(
                 np.take(Lam_k[1], pi), np.take(Psi[1], omega)))
         return K[k]
 
-    for st in sweep(stacked, model, minimizing):
-        V[st.k] = st.V
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for st in sweep(stacked, model, minimizing):
+                V[st.k] = st.V
+        except np.linalg.LinAlgError:
+            pass    # an exactly singular Lambda_k or Pi_k^i, which the pass names
     _raise_if_singular(Lam, 0, groups)
-    return CRESolution(
+    sol = CRESolution(
         N=N, n_offsets=stacked.n_offsets, m_offsets=stacked.m_offsets,
         p=stacked.p_rows[stacked.n_offsets[:-1]].tolist(), P=V[:, 0].copy(),
         P_sub=[V[:, 1, c, c].copy() for _, c in blocks], Lambda=Lam[:, 0].copy(),
         Pi=[Lam[:, 1, r, r].copy() for r, _ in blocks], Khat=K[:, 0].copy(),
         Ktilde=[K[:, 1, r, c].copy() for r, c in blocks])
+    overflowed = [name for name, V0 in [("P_0", sol.P[0])] + [
+        (f"Pt_0^{i}", Pt[0]) for i, Pt in enumerate(sol.P_sub, 1)]
+        if not np.isfinite(V0).all()]
+    if overflowed:
+        warnings.warn(f"the recursion overflowed at k = 0: "
+                      f"{', '.join(overflowed)} not finite", RuntimeWarning,
+                      stacklevel=2)
+    return sol
 
 
 @dataclass

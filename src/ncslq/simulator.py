@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (HorizonMismatch, ProbabilityOutOfRange, integer,
-                    local_blocks, stack, validate)
+                    local_blocks, numeric, stack, validate)
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
@@ -374,16 +374,18 @@ def decay_time(traj):
 def sweep_dropout(model, p_values, seed, trials, mode="definite"):
     """Re-solve, re-synthesize, and simulate for each dropout setting.
 
-    Every subsystem's uplink probability is set to p.  Each p must lie in
-    [0, 1], or ProbabilityOutOfRange names it, and trials and seed are
-    checked as simulate checks them (ValueError), all before anything is
-    solved.  The model is validated (in `mode`) and stacked once; p then
-    replaces the stacked instance's p_rows, the only place the solver and
-    the simulator read it.  Returns a
-    list of per-p records; a setting that the solver rejects (RiccatiError)
-    is recorded and the sweep continues.  Any other error propagates.
+    Every subsystem's uplink probability is set to p.  Each p must be a
+    number, not a boolean or a string (model.numeric, DimensionMismatch),
+    and lie in [0, 1], or ProbabilityOutOfRange names it, and trials and
+    seed are checked as simulate checks them (ValueError), all before
+    anything is solved.  The model is validated (in `mode`) and stacked
+    once; p then replaces the stacked instance's p_rows, the only place the
+    solver and the simulator read it.  Returns a list of per-p records; a
+    setting that the solver rejects (RiccatiError) is recorded and the
+    sweep continues.  Any other error propagates.
     """
     for p in p_values:
+        numeric(p, "sweep p")
         if not 0.0 <= p <= 1.0:
             raise ProbabilityOutOfRange(f"sweep p = {p} not in [0, 1]")
     if integer(trials, "trials", ValueError) < 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HorizonMismatch, local_blocks
+from .model import DimensionMismatch, HorizonMismatch, local_blocks
 
 # A gain schedule's closed loop for k = 0..N (GainSchedule.closed_loop):
 # F = A + B Khat, Phi = Abar + Bbar Khat, G = A + B Kt, Psi = Abar + Bbar Kt.
@@ -44,15 +44,26 @@ class GainSchedule:
         every call (nothing is cached, so edits show in the next call).
         Kt holds each Ktilde^i on its local block (u^i, x^i) and is zero
         elsewhere, the remote rows included (u^0 cannot see the error).
-        Raises HorizonMismatch unless every gain covers k = 0..N."""
-        for name, K in [("Khat", self.Khat)] + [
-                (f"Ktilde^{i + 1}", Kt) for i, Kt in enumerate(self.Ktilde)]:
+        Raises DimensionMismatch unless Khat is (., M_L, N_L) and there is
+        one Ktilde^i per subsystem, each (., m_i, n_i), and HorizonMismatch
+        unless every gain covers k = 0..N."""
+        blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
+        if len(self.Ktilde) != len(blocks):
+            raise DimensionMismatch(
+                f"the schedule has {len(self.Ktilde)} Ktilde blocks, "
+                f"the model {len(blocks)} subsystems")
+        for name, K, shape in [("Khat", self.Khat, (stacked.ML, stacked.NL))] + [
+                (f"Ktilde^{i}", Kt, (r.stop - r.start, c.stop - c.start))
+                for i, (Kt, (r, c)) in enumerate(zip(self.Ktilde, blocks), 1)]:
+            if np.shape(K)[1:] != shape:
+                raise DimensionMismatch(
+                    f"{name} has shape {np.shape(K)}, expected (>= {N + 1}, "
+                    f"{shape[0]}, {shape[1]})")
             if len(K) < N + 1:
                 raise HorizonMismatch(
                     f"{name} covers {len(K)} steps, horizon needs {N + 1}")
         Kh, Kt = self.Khat[:N + 1], np.zeros((N + 1, stacked.ML, stacked.NL))
-        for (rows, cols), Kt_i in zip(
-                local_blocks(stacked.n_offsets, stacked.m_offsets), self.Ktilde):
+        for (rows, cols), Kt_i in zip(blocks, self.Ktilde):
             Kt[:, rows, cols] = Kt_i[:N + 1]
         loops = []
         for K in (Kh, Kt):

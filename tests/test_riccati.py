@@ -282,11 +282,32 @@ def test_no_scipy_at_runtime():
     assert proc.stdout.strip() == "[]"
 
 
+def overflowing_scalar(N):
+    """The scalar instance of the overflowing-sweep test at horizon N."""
+    sub = SubsystemModel(index=1, A=[[1.5]], Abar=[[0.0]], B=[[1.0]],
+                         Bbar=[[2.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=1.0,
+                         Sigma_v=[[0.1]], mu=[1.0], Sigma_x0=[[0.1]], p=0.9)
+    return NetworkModel(subsystems=[sub], m0=1, N=N, Q=[[1.0]],
+                        R=np.eye(2), P_terminal=[[1.0]])
+
+
+def diverging_scalar(N):
+    """The scalar instance with A = 1e200 of the diverged-recursion test:
+    P_N = A^2 P_{N+1} overflows at the sweep's first step."""
+    sub = SubsystemModel(index=1, A=[[1e200]], Abar=[[0.0]], B=[[1.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
+                         sigma_w=0.0, Sigma_v=[[0.0]], mu=[0.0],
+                         Sigma_x0=[[0.0]], p=0.5)
+    return NetworkModel(subsystems=[sub], m0=1, N=N, Q=[[1.0]],
+                        R=np.eye(2), P_terminal=[[1.0]])
+
+
 def test_overflowing_sweep_stops_at_the_failing_step():
     # the scalar instance with A = 1.5, B = 1, Bbar = 2 grows about 1.8x per
     # step: Lambda_1257 of N = 1300 is diag(1, ~1e12), and P overflows some
-    # 1,200 steps further on.  The solve names Lambda_1257 and warns of
-    # nothing, as a solve that stops at the first failing step does
+    # 1,200 steps further on.  The solve names Lambda_1257, the first
+    # failure in sweep order, and warns of nothing: the overflow after it
+    # is computed with numpy's warnings off
     sub = SubsystemModel(index=1, A=[[1.5]], Abar=[[0.0]], B=[[1.0]],
                          Bbar=[[2.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=1.0,
                          Sigma_v=[[0.1]], mu=[1.0], Sigma_x0=[[0.1]], p=0.9)
@@ -343,17 +364,48 @@ def test_singular_pi_named_in_a_second_shape_group():
 def test_diverged_recursion_reported_as_singular():
     # P_2 overflows to a non-finite value; the next step must name Lambda_1
     # rather than fail inside the linear algebra
-    sub = SubsystemModel(index=1, A=[[1e200]], Abar=[[0.0]], B=[[1.0]],
-                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]],
-                         sigma_w=0.0, Sigma_v=[[0.0]], mu=[0.0],
-                         Sigma_x0=[[0.0]], p=0.5)
-    model = NetworkModel(subsystems=[sub], m0=1, N=2, Q=[[1.0]],
-                         R=np.eye(2), P_terminal=[[1.0]])
-    vm, stk = validated_pair(model)
+    vm, stk = validated_pair(diverging_scalar(2))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SingularLambda) as info:
             solve_cre(stk, vm)
     assert info.value.k == 1
+
+
+@pytest.mark.parametrize("model, mode", [
+    (make_singular_pi(), "indefinite"),
+    (overflowing_scalar(1300), "definite"),
+    (diverging_scalar(2), "definite"),
+], ids=["singular_pi", "overflow_N1300", "diverged_N2"])
+def test_failing_solve_sweeps_once(model, mode, monkeypatch):
+    # a solve that fails runs the one sweep, as a solve that succeeds does;
+    # the pass over the stored coefficients names the failure
+    calls, sweep = [], ncslq.riccati.sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(ncslq.riccati, "sweep", counted)
+    vm, stk = validated_pair(model, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((SingularLambda, SingularPi)):
+            solve_cre(stk, vm)
+    assert len(calls) == 1
+
+
+def test_overflow_at_the_last_step_warns_once_naming_p0():
+    # at N = 0, P_0 = A^2 P_1 overflows and no later Lambda_k can show it:
+    # the solution is returned with one warning that names P_0 in place of
+    # numpy's overflow and invalid-value warnings
+    vm, stk = validated_pair(diverging_scalar(0))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        sol = solve_cre(stk, vm)
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "P_0" in str(seen[0].message)
+    assert not np.isfinite(sol.P[0]).all()
+    assert np.isfinite(sol.P[1]).all() and np.isfinite(sol.Lambda).all()
 
 
 def test_solve_checked_well_conditioned():

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from ncslq import (NetworkModel, ProbabilityOutOfRange, SubsystemModel, gains,
-                   simulate, simulator, solve_cre, exact_cost)
+from ncslq import (DimensionMismatch, NetworkModel, ProbabilityOutOfRange,
+                   SubsystemModel, gains, simulate, simulator, solve_cre,
+                   exact_cost)
 from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              thread_count)
 from ncslq.synthesis import GainSchedule
@@ -308,6 +309,17 @@ def test_sweep_rejects_p_out_of_range_before_solving(bad, monkeypatch):
         raise AssertionError("sweep solved before checking p")
     monkeypatch.setattr(simulator, "solve_cre", no_solve)
     with pytest.raises(ProbabilityOutOfRange, match=f"p = {bad}"):
+        sweep_dropout(make_scalar_coupled(N=2), [0.5, bad], seed=0, trials=100)
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5"])
+def test_sweep_refuses_a_boolean_or_string_p_before_solving(bad, monkeypatch):
+    # the model's number rule: True is not p = 1.0, nor "0.5" a number
+    def no_solve(*args):
+        raise AssertionError("sweep solved before checking p")
+    monkeypatch.setattr(simulator, "solve_cre", no_solve)
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"sweep p must be numeric, got {bad!r}")):
         sweep_dropout(make_scalar_coupled(N=2), [0.5, bad], seed=0, trials=100)
 
 

@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncslq import gains, optimal_cost, solve_cre
+from ncslq import DimensionMismatch, gains, optimal_cost, solve_cre
 from ncslq.oracle import cost_gradient, exact_cost, propagate_moments
 from ncslq.riccati import _step
 
-from conftest import (make_indefinite, make_random_definite,
-                      make_scalar_coupled, make_scalar_decoupled,
-                      make_unequal_blocks, validated_pair)
+from conftest import (make_equal_blocks, make_indefinite,
+                      make_random_definite, make_scalar_coupled,
+                      make_scalar_decoupled, make_unequal_blocks,
+                      validated_pair)
 from reference import (coefficients_by_step, gains_by_refactoring,
                        ktilde_full_by_loop, place_blocks_by_loop,
                        solve_generalized)
@@ -211,6 +212,25 @@ def test_ktilde_full_layout():
     short = sched.closed_loop(stk, 1)
     assert all(np.array_equal(a, b[:2]) for a, b in zip(short, cl3))
 
+
+def test_closed_loop_refuses_a_schedule_of_another_layout():
+    # make_unequal_blocks has n_i = m_i = (2, 1, 3).  Unchecked, a dropped
+    # Ktilde^3 is priced as a zero gain, 1x1 Ktilde blocks broadcast into
+    # the 2x2 and 3x3 local blocks, and the schedule of another layout
+    # fails inside numpy's broadcasting
+    vm, stk, sol, sched = solve_all(make_unequal_blocks())
+    dropped = dataclasses.replace(sched, Ktilde=sched.Ktilde[:2])
+    with pytest.raises(DimensionMismatch, match="2 Ktilde blocks, the model 3"):
+        exact_cost(vm, stk, dropped)
+    scalars = dataclasses.replace(
+        sched, Ktilde=[K[:, :1, :1] for K in sched.Ktilde])
+    with pytest.raises(DimensionMismatch, match=r"Ktilde\^1 has shape \(7, 1, 1\)"):
+        exact_cost(vm, stk, scalars)
+    *_, other = solve_all(make_equal_blocks())
+    with pytest.raises(DimensionMismatch, match="Khat has shape"):
+        exact_cost(vm, stk, other)
+    assert exact_cost(vm, stk, sched) == pytest.approx(
+        optimal_cost(sol, vm), rel=1e-10)
 
 def test_scaling_invariance():
     model = make_random_definite(np.random.default_rng(31), L=2, N=3)
