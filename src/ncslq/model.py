@@ -302,6 +302,21 @@ def local_blocks(n_offsets, m_offsets):
             for i in range(len(n_offsets) - 1)]
 
 
+def block_groups(n_offsets, m_offsets):
+    """The subsystems grouped by local block shape (m_i, n_i), in order of
+    first appearance: per group the 0-based subsystem indices (g,), the
+    input rows of their u^i (g, m_i) and the state columns of their x^i
+    (g, n_i), so that one fancy index gathers every block of a shape."""
+    noff, moff = np.asarray(n_offsets), np.asarray(m_offsets)
+    n, m = np.diff(noff), np.diff(moff)[1:]
+    groups = []
+    for mi, ni in dict.fromkeys(zip(m.tolist(), n.tolist())):
+        subs = np.flatnonzero((m == mi) & (n == ni))
+        groups.append((subs, moff[subs + 1, None] + np.arange(mi),
+                       noff[subs, None] + np.arange(ni)))
+    return groups
+
+
 def stack(model):
     """The StackedModel of a validated model; nothing else stacks its data."""
     noff, moff = model.n_offsets, model.m_offsets

@@ -50,10 +50,14 @@ w^i and gamma^i are independent across subsystems and steps.
 The cost then needs E[X X'] = S + T and E[U U'] = Khat S Khat' + Kt T Kt',
 priced as the Frobenius products <Q, S_k + T_k> + <R Khat_k, Khat_k S_k>
 + <R Kt_k, Kt_k T_k> per stage and <P_T, S_{N+1} + T_{N+1}> at the end.
-The one forward pass prices each step where it propagates it: every
-MomentState carries its step's cost, and exact_cost, cost_gradient and
-costate_moments all read that pass.  The reduction does not depend on how
-the gains were computed.
+Kt_k is zero outside the local blocks (u^i, x^i) and T_k outside the
+diagonal ones, so the last product is the sum over the subsystems of
+<R_ii Kt^i_k, Kt^i_k T^i_k>.  The one forward pass
+propagates first, advancing S with one product of the pair (F, Phi) and T
+with one of (G, Psi) per step, and keeps every S_k and T_k in one array;
+then it prices every step in one batch.  exact_cost, propagate_moments,
+cost_gradient and costate_moments all read that pass.  The reduction
+does not depend on how the gains were computed.
 
 Adjoint.  Given the gains, J is linear in (S_k, T_k), with V_k = dJ/dS_k
 and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
@@ -87,11 +91,12 @@ Pt_k^i of a solved recursion (riccati.CRESolution).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import local_blocks
+from .model import block_groups, local_blocks
 from .riccati import sweep
 from .synthesis import GainSchedule
 
@@ -110,41 +115,88 @@ class MomentState:
 
 
 def _moments(model, stacked, cl):
-    """propagate_moments on the ClosedLoop cl of the gains: the oracle's one
-    forward pass, pricing each step as it yields it.
+    """The oracle's one forward pass on the ClosedLoop cl of the gains:
+    S_k and T_k for k = 0..N+1 as one (N+2, 2, N_L, N_L) array (axis 1 is
+    (S, T)) and each step's exact expected cost, the stage costs priced
+    in one batch after the last step.
 
     The start S_0 = mu mu' + p * Sigma_x0, T_0 = (1 - p) * Sigma_x0 and the
-    noise Sigma_v are the stacked instance's own arrays (model.stack)."""
+    noise Sigma_v are the stacked instance's own arrays (model.stack).  An
+    overflow does not raise or print numpy's warnings: one RuntimeWarning
+    names the first step whose S_k or T_k (or, failing that, cost) is not
+    finite."""
     N = model.N
-    Q, R = model.Q, model.R
     p = stacked.p_rows[:, None]
     q = 1.0 - p
-    mu, Sigma0, Sigma_v = stacked.mu, stacked.Sigma_x0, stacked.Sigma_v
-    S = np.outer(mu, mu) + p * Sigma0
-    T = q * Sigma0
-    Sw = stacked.Sw
-    for k in range(N + 1):
-        Kh, Kt = cl.Khat[k], cl.Kt[k]
-        yield MomentState(k=k, S=S, T=T, cost=float(
-            np.vdot(Q, S + T) + np.vdot(R @ Kh, Kh @ S) + np.vdot(R @ Kt, Kt @ T)))
-        F, Phi, G, Psi = cl.F[k], cl.Phi[k], cl.G[k], cl.Psi[k]
-        W = G @ T @ G.T + Sigma_v + Sw * (Phi @ S @ Phi.T + Psi @ T @ Psi.T)
-        S = F @ S @ F.T + p * W
-        T = q * W
-    yield MomentState(k=N + 1, S=S, T=T,
-                      cost=float(np.vdot(model.P_terminal, S + T)))
+    Sigma_v, Sw = stacked.Sigma_v, stacked.Sw
+    ST = np.empty((N + 2, 2, stacked.NL, stacked.NL))
+    S, T = ST[:, 0], ST[:, 1]
+    S[0] = np.outer(stacked.mu, stacked.mu) + p * stacked.Sigma_x0
+    T[0] = q * stacked.Sigma_x0
+    FPhi, GPsi = cl.FPhi, cl.GPsi
+    FPhiT, GPsiT = FPhi.swapaxes(-1, -2), GPsi.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            FS = FPhi[k] @ S[k] @ FPhiT[k]      # (F S F', Phi S Phi')
+            GT = GPsi[k] @ T[k] @ GPsiT[k]      # (G T G', Psi T Psi')
+            W = GT[0] + Sigma_v + Sw * (FS[1] + GT[1])
+            np.add(FS[0], p * W, out=S[k + 1])
+            np.multiply(q, W, out=T[k + 1])
+        # <Q, S_k + T_k> as one product of the rows (S_k, T_k) with (Q, Q)
+        x = ST.reshape(N + 2, -1)
+        state = x[:N + 1] @ np.tile(model.Q.ravel(), 2)
+        terminal = x[N + 1] @ np.tile(model.P_terminal.ravel(), 2)
+        Kh = cl.Khat
+        state += _frobenius(model.R @ Kh, Kh @ S[:N + 1])
+        # Kt is zero outside the local blocks (u^i, x^i) and T outside the
+        # diagonal ones, so <R Kt, Kt T> is the sum over the subsystems of
+        # <R_ii Kt^i, Kt^i T^i>, gathered and priced per block shape
+        for _, rows, cols in block_groups(stacked.n_offsets, stacked.m_offsets):
+            Ri = model.R[rows[:, :, None], rows[:, None, :]]       # (g, m, m)
+            Kt = cl.Kt[:, rows[:, :, None], cols[:, None, :]]      # (N+1, g, m, n)
+            Ti = T[:N + 1, cols[:, :, None], cols[:, None, :]]     # (N+1, g, n, n)
+            state += np.einsum("kgac,kgac->k",
+                               np.einsum("gab,kgbc->kgac", Ri, Kt),
+                               np.einsum("kgbc,kgcd->kgbd", Kt, Ti))
+        cost = np.append(state, terminal)
+    if not np.isfinite(cost).all():
+        _warn_overflow(ST, cost)
+    return ST, cost
+
+
+def _frobenius(X, Y):
+    """<X_k, Y_k> for every k of two (K, m, n) stacks."""
+    return np.einsum("kij,kij->k", X, Y)
+
+
+def _warn_overflow(ST, cost):
+    finite = np.isfinite(ST).all(axis=(2, 3))
+    if finite.all():
+        k = int(np.argmin(np.isfinite(cost)))
+        what = "the stage cost" if k < len(cost) - 1 else "the terminal cost"
+        msg = f"the moment pass overflowed pricing {what} at k = {k}"
+    else:
+        k = int(np.argmin(finite.all(axis=1)))
+        names = [f"{X}_{k}" for X, ok in zip("ST", finite[k]) if not ok]
+        msg = (f"the moment recursion overflowed at k = {k}: "
+               f"{', '.join(names)} not finite")
+    warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
 def propagate_moments(model, stacked, gain_schedule):
-    """Yield MomentState for k = 0..N+1 under the given gains."""
-    yield from _moments(model, stacked,
+    """Yield MomentState for k = 0..N+1 under the given gains; S and T
+    are views into the one array of the pass."""
+    ST, cost = _moments(model, stacked,
                         gain_schedule.closed_loop(stacked, model.N))
+    for k, c in enumerate(cost.tolist()):
+        yield MomentState(k=k, S=ST[k, 0], T=ST[k, 1], cost=c)
 
 
 def exact_cost(model, stacked, gain_schedule):
     """Exact expected total cost of the strategy (no sampling involved)."""
-    return math.fsum(ms.cost for ms in propagate_moments(model, stacked,
-                                                         gain_schedule))
+    _, cost = _moments(model, stacked,
+                       gain_schedule.closed_loop(stacked, model.N))
+    return math.fsum(cost.tolist())
 
 
 @dataclass
@@ -168,22 +220,27 @@ def cost_gradient(model, stacked, gain_schedule):
     The schedule is only read."""
     N = model.N
     cl = gain_schedule.closed_loop(stacked, N)
-    moments = list(_moments(model, stacked, cl))
-    # each step's gain pair is stacked alone: no copy of the whole schedule
-    dK, ddK = (np.zeros((N + 1, 2, *cl.Khat.shape[1:])) for _ in range(2))
-    for st in sweep(stacked, model,
-                    lambda k, *_: np.stack((cl.Khat[k], cl.Kt[k]))):
-        ST = np.stack((moments[st.k].S, moments[st.k].T))
-        dK[st.k] = 2.0 * st.H @ ST
-        ddK[st.k] = 2.0 * (np.diagonal(st.Lam, axis1=1, axis2=2)[:, :, None]
-                           * np.diagonal(ST, axis1=1, axis2=2)[:, None, :])
+    ST, cost = _moments(model, stacked, cl)
+    ST = ST[:N + 1]
+    dK = np.empty((N + 1, 2, *cl.Khat.shape[1:]))
+    lam = np.empty(dK.shape[:-1])       # the diagonals of Lam = (Lambda, Lt)
+    # the errstate is entered here: inside the generator it would stay in
+    # force for the caller between yields
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in sweep(stacked, model,
+                        lambda k, *_: np.stack((cl.Khat[k], cl.Kt[k]))):
+            np.matmul(st.H, ST[st.k], out=dK[st.k])
+            lam[st.k] = np.diagonal(st.Lam, axis1=1, axis2=2)
+        dK *= 2.0
+        ddK = 2.0 * (lam[..., None]
+                     * np.diagonal(ST, axis1=2, axis2=3)[:, :, None, :])
     blocks = local_blocks(gain_schedule.n_offsets, gain_schedule.m_offsets)
 
     def per_block(dK):
         return replace(gain_schedule, N=N, Khat=dK[:, 0],
                        Ktilde=[dK[:, 1, r, c] for r, c in blocks])
 
-    return CostGradient(cost=math.fsum(ms.cost for ms in moments),
+    return CostGradient(cost=math.fsum(cost.tolist()),
                         gradient=per_block(dK), curvature=per_block(ddK))
 
 
@@ -285,20 +342,18 @@ def costate_moments(model, stacked, gain_schedule, sol):
     """Evaluate both sides of the telescoping identity from exact moments."""
     N = model.N
     rows = [c for _, c in local_blocks(sol.n_offsets, sol.m_offsets)]
-    stages, V = [], []
-    for ms in _moments(model, stacked, gain_schedule.closed_loop(stacked, N)):
-        stages.append(ms.cost)
-        V.append(float(np.vdot(sol.P[ms.k], ms.S) + sum(
-            np.vdot(Pt[ms.k], ms.T[r, r]) for Pt, r in zip(sol.P_sub, rows))))
-    stages.pop()  # the terminal cost enters through V[N+1]
-    M = sol.M_sub
-    noise = [float(sum(np.vdot(stacked.Sigma_v[r, r], Mi[k + 1])
-                       for Mi, r in zip(M, rows))) for k in range(N + 1)]
-    Va = np.array(V)
+    ST, cost = _moments(model, stacked, gain_schedule.closed_loop(stacked, N))
+    S, T = ST[:, 0], ST[:, 1]
+    Va = _frobenius(sol.P, S) + sum(
+        _frobenius(Pt, T[:, r, r]) for Pt, r in zip(sol.P_sub, rows))
+    stages = cost[:-1]  # the terminal cost enters through V[N+1]
+    noise = sum(np.einsum("ij,kij->k", stacked.Sigma_v[r, r], Mi[1:])
+                for Mi, r in zip(sol.M_sub, rows))
     lhs = Va[:-1] - Va[1:]
-    rhs = np.array(stages) - np.array(noise)
+    rhs = stages - noise
     res = lhs - rhs
     rel = np.abs(res) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
     return CostateMomentsReport(
-        costate_value=V, stage=stages, noise_term=noise, residuals=res.tolist(),
+        costate_value=Va.tolist(), stage=stages.tolist(),
+        noise_term=noise.tolist(), residuals=res.tolist(),
         max_relative_residual=float(rel.max(initial=0.0)))

@@ -44,8 +44,15 @@ Every stored value matrix is the symmetric part of what the step computes,
 so P_k = P_k' exactly: left alone, the antisymmetric round-off of P_k
 grows step by step on long horizons.  The matrices are 1x1 to about
 30x30, where a call's overhead costs more than the factorization, so a
-step of solve_cre makes few numpy calls: one solve for Lambda_k and one
-batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape.
+step makes few numpy calls: the pair (P_{k+1}, Y) is refilled in place
+(six calls), _step takes ten products, each once over the pair and the
+noise weight's once for both families, and five sums, and H and the
+value update take seven more; solve_cre adds one solve for Lambda_k and
+one batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape
+(model.block_groups).  Each product has one operator on each side:
+stacking them as [B A] or [Bbar Abar] saves calls but made the step
+slower (a product of twice the rows leaves OpenBLAS's small-matrix
+kernel at N_L = 90, and the merged product's blocks are strided views).
 The solvability test is not in the step.  solve_cre runs the sweep once,
 with numpy's overflow and invalid-value warnings off, and an exactly
 singular solve ends it.  One pass over the stored Lambda and Pi stacks
@@ -68,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import least_eigenvalue, local_blocks
+from .model import block_groups, least_eigenvalue, local_blocks
 
 # Reciprocal 1-norm condition number 1 / (||M||_1 ||M^-1||_1) below which a
 # coefficient matrix is declared singular (the solvability condition fails).
@@ -201,9 +208,13 @@ def sweep(stacked, model, choose):
     q = 1.0 - p
     Q, R = model.Q, model.R
     V = np.stack([_sym(model.P_terminal)] * 2)
+    X = np.empty_like(V)    # the step's pair (P_{k+1}, Y), refilled in place
     for k in range(model.N, -1, -1):
-        Y = _sym(p * V[0] + q * V[1])
-        Lam, Psi, G = _step(np.stack((V[0], Y)), stacked.Sw * Y, stacked, Q, R)
+        X[0] = V[0]
+        Z = p * V[0] + q * V[1]
+        Y = np.add(Z, Z.T, out=X[1])
+        Y *= 0.5            # sym(Z), as _sym forms it
+        Lam, Psi, G = _step(X, stacked.Sw * Y, stacked, Q, R)
         K = choose(k, Lam, Psi)
         H = Lam @ K + Psi
         V = _sym(G + K.swapaxes(1, 2) @ (H + Psi))
@@ -211,20 +222,14 @@ def sweep(stacked, model, choose):
 
 
 def _shape_groups(n_offsets, m_offsets):
-    """The subsystems grouped by block shape (m_i, n_i), each group as
-    (0-based subsystem indices, flat indices of their Pi^i blocks in an
-    M_L x M_L matrix, of their Omega^i blocks in an M_L x N_L one), with
-    shapes (g,), (g, m_i, m_i) and (g, m_i, n_i)."""
+    """The subsystems grouped by block shape (m_i, n_i) (model.block_groups),
+    each group as (0-based subsystem indices, flat indices of their Pi^i
+    blocks in an M_L x M_L matrix, of their Omega^i blocks in an M_L x N_L
+    one), with shapes (g,), (g, m_i, m_i) and (g, m_i, n_i)."""
     ML, NL = m_offsets[-1], n_offsets[-1]
-    groups = {}
-    for i, (r, c) in enumerate(local_blocks(n_offsets, m_offsets)):
-        rows, cols = np.arange(ML)[r, None], np.arange(NL)[c]
-        subs, pi, omega = groups.setdefault((len(rows), len(cols)), ([], [], []))
-        subs.append(i)
-        pi.append(rows * ML + rows.T)
-        omega.append(rows * NL + cols)
-    return [(np.array(subs), np.array(pi), np.array(omega))
-            for subs, pi, omega in groups.values()]
+    return [(subs, rows[:, :, None] * ML + rows[:, None, :],
+             rows[:, :, None] * NL + cols[:, None, :])
+            for subs, rows, cols in block_groups(n_offsets, m_offsets)]
 
 
 def _raise_if_singular(Lam, k0, groups):

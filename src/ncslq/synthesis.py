@@ -25,7 +25,10 @@ from .model import DimensionMismatch, HorizonMismatch, local_blocks
 
 # A gain schedule's closed loop for k = 0..N (GainSchedule.closed_loop):
 # F = A + B Khat, Phi = Abar + Bbar Khat, G = A + B Kt, Psi = Abar + Bbar Kt.
-ClosedLoop = namedtuple("ClosedLoop", "Khat Kt F Phi G Psi")
+# They are formed as two pair stacks, FPhi = (F, Phi) and GPsi = (G, Psi),
+# each (N+1, 2, N_L, N_L), so that the oracle advances a moment with one
+# product per pair; F, Phi, G and Psi are views into them.
+ClosedLoop = namedtuple("ClosedLoop", "Khat Kt FPhi GPsi F Phi G Psi")
 
 
 @dataclass
@@ -65,13 +68,18 @@ class GainSchedule:
         Kh, Kt = self.Khat[:N + 1], np.zeros((N + 1, stacked.ML, stacked.NL))
         for (rows, cols), Kt_i in zip(blocks, self.Ktilde):
             Kt[:, rows, cols] = Kt_i[:N + 1]
-        loops = []
-        for K in (Kh, Kt):
-            for A, B in ((stacked.A, stacked.B), (stacked.Abar, stacked.Bbar)):
-                M = B @ K
-                M += A      # in place: no temporary beside the result
-                loops.append(M)
-        return ClosedLoop(Kh, Kt, *loops)
+        AA = np.stack((stacked.A, stacked.Abar))
+        BB = np.stack((stacked.B, stacked.Bbar))
+        # both pair stacks in one allocation: as two, glibc's malloc gave
+        # the oracle's arrays back to the system after each call and
+        # page-faulted them in again on the next (seen at L = 30, N = 20)
+        pairs = np.empty((2, N + 1, 2, stacked.NL, stacked.NL))
+        for K, pair in zip((Kh, Kt), pairs):
+            np.matmul(BB, K[:, None], out=pair)
+            pair += AA      # in place: no temporary beside the result
+        FPhi, GPsi = pairs
+        return ClosedLoop(Kh, Kt, FPhi, GPsi, FPhi[:, 0], FPhi[:, 1],
+                          GPsi[:, 0], GPsi[:, 1])
 
 
 def gains(sol):

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +19,7 @@ import ncslq
 from ncslq import (gains, load_config, model_to_dict, simulate, solve_cre,
                    stack, validate)
 from ncslq.cli import main
+from ncslq.riccati import check_definiteness
 from ncslq import serialize
 
 from conftest import (MALFORMED_CONFIGS, make_deterministic, make_indefinite,
@@ -415,6 +419,36 @@ def test_check_fails_and_names_an_indefinite_Pi(tmp_path, capsys):
     for name in ("stationarity", "costate_telescoping",
                  "cost_formula_vs_oracle", "monte_carlo_vs_oracle"):
         assert doc[name]["ok"], name
+
+
+def test_diverging_instance_names_its_overflows_in_place_of_numpy_warnings(
+        tmp_path):
+    # A = 1e200 at N = 0: P_0 = A^2 P_1 overflows in the solve, and the
+    # moments S_1, T_1 of the solved gains overflow in the oracle.  Each is
+    # named once per call; numpy's "... encountered in ..." warnings come
+    # from neither riccati's sweeps nor the oracle's moment pass (those of
+    # check_definiteness's closed-form rebuild and of the simulator stay)
+    model = make_scalar_coupled(N=0)
+    model.subsystems[0] = dataclasses.replace(model.subsystems[0], A=[[1e200]])
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    rebuild_lines, first = inspect.getsourcelines(check_definiteness)
+    rebuild = range(first, first + len(rebuild_lines))
+    for command, status in [("solve", 0), ("evaluate", 0), ("check", 3)]:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run(["--config", path, "--out", tmp_path / command,
+                        command]) == status
+        messages = [str(w.message) for w in seen]
+        leaked = [f"{w.filename}:{w.lineno}: {w.message}" for w in seen
+                  if "encountered in" in str(w.message)
+                  and pathlib.Path(w.filename).name in ("riccati.py", "oracle.py")
+                  and not (w.filename.endswith("riccati.py") and w.lineno in rebuild)]
+        assert not leaked, (command, leaked)
+        assert messages.count("the recursion overflowed at k = 0: "
+                              "P_0, Pt_0^1 not finite") == 1, command
+        assert "the moment recursion overflowed at k = 1: S_1, T_1 not finite" \
+            in messages, command
 
 
 def test_check_passes_a_closed_loop_without_randomness(tmp_path):

@@ -3,9 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from ncslq import (NetworkModel, SubsystemModel, gains, simulate, solve_cre,
-                   cost_gradient, costate_moments, exact_cost,
-                   propagate_moments, stationarity_check)
+from ncslq import (NetworkModel, SubsystemModel, gains, optimal_cost,
+                   simulate, solve_cre, cost_gradient, costate_moments,
+                   exact_cost, propagate_moments, stationarity_check)
 from ncslq.model import psd_tolerance, stack
 from ncslq.synthesis import GainSchedule
 
@@ -415,6 +415,8 @@ REFEREE_INSTANCES = {
     "seed12-L2-N8": lambda: make_random_definite(np.random.default_rng(12), L=2, N=8),
     "seed13-L4-N5": lambda: make_random_definite(np.random.default_rng(13), L=4, N=5),
     "p1-seed14-L3-N6": lambda: perfect_channel(14, L=3, N=6),
+    # L = 10 with n_i, m_i drawn from 1..3
+    "seed0-L10-N10": lambda: make_random_definite(np.random.default_rng(0), L=10, N=10),
 }
 
 
@@ -435,6 +437,21 @@ def test_reduced_oracle_matches_full_referee(make, perturb):
         assert not ref.T[off].any()
         assert_rel_close(ms.S, ref.S)
         assert_rel_close(ms.T, ref.T)
-    assert_rel_close([ms.cost for ms in reduced], [c for _, c in full])
+    # the stages are priced in one batch, not one product per step: each
+    # stage's cost is held to the referee's on its own
+    np.testing.assert_allclose([ms.cost for ms in reduced],
+                               [c for _, c in full], rtol=1e-12, atol=0.0)
     assert (costate_moments(vm, stk, sched, sol).stage
             == [ms.cost for ms in reduced][:-1])
+
+
+# The moment pass prices every stage in one batch, and the error input per
+# block shape, so its cost is not the bits of one product per step; on wide
+# instances (L = 10, n_i and m_i drawn from 1..3) it is held to the solve
+@pytest.mark.parametrize("seed", range(6))
+def test_wide_instance_prices_the_solve_and_is_stationary(seed):
+    vm, stk, sol, sched = solve_all(
+        make_random_definite(np.random.default_rng(seed), L=10, N=10))
+    assert exact_cost(vm, stk, sched) == pytest.approx(optimal_cost(sol, vm),
+                                                       rel=1e-12)
+    assert stationarity_check(vm, stk, sched).stationary

@@ -213,6 +213,20 @@ def test_ktilde_full_layout():
     assert all(np.array_equal(a, b[:2]) for a, b in zip(short, cl3))
 
 
+def test_closed_loop_reads_its_pair_stacks():
+    # F, Phi, G and Psi are views into the pair stacks (F, Phi) and (G, Psi)
+    # that the oracle advances its moments with: the simulator reads the
+    # same matrices, with no copy
+    vm, stk, sol, sched = solve_all(make_unequal_blocks())
+    cl = sched.closed_loop(stk, sched.N)
+    assert cl.FPhi.shape == cl.GPsi.shape == (sched.N + 1, 2, stk.NL, stk.NL)
+    for pair, (first, second) in [(cl.FPhi, (cl.F, cl.Phi)),
+                                  (cl.GPsi, (cl.G, cl.Psi))]:
+        assert np.shares_memory(first, pair) and np.shares_memory(second, pair)
+        assert np.array_equal(pair[:, 0], first)
+        assert np.array_equal(pair[:, 1], second)
+
+
 def test_closed_loop_refuses_a_schedule_of_another_layout():
     # make_unequal_blocks has n_i = m_i = (2, 1, 3).  Unchecked, a dropped
     # Ktilde^3 is priced as a zero gain, 1x1 Ktilde blocks broadcast into
