@@ -4,10 +4,10 @@ For any linear strategy Uhat_k = Khat_k Xhat_k, Utilde_k = Kt_k Xtilde_k,
 the closed loop is linear in (Xhat, Xtilde) with independent multiplicative
 randomness, so the expected cost is an exact function of second moments.
 Write F = A + B Khat, G = A + B Kt, Phi = Abar + Bbar Khat and
-Psi = Abar + Bbar Kt (the ClosedLoop that GainSchedule.closed_loop forms
-for k = 0..N; every function here reads that one), and diag(w_k),
-Gamma_{k+1} for the block diagonals of w_k^i I_{n_i} and
-gamma_{k+1}^i I_{n_i}.  Then
+Psi = Abar + Bbar Kt (GainSchedule.closed_loop forms them for k = 0..N as
+C[k] = ((F, Phi), (G, Psi)) of a ClosedLoop (K, C), and every function
+here reads that one), and diag(w_k), Gamma_{k+1} for the block diagonals
+of w_k^i I_{n_i} and gamma_{k+1}^i I_{n_i}.  Then
 
     Xhat_{k+1} = F Xhat_k + Gamma_{k+1} D_k,
     Xtilde_{k+1} = (I - Gamma_{k+1}) D_k,
@@ -52,12 +52,12 @@ priced as the Frobenius products <Q, S_k + T_k> + <R Khat_k, Khat_k S_k>
 + <R Kt_k, Kt_k T_k> per stage and <P_T, S_{N+1} + T_{N+1}> at the end.
 Kt_k is zero outside the local blocks (u^i, x^i) and T_k outside the
 diagonal ones, so the last product is the sum over the subsystems of
-<R_ii Kt^i_k, Kt^i_k T^i_k>.  The one forward pass
-propagates first, advancing S with one product of the pair (F, Phi) and T
-with one of (G, Psi) per step, and keeps every S_k and T_k in one array;
-then it prices every step in one batch.  exact_cost, propagate_moments,
-cost_gradient and costate_moments all read that pass.  The reduction
-does not depend on how the gains were computed.
+<R_ii Kt^i_k, Kt^i_k T^i_k>.  The one forward pass propagates first,
+advancing (S, T) with the two products C[k] (S_k, T_k) C[k]' per step, and
+keeps every S_k and T_k in one array; then it prices every step in one
+batch.  exact_cost, propagate_moments, cost_gradient and costate_moments
+all read that pass.  The reduction does not depend on how the gains were
+computed.
 
 Adjoint.  Given the gains, J is linear in (S_k, T_k), with V_k = dJ/dS_k
 and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
@@ -96,7 +96,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import block_groups, local_blocks
+from .model import block_groups, integer, local_blocks
 from .riccati import sweep
 from .synthesis import GainSchedule
 
@@ -117,8 +117,9 @@ class MomentState:
 def _moments(model, stacked, cl):
     """The oracle's one forward pass on the ClosedLoop cl of the gains:
     S_k and T_k for k = 0..N+1 as one (N+2, 2, N_L, N_L) array (axis 1 is
-    (S, T)) and each step's exact expected cost, the stage costs priced
-    in one batch after the last step.
+    (S, T), advanced together by C[k] (S_k, T_k) C[k]') and each step's
+    exact expected cost, the stage costs priced in one batch after the
+    last step.
 
     The start S_0 = mu mu' + p * Sigma_x0, T_0 = (1 - p) * Sigma_x0 and the
     noise Sigma_v are the stacked instance's own arrays (model.stack).  An
@@ -133,12 +134,13 @@ def _moments(model, stacked, cl):
     S, T = ST[:, 0], ST[:, 1]
     S[0] = np.outer(stacked.mu, stacked.mu) + p * stacked.Sigma_x0
     T[0] = q * stacked.Sigma_x0
-    FPhi, GPsi = cl.FPhi, cl.GPsi
-    FPhiT, GPsiT = FPhi.swapaxes(-1, -2), GPsi.swapaxes(-1, -2)
+    C, CT = cl.C, cl.C.swapaxes(-1, -2)
+    CX, CXC = np.empty((2, *C.shape[1:]))   # the step's two products
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N + 1):
-            FS = FPhi[k] @ S[k] @ FPhiT[k]      # (F S F', Phi S Phi')
-            GT = GPsi[k] @ T[k] @ GPsiT[k]      # (G T G', Psi T Psi')
+            np.matmul(C[k], ST[k][:, None], out=CX)
+            # (F S F', Phi S Phi') and (G T G', Psi T Psi')
+            FS, GT = np.matmul(CX, CT[k], out=CXC)
             W = GT[0] + Sigma_v + Sw * (FS[1] + GT[1])
             np.add(FS[0], p * W, out=S[k + 1])
             np.multiply(q, W, out=T[k + 1])
@@ -146,14 +148,14 @@ def _moments(model, stacked, cl):
         x = ST.reshape(N + 2, -1)
         state = x[:N + 1] @ np.tile(model.Q.ravel(), 2)
         terminal = x[N + 1] @ np.tile(model.P_terminal.ravel(), 2)
-        Kh = cl.Khat
+        Kh = cl.K[:, 0]
         state += _frobenius(model.R @ Kh, Kh @ S[:N + 1])
         # Kt is zero outside the local blocks (u^i, x^i) and T outside the
         # diagonal ones, so <R Kt, Kt T> is the sum over the subsystems of
         # <R_ii Kt^i, Kt^i T^i>, gathered and priced per block shape
         for _, rows, cols in block_groups(stacked.n_offsets, stacked.m_offsets):
             Ri = model.R[rows[:, :, None], rows[:, None, :]]       # (g, m, m)
-            Kt = cl.Kt[:, rows[:, :, None], cols[:, None, :]]      # (N+1, g, m, n)
+            Kt = cl.K[:, 1, rows[:, :, None], cols[:, None, :]]   # (N+1, g, m, n)
             Ti = T[:N + 1, cols[:, :, None], cols[:, None, :]]     # (N+1, g, n, n)
             state += np.einsum("kgac,kgac->k",
                                np.einsum("gab,kgbc->kgac", Ri, Kt),
@@ -222,13 +224,12 @@ def cost_gradient(model, stacked, gain_schedule):
     cl = gain_schedule.closed_loop(stacked, N)
     ST, cost = _moments(model, stacked, cl)
     ST = ST[:N + 1]
-    dK = np.empty((N + 1, 2, *cl.Khat.shape[1:]))
+    dK = np.empty(cl.K.shape)
     lam = np.empty(dK.shape[:-1])       # the diagonals of Lam = (Lambda, Lt)
     # the errstate is entered here: inside the generator it would stay in
     # force for the caller between yields
     with np.errstate(over="ignore", invalid="ignore"):
-        for st in sweep(stacked, model,
-                        lambda k, *_: np.stack((cl.Khat[k], cl.Kt[k]))):
+        for st in sweep(stacked, model, lambda k, *_: cl.K[k]):
             np.matmul(st.H, ST[st.k], out=dK[st.k])
             lam[st.k] = np.diagonal(st.Lam, axis1=1, axis2=2)
         dK *= 2.0
@@ -296,9 +297,13 @@ def stationarity_check(model, stacked, gain_schedule, max_entries=None, rng_seed
     """The exact derivative of exact_cost in every gain entry (cost_gradient).
 
     With `max_entries` set and exceeded, a seeded random subset of that
-    size is reported, drawn over the entries in probe order (_flat).
+    size is reported, drawn over the entries in probe order (_flat); it must
+    be an integer >= 1 (ValueError), and None reports every entry.
     min_second_difference is the least exact second derivative reported.
     """
+    if max_entries is not None and integer(max_entries, "max_entries",
+                                           ValueError) < 1:
+        raise ValueError(f"max_entries must be >= 1, got {max_entries}")
     cg = cost_gradient(model, stacked, gain_schedule)
     d, dd = _flat(cg.gradient), _flat(cg.curvature)
     idx = np.arange(d.size)

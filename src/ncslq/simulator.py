@@ -10,8 +10,8 @@ A block advances all of its trials and all subsystems in one stacked step
 per time index, in the closed-loop form of the oracle module's docstring.
 Its arrays are state-major: column t of X, Xhat and U is trial t, and
 subsystem i's states are the contiguous rows x^i = n_offsets[i]:n_offsets[i+1].
-simulate forms the ClosedLoop (F, Phi, G, Psi; GainSchedule.closed_loop)
-once; subsystem i reads its diagonal blocks Kt^i = Kt[u^i, x^i],
+simulate forms the ClosedLoop (K, C; GainSchedule.closed_loop) once.  Step k
+reads Khat = K[k, 0], (F, Phi), (G, Psi) = C[k], Kt^i = K[k, 1, u^i, x^i],
 G^i = G[x^i, x^i] and Psi^i = Psi[x^i, x^i].  With D = X - Xhat, a step is
 
     U = Khat Xhat + Kt^i D^i           (Kt^i D^i on the rows of u^i),
@@ -237,26 +237,27 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
         stage = quadratic(Q, X)
         # from here on X's buffer holds the estimation error D = X - Xhat
         X -= Xhat
-        U = mm(cl.Khat[k], Xhat)
+        (F, Phi), (G, Psi) = cl.C[k]
+        U = mm(cl.K[k, 0], Xhat)
         for inputs, rows in blocks:
-            U[inputs] += mm(cl.Kt[k, inputs, rows], X[rows])
+            U[inputs] += mm(cl.K[k, 1, inputs, rows], X[rows])
         stage += quadratic(R, U)
         costs += stage
         if retain:
             Us[k], stage_rec[k] = U, stage
         del U
-        P = mm(cl.F[k], Xhat)
+        P = mm(F, Xhat)
         # X' - P, built one row block at a time in Phi Xhat's buffer
-        Xn = mm(cl.Phi[k], Xhat)
+        Xn = mm(Phi, Xhat)
         del Xhat
         w = rng.standard_normal((L, trials))
         w *= sd_w
         v = rng.standard_normal(trials * NL)
         for i, (_, rows) in enumerate(blocks):
             D_i, Y = X[rows], Xn[rows]
-            Y += mm(cl.Psi[k, rows, rows], D_i)
+            Y += mm(Psi[rows, rows], D_i)
             Y *= w[i]
-            Y += mm(cl.G[k, rows, rows], D_i)
+            Y += mm(G[rows, rows], D_i)
             v_i = v[trials * noff[i]:trials * noff[i + 1]].reshape(trials, sizes[i])
             Y += mm(chol_v[i], v_i.T)
         # D_i is a view of the old X: drop it so X's rebinding frees D

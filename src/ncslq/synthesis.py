@@ -23,12 +23,13 @@ import numpy as np
 
 from .model import DimensionMismatch, HorizonMismatch, local_blocks
 
-# A gain schedule's closed loop for k = 0..N (GainSchedule.closed_loop):
-# F = A + B Khat, Phi = Abar + Bbar Khat, G = A + B Kt, Psi = Abar + Bbar Kt.
-# They are formed as two pair stacks, FPhi = (F, Phi) and GPsi = (G, Psi),
-# each (N+1, 2, N_L, N_L), so that the oracle advances a moment with one
-# product per pair; F, Phi, G and Psi are views into them.
-ClosedLoop = namedtuple("ClosedLoop", "Khat Kt FPhi GPsi F Phi G Psi")
+# A gain schedule's closed loop for k = 0..N (GainSchedule.closed_loop), in
+# riccati.sweep's family order (0 the estimate, 1 the error): the gain pair
+# K, (N+1, 2, M_L, N_L) with K[k] = (Khat_k, Kt_k), and C, (N+1, 2, 2, N_L,
+# N_L) with C[k, f, a] = (A, Abar)[a] + (B, Bbar)[a] K[k, f], so that
+# C[k] = ((F, Phi), (G, Psi)): F = A + B Khat, Phi = Abar + Bbar Khat,
+# G = A + B Kt and Psi = Abar + Bbar Kt.
+ClosedLoop = namedtuple("ClosedLoop", "K C")
 
 
 @dataclass
@@ -42,11 +43,12 @@ class GainSchedule:
     m_offsets: list[int]
 
     def closed_loop(self, stacked, N):
-        """The ClosedLoop of the stacked instance under these gains for
-        k = 0..N, formed by batched products from the current entries on
+        """The ClosedLoop (K, C) of the stacked instance under these gains
+        for k = 0..N, formed by batched products from the current entries on
         every call (nothing is cached, so edits show in the next call).
-        Kt holds each Ktilde^i on its local block (u^i, x^i) and is zero
-        elsewhere, the remote rows included (u^0 cannot see the error).
+        K[:, 1], the stacked error gain Kt, holds each Ktilde^i on its local
+        block (u^i, x^i) and is zero elsewhere, the remote rows included (u^0
+        cannot see the error).
         Raises DimensionMismatch unless Khat is (., M_L, N_L) and there is
         one Ktilde^i per subsystem, each (., m_i, n_i), and HorizonMismatch
         unless every gain covers k = 0..N."""
@@ -65,21 +67,13 @@ class GainSchedule:
             if len(K) < N + 1:
                 raise HorizonMismatch(
                     f"{name} covers {len(K)} steps, horizon needs {N + 1}")
-        Kh, Kt = self.Khat[:N + 1], np.zeros((N + 1, stacked.ML, stacked.NL))
+        K = np.zeros((N + 1, 2, stacked.ML, stacked.NL))
+        K[:, 0] = self.Khat[:N + 1]
         for (rows, cols), Kt_i in zip(blocks, self.Ktilde):
-            Kt[:, rows, cols] = Kt_i[:N + 1]
-        AA = np.stack((stacked.A, stacked.Abar))
-        BB = np.stack((stacked.B, stacked.Bbar))
-        # both pair stacks in one allocation: as two, glibc's malloc gave
-        # the oracle's arrays back to the system after each call and
-        # page-faulted them in again on the next (seen at L = 30, N = 20)
-        pairs = np.empty((2, N + 1, 2, stacked.NL, stacked.NL))
-        for K, pair in zip((Kh, Kt), pairs):
-            np.matmul(BB, K[:, None], out=pair)
-            pair += AA      # in place: no temporary beside the result
-        FPhi, GPsi = pairs
-        return ClosedLoop(Kh, Kt, FPhi, GPsi, FPhi[:, 0], FPhi[:, 1],
-                          GPsi[:, 0], GPsi[:, 1])
+            K[:, 1, rows, cols] = Kt_i[:N + 1]
+        C = np.matmul(np.stack((stacked.B, stacked.Bbar)), K[:, :, None])
+        C += np.stack((stacked.A, stacked.Abar))   # in place: one allocation
+        return ClosedLoop(K, C)
 
 
 def gains(sol):

@@ -225,6 +225,20 @@ def test_stationarity_zero_problem():
     assert chk.max_abs_derivative == 0.0
 
 
+@pytest.mark.parametrize("bad, text", [
+    (0, "max_entries must be >= 1, got 0"),
+    (-1, "max_entries must be >= 1, got -1"),
+    (True, "max_entries must be an integer, got True"),
+    (2.5, "max_entries must be an integer, got 2.5")])
+def test_stationarity_refuses_a_cap_that_is_not_a_positive_integer(bad, text):
+    # 0 once passed by probing nothing; -1, True and 2.5 failed inside numpy
+    vm, stk, _, sched = solve_all(make_scalar_coupled(N=5))
+    with pytest.raises(ValueError, match=text):
+        stationarity_check(vm, stk, sched, max_entries=bad)
+    assert stationarity_check(vm, stk, sched, max_entries=1).entries_probed == 1
+    assert stationarity_check(vm, stk, sched).entries_probed == 3 * 6
+
+
 def perturbed(sched, seed=53, scale=0.05):
     rng = np.random.default_rng(seed)
     sched.Khat += scale * rng.standard_normal(sched.Khat.shape)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncslq import DimensionMismatch, gains, optimal_cost, solve_cre
+from ncslq import (DimensionMismatch, GainSchedule, gains, optimal_cost,
+                   simulator, solve_cre)
 from ncslq.oracle import cost_gradient, exact_cost, propagate_moments
 from ncslq.riccati import _step
 
@@ -90,9 +91,9 @@ def gradient_by_two_steps(vm, stk, sched):
         return 0.5 * (M + M.T)
 
     P = Pt = sym(vm.P_terminal)
-    dKh, dKt, ddKh, ddKt = (np.zeros(cl.Khat.shape) for _ in range(4))
+    dKh, dKt, ddKh, ddKt = (np.zeros(cl.K[:, 0].shape) for _ in range(4))
     for k in range(vm.N, -1, -1):
-        Kh, Kt, S, T = cl.Khat[k], cl.Kt[k], moments[k].S, moments[k].T
+        (Kh, Kt), S, T = cl.K[k], moments[k].S, moments[k].T
         Y = sym(p * P + q * Pt)
         Pw = stk.Sw * Y
         Lam, Psi, G = _step(P, Pw, stk, vm.Q, vm.R)
@@ -156,7 +157,7 @@ def test_zero_coupling_zero_gains():
 def test_ktilde_full_layout():
     model = make_random_definite(np.random.default_rng(29), L=2, N=2)
     vm, stk, _, sched = solve_all(model)
-    Ks = sched.closed_loop(stk, sched.N).Kt
+    Ks = sched.closed_loop(stk, sched.N).K[:, 1]
     assert Ks.shape == (sched.N + 1, stk.ML, stk.NL)
     for k in range(sched.N + 1):
         assert np.array_equal(Ks[k], ktilde_full_by_loop(sched, k))
@@ -181,50 +182,75 @@ def test_ktilde_full_layout():
     cl = sched.closed_loop(stk, sched.N)
     for k in range(sched.N + 1):
         Kh, Kt = sched.Khat[k], Ks[k]
-        assert np.array_equal(cl.Khat[k], Kh) and np.array_equal(cl.Kt[k], Kt)
-        assert close(cl.F[k], stk.A + stk.B @ Kh)
-        assert close(cl.Phi[k], stk.Abar + stk.Bbar @ Kh)
-        assert close(cl.G[k], stk.A + stk.B @ Kt)
-        assert close(cl.Psi[k], stk.Abar + stk.Bbar @ Kt)
+        assert np.array_equal(cl.K[k, 0], Kh) and np.array_equal(cl.K[k, 1], Kt)
+        assert close(cl.C[k, 0, 0], stk.A + stk.B @ Kh)
+        assert close(cl.C[k, 0, 1], stk.Abar + stk.Bbar @ Kh)
+        assert close(cl.C[k, 1, 0], stk.A + stk.B @ Kt)
+        assert close(cl.C[k, 1, 1], stk.Abar + stk.Bbar @ Kt)
         Kti = [Kt_i[k] for Kt_i in sched.Ktilde]
-        assert close(cl.G[k], place_blocks_by_loop(
+        assert close(cl.C[k, 1, 0], place_blocks_by_loop(
             [s.A + s.B @ g for s, g in zip(subs, Kti)], noff, NL))
-        assert close(cl.Psi[k], place_blocks_by_loop(
+        assert close(cl.C[k, 1, 1], place_blocks_by_loop(
             [s.Abar + s.Bbar @ g for s, g in zip(subs, Kti)], noff, NL))
-        assert not cl.G[k][off].any() and not cl.Psi[k][off].any()
+        assert not cl.C[k, 1, 0][off].any() and not cl.C[k, 1, 1][off].any()
 
     # built from the current entries: an in-place edit shows in the next call
     sched.Ktilde[1][2][0, 0] += 1.0
     cl2 = sched.closed_loop(stk, sched.N)
-    assert cl2.Kt[2][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
+    assert cl2.K[2, 1][r, c][0, 0] == sched.Ktilde[1][2][0, 0]
     Kt2 = ktilde_full_by_loop(sched, 2)
-    assert np.array_equal(cl2.Kt[2], Kt2)
-    assert close(cl2.G[2], stk.A + stk.B @ Kt2)
-    assert close(cl2.Psi[2], stk.Abar + stk.Bbar @ Kt2)
-    assert not np.array_equal(cl2.G[2], cl.G[2])
+    assert np.array_equal(cl2.K[2, 1], Kt2)
+    assert close(cl2.C[2, 1, 0], stk.A + stk.B @ Kt2)
+    assert close(cl2.C[2, 1, 1], stk.Abar + stk.Bbar @ Kt2)
+    assert not np.array_equal(cl2.C[2, 1, 0], cl.C[2, 1, 0])
     sched.Khat[1][m0, 0] += 1.0
     cl3 = sched.closed_loop(stk, sched.N)
-    assert np.array_equal(cl3.Khat[1], sched.Khat[1])
-    assert close(cl3.F[1], stk.A + stk.B @ sched.Khat[1])
-    assert close(cl3.Phi[1], stk.Abar + stk.Bbar @ sched.Khat[1])
-    assert not np.array_equal(cl3.F[1], cl.F[1])
+    assert np.array_equal(cl3.K[1, 0], sched.Khat[1])
+    assert close(cl3.C[1, 0, 0], stk.A + stk.B @ sched.Khat[1])
+    assert close(cl3.C[1, 0, 1], stk.Abar + stk.Bbar @ sched.Khat[1])
+    assert not np.array_equal(cl3.C[1, 0, 0], cl.C[1, 0, 0])
     # a shorter horizon takes the leading steps
     short = sched.closed_loop(stk, 1)
     assert all(np.array_equal(a, b[:2]) for a, b in zip(short, cl3))
 
 
-def test_closed_loop_reads_its_pair_stacks():
-    # F, Phi, G and Psi are views into the pair stacks (F, Phi) and (G, Psi)
-    # that the oracle advances its moments with: the simulator reads the
-    # same matrices, with no copy
+def test_closed_loop_is_one_stack_in_the_sweep_family_order(monkeypatch):
+    # K[k] = (Khat_k, Kt_k) and C[k, f, a] = (A, Abar)[a] + (B, Bbar)[a] K[k, f],
+    # so C[k] = ((F, Phi), (G, Psi)); the simulator reads F, Phi, G and Psi
+    # as views of C, with no copy
     vm, stk, sol, sched = solve_all(make_unequal_blocks())
-    cl = sched.closed_loop(stk, sched.N)
-    assert cl.FPhi.shape == cl.GPsi.shape == (sched.N + 1, 2, stk.NL, stk.NL)
-    for pair, (first, second) in [(cl.FPhi, (cl.F, cl.Phi)),
-                                  (cl.GPsi, (cl.G, cl.Psi))]:
-        assert np.shares_memory(first, pair) and np.shares_memory(second, pair)
-        assert np.array_equal(pair[:, 0], first)
-        assert np.array_equal(pair[:, 1], second)
+    K, C = sched.closed_loop(stk, sched.N)
+    N, noff, moff = sched.N, sched.n_offsets, sched.m_offsets
+    assert K.shape == (N + 1, 2, stk.ML, stk.NL)
+    assert C.shape == (N + 1, 2, 2, stk.NL, stk.NL)
+    for k in range(N + 1):
+        for f in range(2):
+            for a, (A, B) in enumerate([(stk.A, stk.B), (stk.Abar, stk.Bbar)]):
+                assert np.array_equal(C[k, f, a], A + B @ K[k, f])
+    # the error gain is zero in the remote rows and outside the local blocks
+    local = np.zeros((stk.ML, stk.NL), dtype=bool)
+    for i in range(len(noff) - 1):
+        local[moff[i + 1]:moff[i + 2], noff[i]:noff[i + 1]] = True
+    assert not local[:moff[1]].any() and local.any()
+    assert not K[:, 1][:, ~local].any()
+
+    built, operands = [], []
+    closed_loop, panel_matmul = GainSchedule.closed_loop, simulator._panel_matmul
+
+    def building(self, *args):
+        built.append(closed_loop(self, *args))
+        return built[-1]
+
+    def recording(M, X):
+        operands.append(M)
+        return panel_matmul(M, X)
+    monkeypatch.setattr(GainSchedule, "closed_loop", building)
+    monkeypatch.setattr(simulator, "_panel_matmul", recording)
+    simulator.simulate(vm, stk, sched, seed=0, trials=3)
+    (cl,) = built
+    views = [M for M in operands if np.shares_memory(M, cl.C)]
+    # per step F and Phi, and Psi^i and G^i for every subsystem
+    assert len(views) == (N + 1) * (2 + 2 * (len(noff) - 1))
 
 
 def test_closed_loop_refuses_a_schedule_of_another_layout():
