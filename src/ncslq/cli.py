@@ -131,7 +131,7 @@ def cmd_check(args, model, outdir):
     vm, st, sol, sched = _solved(model, args.mode)
     report = {}
 
-    defin = check_definiteness(sol, vm)
+    defin = check_definiteness(sol, vm, st)
     report["definiteness"] = {"ok": defin.ok,
                               "violations": [list(v) for v in defin.violations]}
 

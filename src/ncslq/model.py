@@ -45,8 +45,8 @@ SYMMETRY_RTOL = 1e-12
 
 
 def psd_tolerance(eigenvalues):
-    """Scale-aware tolerance for positive-semidefiniteness tests."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(eigenvalues), initial=0.0)))
+    """Scale-aware tolerance for PSD tests, one per spectrum (last axis)."""
+    return 1e-9 * (1.0 + np.max(np.abs(eigenvalues), axis=-1, initial=0.0))
 
 
 def symmetrized(M, name):
@@ -61,10 +61,13 @@ def symmetrized(M, name):
 
 
 def least_eigenvalue(M):
-    """(least eigenvalue of sym(M) = (M + M^T)/2, psd_tolerance of its
-    spectrum): sym(M) is PSD when least >= -tol and PD when least > tol."""
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return eigs.min(), psd_tolerance(eigs)
+    """(least eigenvalue, psd_tolerance) of sym(M) = (M + M^T)/2 for M or each
+    matrix of a stack (..., n, n): sym(M) is PSD when least >= -tol and PD
+    when least > tol, and neither where it is not finite (least is nan)."""
+    S = 0.5 * (M + np.swapaxes(M, -1, -2))
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], S, 0.0))
+    return np.where(finite, eigs.min(axis=-1), np.nan)[()], psd_tolerance(eigs)
 
 
 def _check_definite(M, name, pd=False):

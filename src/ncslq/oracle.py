@@ -262,7 +262,8 @@ class StationarityCheck:
 
     @property
     def stationary(self):
-        return self.max_abs_derivative <= self.threshold
+        return (math.isfinite(self.cost) and math.isfinite(self.threshold)
+                and self.max_abs_derivative <= self.threshold)
 
     @property
     def derivatives(self):

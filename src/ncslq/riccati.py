@@ -71,11 +71,12 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import block_groups, least_eigenvalue, local_blocks
+from .synthesis import GainSchedule
 
 # Reciprocal 1-norm condition number 1 / (||M||_1 ||M^-1||_1) below which a
 # coefficient matrix is declared singular (the solvability condition fails).
@@ -124,8 +125,8 @@ def solve_checked(M, rhs, exc_factory):
 
 
 @dataclass
-class CRESolution:
-    """Time-indexed solution of the coupled recursions.
+class CRESolution(GainSchedule):
+    """Time-indexed solution of the coupled recursions, a GainSchedule.
 
     Value arrays run k = 0..N+1 (index N+1 holds the terminal condition);
     coefficient and gain arrays run k = 0..N.  Per-subsystem entries are
@@ -133,27 +134,21 @@ class CRESolution:
     is the error family's Pt^i, and Pi[i] and Ktilde[i] are the blocks of
     the error coefficient Lt and gain at u^i and x^i.
 
-    Khat and Ktilde are the gains Khat_k = -Lambda_k^{-1} Psi_k and
-    Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these
-    solves to form P_k and Pt_k^i, so it keeps them, and synthesis.gains
-    reads them without factoring any coefficient matrix again.  Psi_k and
-    Omega_k^i are not kept: each is one _step from P_{k+1} and Y, which P
-    and P_sub determine.
-
-    solve_cre is the only producer: serialize.cre_to_dict writes a solution
-    out as cre.json, and nothing reads that document back.
+    Its gains are the minimizing Khat_k = -Lambda_k^{-1} Psi_k and Ktilde_k^i
+    = -(Pi_k^i)^{-1} Omega_k^i.  The recursion needs exactly these solves to
+    form P_k and Pt_k^i, so it keeps them: synthesis.gains copies them and
+    check_definiteness reads their closed_loop, with nothing factored again.
+    Psi_k and Omega_k^i are not kept: each is one _step from P_{k+1} and Y,
+    which P and P_sub determine.  solve_cre is the only producer:
+    serialize.cre_to_dict writes a solution out as cre.json, and nothing
+    reads that document back.
     """
 
-    N: int
-    n_offsets: list[int]
-    m_offsets: list[int]
     p: list[float]
     P: np.ndarray                      # (N+2, NL, NL), symmetric
     P_sub: list[np.ndarray]            # each (N+2, n_i, n_i), symmetric
     Lambda: np.ndarray                 # (N+1, ML, ML)
     Pi: list[np.ndarray]               # each (N+1, m_i, m_i)
-    Khat: np.ndarray                   # (N+1, ML, NL)
-    Ktilde: list[np.ndarray]           # each (N+1, m_i, n_i)
 
     @property
     def M_sub(self):
@@ -169,8 +164,8 @@ class CRESolution:
         """(N+1,) bool: sym(Lambda_k) >= 0 within psd_tolerance, the
         positive-semidefinite part of the generalized-Riccati solvability
         test under indefinite weights, read off Lambda on each access."""
-        return np.array([least >= -tol for least, tol
-                         in map(least_eigenvalue, self.Lambda)], dtype=bool)
+        least, tol = least_eigenvalue(self.Lambda)
+        return least >= -tol
 
 
 def _sym(M):
@@ -222,7 +217,7 @@ def sweep(stacked, model, choose):
 
 
 def _shape_groups(n_offsets, m_offsets):
-    """The subsystems grouped by block shape (m_i, n_i) (model.block_groups),
+    """The local blocks grouped by shape (m_i, n_i) (model.block_groups),
     each group as (0-based subsystem indices, flat indices of their Pi^i
     blocks in an M_L x M_L matrix, of their Omega^i blocks in an M_L x N_L
     one), with shapes (g,), (g, m_i, m_i) and (g, m_i, n_i)."""
@@ -311,53 +306,54 @@ def solve_cre(stacked, model):
 class DefinitenessReport:
     """Eigenvalue audit of the error family's recursion matrices."""
 
-    violations: list = field(default_factory=list)   # (name, k, i, eigenvalue)
-    closed_form_error: float = 0.0                   # worst residual, Eq-style rebuild
+    violations: list            # (name, k, i, eigenvalue)
+    closed_form_error: float    # worst residual, Eq-style rebuild
 
     @property
     def ok(self):
         return not self.violations
 
 
-def check_definiteness(sol, model):
-    """Verify Pi_k^i > 0 and Pt_k^i >= 0 for all k, i.
+def check_definiteness(sol, model, stacked):
+    """Verify Pi_k^i > 0 and Pt_k^i >= 0 for all k, i, with one
+    least_eigenvalue call per stack (Pi^i, and Pt^i at k = 0..N); violations
+    are listed per subsystem, k = N..0, Pi before Pt.  Pt_k^i is also
+    rebuilt, in one expression over k, through its completed-square closed
+    form at the stored gain g = Ktilde_k^i = -Pi^{-1} Omega, with M =
+    M_{k+1}^i (CRESolution.M_sub), sigma_w from the noise mask stacked.Sw
+    and the blocks (x^i, x^i) G = A^i + B^i g and Psi = Abar^i + Bbar^i g
+    of the error family's closed loop (sol.closed_loop's C[:, 1]),
 
-    Pt_k^i is additionally rebuilt through its completed-square closed form
-    with the stored local gain g = Ktilde_k^i = -Pi^{-1} Omega and the
-    innovation weight M = M_{k+1}^i (CRESolution.M_sub),
-
-        Q_ii + g' R_ii g + (A + B g)' M (A + B g)
-             + sigma_w (Abar + Bbar g)' M (Abar + Bbar g),
+        Q_ii + g' R_ii g + G' M G + sigma_w Psi' M Psi,
 
     which also certifies positive semidefiniteness structurally, at the
-    gain in use.
+    gain in use.  A non-finite matrix or rebuild fails.
     """
-    rep = DefinitenessReport()
+    N, C = sol.N, sol.closed_loop(stacked, sol.N).C[:, 1]
+    # per subsystem i, row N - k and column (Pi_k^i, Pt_k^i)
+    least, tol = np.empty((2, len(sol.Pi), N + 1, 2))
+    errors = np.empty((len(sol.Pi), N + 1))
     blocks = local_blocks(sol.n_offsets, sol.m_offsets)
-    for i, (s, M, (r, c)) in enumerate(zip(model.subsystems, sol.M_sub, blocks)):
-        Qii, Rii = model.Q[c, c], model.R[r, r]
-        for k in range(model.N, -1, -1):
-            least, tol = least_eigenvalue(sol.Pi[i][k])
-            if least <= tol:
-                rep.violations.append(("Pi", k, i + 1, float(least)))
-            stored = sol.P_sub[i][k]
-            least, tol = least_eigenvalue(stored)
-            if least < -tol:
-                rep.violations.append(("P", k, i + 1, float(least)))
-            # completed-square closed form
-            g = sol.Ktilde[i][k]
-            Acl = s.A + s.B @ g
-            Abcl = s.Abar + s.Bbar @ g
-            rebuilt = (Qii + g.T @ Rii @ g + Acl.T @ M[k + 1] @ Acl
-                       + s.sigma_w * Abcl.T @ M[k + 1] @ Abcl)
-            scale = max(np.linalg.norm(stored), 1.0)
-            rep.closed_form_error = max(
-                rep.closed_form_error,
-                float(np.linalg.norm(rebuilt - stored) / scale))
+    for i, (M, (r, c)) in enumerate(zip(sol.M_sub, blocks)):
+        stored, g = sol.P_sub[i][:N + 1], sol.Ktilde[i]
+        least[i, ::-1, 0], tol[i, ::-1, 0] = least_eigenvalue(sol.Pi[i])
+        least[i, ::-1, 1], tol[i, ::-1, 1] = least_eigenvalue(stored)
+        G, Psi = C[:, 0, c, c], C[:, 1, c, c]
+        rebuilt = (model.Q[c, c] + g.swapaxes(1, 2) @ model.R[r, r] @ g
+                   + G.swapaxes(1, 2) @ M[1:] @ G
+                   + Psi.swapaxes(1, 2) * stacked.Sw[c, c] @ M[1:] @ Psi)
+        scale = np.maximum(np.linalg.norm(stored, axis=(1, 2)), 1.0)
+        errors[i] = np.linalg.norm(rebuilt - stored, axis=(1, 2)) / scale
+    # written so that a nan fails both tests
+    passed = np.stack((least[..., 0] > tol[..., 0],
+                       least[..., 1] >= -tol[..., 1]), axis=-1)
+    violations = [(("Pi", "P")[f], N - j, i + 1, float(least[i, j, f]))
+                  for i, j, f in np.argwhere(~passed).tolist()]
+    error = float(np.max(errors, initial=0.0))
     # the rebuild routes through the solve with Pi and a different summation
     # order, so its roundoff is amplified by the conditioning of Pi; 1e-8
     # relative still separates rounding from any structural violation by many
     # decades
-    if rep.closed_form_error > 1e-8:
-        rep.violations.append(("closed_form", -1, -1, rep.closed_form_error))
-    return rep
+    if not error <= 1e-8:
+        violations.append(("closed_form", -1, -1, error))
+    return DefinitenessReport(violations, error)

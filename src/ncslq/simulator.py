@@ -149,7 +149,7 @@ class SimulationSummary:
     cost_stderr: float
     mean_sq_norms: np.ndarray      # (N+2, L): mean ||x_k^i||^2 per step
     dropout_freq: list             # empirical arrival frequency per subsystem
-    nonfinite: list = field(default_factory=list)   # (trial, step) first overflow
+    nonfinite: list = field(default_factory=list)   # (trial, k): ||x_k^i||^2 overflows
     traces: list = field(default_factory=list)
 
     def to_dict(self):
@@ -223,10 +223,10 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     def norms_and_overflow(k):
         row_sq = np.einsum("it,it->i", X, X)
         sq_norms[k] = np.add.reduceat(row_sq, noff[:-1])
-        # a non-finite entry makes its row's sum non-finite, so the
-        # column-by-column search runs only when some row sum is
-        if not np.isfinite(row_sq).all():
-            bad = ~np.isfinite(X).all(axis=0) & ~seen_bad
+        # a non-finite ||x_k^i||^2 on a path makes sq_norms[k, i] non-finite
+        if not np.isfinite(sq_norms[k]).all():
+            path_sq = np.add.reduceat(X * X, noff[:-1], axis=0)
+            bad = ~np.isfinite(path_sq).all(axis=0) & ~seen_bad
             nonfinite.extend((base_trial + int(t), k) for t in np.nonzero(bad)[0])
             seen_bad[bad] = True
 

@@ -8,11 +8,11 @@ where U_k stacks (u_k^0, u_k^1, ..., u_k^L) at m_offsets and Utilde_k is
 zero in the remote input u_k^0, which cannot see the estimation error.
 Khat_k = -Lambda_k^{-1} Psi_k acts on the remote estimate and the local
 error gains Ktilde_k^i = -(Pi_k^i)^{-1} Omega_k^i come from the error
-family of the same backward sweep.  riccati.solve_cre computes and stores
-both while it closes each step, so `gains` only copies them into a
-GainSchedule.  GainSchedule.closed_loop is the one place where the gains
-meet A, B, Abar and Bbar: the oracle and the simulator both read its
-ClosedLoop.
+family of the same backward sweep.  riccati.solve_cre computes both while
+it closes each step, and its CRESolution is a GainSchedule that holds them,
+so `gains` only copies them.  GainSchedule.closed_loop is the one place
+where the gains meet A, B, Abar and Bbar: the oracle, the simulator and
+riccati.check_definiteness all read its ClosedLoop.
 """
 from __future__ import annotations
 

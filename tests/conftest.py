@@ -155,6 +155,15 @@ def make_indefinite():
     return model
 
 
+def make_diverging():
+    """The coupled scalar instance with A = 1e200 at N = 0: the solve's P_0
+    and Pt_0^1 and the oracle's S_1, T_1 overflow, and so does every
+    simulated path's ||x_1||^2."""
+    model = make_scalar_coupled(N=0)
+    model.subsystems[0].A = np.array([[1e200]])
+    return model
+
+
 def make_singular_pi():
     """The coupled scalar instance at N = 3 with its local input cut off
     (B = Bbar = 0) and zero weight on it, R = [[1, 1], [1, 0]]: Lambda_3 is

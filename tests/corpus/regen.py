@@ -22,18 +22,10 @@ sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "bench")]
 from instances import sec5_doc, wide_doc  # noqa: E402  (bench/)
 from ncslq import model_to_dict  # noqa: E402
 
-from conftest import (make_indefinite, make_scalar_coupled,  # noqa: E402
+from conftest import (make_diverging, make_indefinite,  # noqa: E402
                       make_unequal_blocks)
 from test_corpus import CORPUS, run_commands  # noqa: E402
 from test_riccati import overflowing_scalar  # noqa: E402
-
-
-def diverging():
-    """The coupled scalar instance with A = 1e200 at N = 0: the solve's P_0
-    and the oracle's S_1, T_1 overflow, and so does every simulated path."""
-    model = make_scalar_coupled(N=0)
-    model.subsystems[0].A = np.array([[1e200]])
-    return model
 
 
 def sec5_short():
@@ -49,7 +41,7 @@ CASES = {
     "indefinite": ("indefinite", lambda: model_to_dict(make_indefinite())),
     # no linear law shrinks E[x^2]: the solve names Lambda_7 (exit 2)
     "scalar_repro_N50": ("definite", lambda: model_to_dict(overflowing_scalar(50))),
-    "diverging_N0": ("definite", lambda: model_to_dict(diverging())),
+    "diverging_N0": ("definite", lambda: model_to_dict(make_diverging())),
 }
 
 

@@ -254,6 +254,53 @@ def gains_by_refactoring(sol, stacked, model):
                         n_offsets=sol.n_offsets, m_offsets=sol.m_offsets)
 
 
+def _least_eigenvalue_by_hand(M):
+    """(least eigenvalue of (M + M')/2, 1e-9 (1 + its largest |eigenvalue|)),
+    the least eigenvalue nan when M has a non-finite entry."""
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    least = eigs.min() if np.isfinite(M).all() else math.nan
+    return least, 1e-9 * (1.0 + float(np.max(np.abs(eigs))))
+
+
+def definiteness_by_loop(sol, model):
+    """The definiteness audit of a CRE solution, one subsystem and one step
+    at a time: Pi_k^i > 0 and Pt_k^i >= 0 from one eigvalsh call per
+    matrix, and Pt_k^i rebuilt through its completed-square closed form
+    from the subsystem's own matrices,
+
+        Q_ii + g' R_ii g + (A + B g)' M (A + B g)
+             + sigma_w (Abar + Bbar g)' M (Abar + Bbar g),
+
+    at g = Ktilde_k^i and M = p_i [P_{k+1}]_ii + (1 - p_i) Pt_{k+1}^i.
+    Returns (violations, closed_form_error) in riccati.check_definiteness's
+    order and format; a nan eigenvalue or rebuild error is a violation."""
+    noff, moff = offsets(model)
+    violations, errors = [], [0.0]
+    for i, s in enumerate(model.subsystems):
+        c, r = slice(noff[i], noff[i + 1]), slice(moff[i + 1], moff[i + 2])
+        Qii, Rii = model.Q[c, c], model.R[r, r]
+        for k in range(sol.N, -1, -1):
+            least, tol = _least_eigenvalue_by_hand(sol.Pi[i][k])
+            if not least > tol:
+                violations.append(("Pi", k, i + 1, float(least)))
+            stored = sol.P_sub[i][k]
+            least, tol = _least_eigenvalue_by_hand(stored)
+            if not least >= -tol:
+                violations.append(("P", k, i + 1, float(least)))
+            M = s.p * sol.P[k + 1][c, c] + (1.0 - s.p) * sol.P_sub[i][k + 1]
+            g = sol.Ktilde[i][k]
+            Acl = s.A + s.B @ g
+            Abcl = s.Abar + s.Bbar @ g
+            rebuilt = (Qii + g.T @ Rii @ g + Acl.T @ M @ Acl
+                       + s.sigma_w * Abcl.T @ M @ Abcl)
+            scale = max(np.linalg.norm(stored), 1.0)
+            errors.append(float(np.linalg.norm(rebuilt - stored) / scale))
+    error = float(np.max(errors))
+    if not error <= 1e-8:
+        violations.append(("closed_form", -1, -1, error))
+    return violations, error
+
+
 def gains_from_cre_document(cre, model):
     """The gain schedule re-derived from an emitted schema-4 cre.json
     document (its P and P_sub) and the model it was solved for, with no

@@ -22,7 +22,8 @@ from ncslq.cli import main
 from ncslq.riccati import check_definiteness
 from ncslq import serialize
 
-from conftest import (MALFORMED_CONFIGS, make_deterministic, make_indefinite,
+from conftest import (MALFORMED_CONFIGS, make_deterministic, make_diverging,
+                      make_indefinite,
                       make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_singular_pi,
                       make_unequal_blocks, make_zero_plant, validated_pair)
@@ -449,6 +450,25 @@ def test_diverging_instance_names_its_overflows_in_place_of_numpy_warnings(
                               "P_0, Pt_0^1 not finite") == 1, command
         assert "the moment recursion overflowed at k = 1: S_1, T_1 not finite" \
             in messages, command
+
+
+def test_check_passes_no_audit_on_a_non_finite_number(tmp_path):
+    # on the diverging instance Pt_0^1 is nan, its closed-form rebuild error
+    # nan and the exact cost inf: the definiteness and stationarity audits
+    # both fail, where a comparison with nan or an infinite threshold passed
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(model_to_dict(make_diverging())))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(["--config", path, "--out", out, "check"]) == 3
+    doc = serialize.load(out / "check.json")
+    (P, k, i, least), closed_form = doc["definiteness"]["violations"]
+    assert (P, k, i) == ("P", 0, 1) and math.isnan(least)
+    assert closed_form[:3] == ["closed_form", -1, -1]
+    assert not doc["definiteness"]["ok"]
+    assert doc["stationarity"]["cost"] == math.inf
+    assert not doc["stationarity"]["ok"]
 
 
 def test_check_passes_a_closed_loop_without_randomness(tmp_path):

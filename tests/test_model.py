@@ -11,7 +11,7 @@ from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
                    NetworkModel, ProbabilityOutOfRange, SubsystemModel,
                    ValidatedModel, load_config, model_from_dict, model_to_dict,
                    stack, validate)
-from ncslq.model import local_blocks
+from ncslq.model import least_eigenvalue, local_blocks
 
 from conftest import (MALFORMED_CONFIGS, SEC5_CONFIG, make_random_definite,
                       make_scalar_coupled, requires_sec5, validated_pair)
@@ -416,3 +416,20 @@ def test_random_instances_validate_and_round_trip(seed):
         [s.sigma_w * np.ones((s.n, s.n)) for s in subs], noff, st_.NL))
     assert_noise_confined_to_block_rows(vm.model, st_)
     assert_stacked_statistics(vm.model, st_)
+
+
+def test_least_eigenvalue_of_a_stack_is_nan_where_an_entry_is_not_finite():
+    # each matrix of a stack gets what it gets alone; LAPACK returned
+    # [0, -0] for the eigenvalues of [[nan, 0], [0, 1]], so a non-finite
+    # matrix reads nan, which fails both least > tol and least >= -tol
+    rng = np.random.default_rng(2)
+    G = rng.standard_normal((3, 2, 2))
+    stack_ = np.concatenate([G @ G.swapaxes(1, 2) - 0.5 * np.eye(2),
+                             [[[np.nan, 0.0], [0.0, 1.0]]],
+                             [[[np.inf, 0.0], [0.0, 1.0]]]])
+    least, tol = least_eigenvalue(stack_)
+    assert least.shape == tol.shape == (5,)
+    for M, l, t in zip(stack_[:3], least, tol):
+        assert (l, t) == least_eigenvalue(M)
+    assert np.isnan(least[3:]).all()
+    assert not (least[3:] > tol[3:]).any() and not (least[3:] >= -tol[3:]).any()

@@ -15,7 +15,7 @@ import ncslq
 from ncslq import (NetworkModel, SingularLambda, SingularPi, SubsystemModel,
                    check_definiteness, exact_cost, gains, model_to_dict,
                    solve_cre)
-from ncslq.model import local_blocks
+from ncslq.model import least_eigenvalue, local_blocks
 from ncslq.riccati import (RCOND_SINGULAR, _raise_if_singular, _rcond,
                            _shape_groups, _step, solve_checked)
 
@@ -23,8 +23,9 @@ from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
                       make_singular_pi, make_unequal_blocks, make_zero_plant,
                       validated_pair)
-from reference import (coefficients_by_step, dense_noise_channels,
-                       descend_gains, hand_recursion_scalar,
+from reference import (coefficients_by_step, definiteness_by_loop,
+                       dense_noise_channels, descend_gains,
+                       hand_recursion_scalar,
                        place_blocks_by_loop, solve_cre_additive,
                        solve_cre_single, solve_generalized)
 
@@ -479,32 +480,64 @@ def test_step_equals_three_operand_form():
 def test_definiteness_reduces_to_the_local_input_weight():
     vm, stk, sol = solve(make_zero_plant((1.0, 2.5)))
     assert np.array_equal(sol.Pi[0][0], [[2.5]])
-    rep = check_definiteness(sol, vm)
+    rep = check_definiteness(sol, vm, stk)
     assert rep.ok
 
 
 def test_definiteness_names_an_indefinite_Pi():
     # the local input weight alone is negative: Pi_k^1 = -2.5 at each k
-    vm, _, sol = solve(make_zero_plant((1.0, -2.5)), mode="indefinite")
-    rep = check_definiteness(sol, vm)
+    vm, stk, sol = solve(make_zero_plant((1.0, -2.5)), mode="indefinite")
+    rep = check_definiteness(sol, vm, stk)
     assert rep.violations == [("Pi", k, 1, -2.5) for k in (2, 1, 0)]
     assert not rep.ok and rep.closed_form_error == 0.0
 
 
 def test_definiteness_names_a_negative_error_value():
-    vm, _, sol = solve(make_zero_plant((1.0, 2.5), Q=-1.0), mode="indefinite")
-    rep = check_definiteness(sol, vm)
+    vm, stk, sol = solve(make_zero_plant((1.0, 2.5), Q=-1.0), mode="indefinite")
+    rep = check_definiteness(sol, vm, stk)
     assert rep.violations == [("P", k, 1, -1.0) for k in (2, 1, 0)]
 
 
 def test_definiteness_names_a_failed_closed_form_rebuild():
     # an edited Pt_2^2 no longer equals its completed-square rebuild
-    vm, _, sol = solve(make_unequal_blocks())
-    assert check_definiteness(sol, vm).ok
+    vm, stk, sol = solve(make_unequal_blocks())
+    assert check_definiteness(sol, vm, stk).ok
     sol.P_sub[1][2] += 1e-3
-    rep = check_definiteness(sol, vm)
+    rep = check_definiteness(sol, vm, stk)
     assert rep.violations == [("closed_form", -1, -1, rep.closed_form_error)]
     assert rep.closed_form_error > 1e-8
+
+
+def shifted_indefinite(seed):
+    """make_random_definite's instance with R - c I and Q - c' I, c in
+    [0, 3) and c' in [0, 2): indefinite weights, for indefinite mode."""
+    rng = np.random.default_rng(seed)
+    model = make_random_definite(rng)
+    model.R = model.R - rng.uniform(0.0, 3.0) * np.eye(len(model.R))
+    model.Q = model.Q - rng.uniform(0.0, 2.0) * np.eye(len(model.Q))
+    return model
+
+
+def test_definiteness_matches_the_loop_referee():
+    # the batched audit lists the referee's violations in its order with
+    # the same eigenvalue bits (each matrix meets the same eigvalsh), and
+    # its rebuild, read off the closed loop, agrees to round-off
+    cases = [(make_indefinite(), "indefinite"), (make_unequal_blocks(), "definite")]
+    cases += [(shifted_indefinite(seed), "indefinite") for seed in range(20)]
+    kinds = set()
+    for model, mode in cases:
+        vm, stk, sol = solve(model, mode=mode)
+        rep = check_definiteness(sol, vm, stk)
+        violations, error = definiteness_by_loop(sol, vm)
+        assert [(*v[:3], float(v[3]).hex()) for v in rep.violations] == [
+            (*v[:3], float(v[3]).hex()) for v in violations]
+        # both are residuals relative to ||Pt_k^i||
+        assert abs(rep.closed_form_error - error) <= 1e-14
+        kinds |= {v[0] for v in violations}
+        per_k = [least >= -tol for least, tol in map(least_eigenvalue, sol.Lambda)]
+        assert np.array_equal(sol.lambda_psd, per_k)
+    # both kinds of eigenvalue violation occur, so the comparison is not vacuous
+    assert {"Pi", "P"} <= kinds
 
 
 def block_mask(offsets):
@@ -600,6 +633,6 @@ def test_definiteness_property_sweep(seed):
     model = make_random_definite(rng)
     vm, stk = validated_pair(model)
     sol = solve_cre(stk, vm)
-    rep = check_definiteness(sol, vm)
+    rep = check_definiteness(sol, vm, stk)
     assert rep.ok, rep.violations[:3]
     assert rep.closed_form_error <= 1e-8

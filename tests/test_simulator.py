@@ -12,7 +12,7 @@ from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              thread_count)
 from ncslq.synthesis import GainSchedule
 
-from conftest import (make_deterministic, make_equal_blocks,
+from conftest import (make_deterministic, make_diverging, make_equal_blocks,
                       make_random_definite, make_scalar_coupled,
                       make_unequal_blocks, validated_pair)
 from reference import rollout_by_loop
@@ -276,7 +276,8 @@ def test_nonfinite_states_reported_and_run_continues():
         summary = simulate(vm, stk, zero_gains(vm.model), seed=0, trials=3)
     assert summary.trials == 3
     assert len(summary.nonfinite) == 3
-    assert all(step == 2 for _, step in summary.nonfinite)
+    # x_1 = 1e200 is finite, but ||x_1||^2, what mean_sq_norms reports, is not
+    assert all(step == 1 for _, step in summary.nonfinite)
 
 
 def test_sweep_single_value_equals_simulate():
@@ -435,3 +436,15 @@ def test_statistics_come_from_the_stacked_instance():
     for a, b in zip(after.traces, before.traces):
         assert np.array_equal(a.X, b.X) and np.array_equal(a.Gamma, b.Gamma)
     assert exact_cost(vm, stk, sched) == cost
+
+
+def test_nonfinite_names_every_path_whose_squared_norm_overflows():
+    # x_1 is about 1e200, finite, but ||x_1||^2 is not: every path is named
+    # at k = 1, as the infinite mean_sq_norms[1] reports
+    vm, stk = validated_pair(make_diverging())
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning):
+        sched = gains(solve_cre(stk, vm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = simulate(vm, stk, sched, 0, 10)
+    assert summary.mean_sq_norms[1, 0] == math.inf
+    assert summary.nonfinite == [(t, 1) for t in range(10)]

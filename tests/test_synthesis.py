@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncslq import (DimensionMismatch, GainSchedule, gains, optimal_cost,
-                   simulator, solve_cre)
+from ncslq import (CRESolution, DimensionMismatch, GainSchedule, gains,
+                   optimal_cost, simulator, solve_cre)
 from ncslq.oracle import cost_gradient, exact_cost, propagate_moments
 from ncslq.riccati import _step
 
@@ -75,6 +75,23 @@ def test_stored_gains_equal_refactored_gains(name):
     sched.Khat[0] += 1.0
     sched.Ktilde[0][0] += 1.0
     _assert_same_gains(gains(sol), gains_by_refactoring(sol, stk, vm))
+
+
+def test_a_solution_is_a_schedule_and_gains_copy_it_out():
+    # CRESolution adds only the values and coefficients to GainSchedule's
+    # fields; gains() returns a plain GainSchedule that shares no memory
+    names = [f.name for f in dataclasses.fields(GainSchedule)]
+    assert [f.name for f in dataclasses.fields(CRESolution)] == names + [
+        "p", "P", "P_sub", "Lambda", "Pi"]
+    vm, stk, sol, sched = solve_all(make_unequal_blocks())
+    assert isinstance(sol, GainSchedule) and type(sched) is GainSchedule
+    _assert_same_gains(sched, sol)
+    for a, b in [(sched.Khat, sol.Khat), *zip(sched.Ktilde, sol.Ktilde)]:
+        assert not np.shares_memory(a, b)
+    for name in names[2:]:   # Ktilde and the offsets: equal lists, not shared
+        assert getattr(sched, name) is not getattr(sol, name)
+    assert (sched.N, sched.n_offsets, sched.m_offsets) == (
+        sol.N, sol.n_offsets, sol.m_offsets)
 
 
 def gradient_by_two_steps(vm, stk, sched):
