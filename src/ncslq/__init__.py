@@ -12,9 +12,8 @@ from .model import (DefinitenessViolation, DimensionMismatch, ModelError,
 from .riccati import (CRESolution, RiccatiError, SingularLambda, SingularPi,
                       check_definiteness, solve_cre)
 from .synthesis import GainSchedule, gains, optimal_cost
-from .estimator import init_estimate, update_estimate
-from .oracle import (MomentState, cost_gradient, costate_moments, exact_cost,
-                     propagate_moments, stationarity_check)
+from .oracle import (cost_gradient, costate_moments, exact_cost,
+                     stationarity_check)
 from .simulator import (SimulationSummary, SimulationTrace, decay_time,
                         simulate, sweep_dropout)
 

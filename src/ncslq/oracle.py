@@ -55,9 +55,9 @@ diagonal ones, so the last product is the sum over the subsystems of
 <R_ii Kt^i_k, Kt^i_k T^i_k>.  The one forward pass propagates first,
 advancing (S, T) with the two products C[k] (S_k, T_k) C[k]' per step, and
 keeps every S_k and T_k in one array; then it prices every step in one
-batch.  exact_cost, propagate_moments, cost_gradient and costate_moments
-all read that pass.  The reduction does not depend on how the gains were
-computed.
+batch.  exact_cost, cost_gradient and costate_moments read that pass
+(_moments), and nothing else does.  The reduction does not depend on how
+the gains were computed.
 
 Adjoint.  Given the gains, J is linear in (S_k, T_k), with V_k = dJ/dS_k
 and Vt_k = dJ/dT_k running backward from V_{N+1} = Vt_{N+1} = P_T.  Since
@@ -99,19 +99,6 @@ import numpy as np
 from .model import block_groups, integer, local_blocks
 from .riccati import sweep
 from .synthesis import GainSchedule
-
-
-@dataclass
-class MomentState:
-    """Second moments of (Xhat, Xtilde) at one step and the step's exact
-    expected cost: the stage cost for k <= N, the terminal cost at k = N+1.
-    T is zero outside its diagonal blocks, so subsystem i's error moment is
-    a slice of it."""
-
-    k: int
-    S: np.ndarray
-    T: np.ndarray
-    cost: float
 
 
 def _moments(model, stacked, cl):
@@ -183,15 +170,6 @@ def _warn_overflow(ST, cost):
         msg = (f"the moment recursion overflowed at k = {k}: "
                f"{', '.join(names)} not finite")
     warnings.warn(msg, RuntimeWarning, stacklevel=4)
-
-
-def propagate_moments(model, stacked, gain_schedule):
-    """Yield MomentState for k = 0..N+1 under the given gains; S and T
-    are views into the one array of the pass."""
-    ST, cost = _moments(model, stacked,
-                        gain_schedule.closed_loop(stacked, model.N))
-    for k, c in enumerate(cost.tolist()):
-        yield MomentState(k=k, S=ST[k, 0], T=ST[k, 1], cost=c)
 
 
 def exact_cost(model, stacked, gain_schedule):

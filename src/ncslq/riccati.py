@@ -48,8 +48,9 @@ step makes few numpy calls: the pair (P_{k+1}, Y) is refilled in place
 (six calls), _step takes ten products, each once over the pair and the
 noise weight's once for both families, and five sums, and H and the
 value update take seven more; solve_cre adds one solve for Lambda_k and
-one batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape
-(model.block_groups).  Each product has one operator on each side:
+one batched solve per block shape (m_i, n_i) for the Pi_k^i of that shape,
+whose blocks the (rows, cols) arrays of model.block_groups index in Lt, Xt
+and Kt directly.  Each product has one operator on each side:
 stacking them as [B A] or [Bbar Abar] saves calls but made the step
 slower (a product of twice the rows leaves OpenBLAS's small-matrix
 kernel at N_L = 90, and the merged product's blocks are strided views).
@@ -216,31 +217,20 @@ def sweep(stacked, model, choose):
         yield SweepStep(k, Lam, K, H, V)
 
 
-def _shape_groups(n_offsets, m_offsets):
-    """The local blocks grouped by shape (m_i, n_i) (model.block_groups),
-    each group as (0-based subsystem indices, flat indices of their Pi^i
-    blocks in an M_L x M_L matrix, of their Omega^i blocks in an M_L x N_L
-    one), with shapes (g,), (g, m_i, m_i) and (g, m_i, n_i)."""
-    ML, NL = m_offsets[-1], n_offsets[-1]
-    return [(subs, rows[:, :, None] * ML + rows[:, None, :],
-             rows[:, :, None] * NL + cols[:, None, :])
-            for subs, rows, cols in block_groups(n_offsets, m_offsets)]
-
-
 def _raise_if_singular(Lam, k0, groups):
     """The solvability test: raise for the first coefficient matrix in
     sweep order, the largest k first and Lambda_k before Pi_k^1..Pi_k^L,
     whose _rcond is below RCOND_SINGULAR or not finite.  Lam holds the pair
-    coefficients of steps k0, k0 + 1, ...; each stack is inverted once.
-    Steps that a sweep ended early never reached hold zeros, and come after
-    the failure that ended it in sweep order."""
+    coefficients of steps k0, k0 + 1, ...; groups are model.block_groups,
+    and each stack is inverted once.  Steps that a sweep ended early never
+    reached hold zeros, and come after the failure that ended it in sweep
+    order."""
     steps = len(Lam)
     L = sum(len(subs) for subs, _, _ in groups)
     rc = np.empty((steps, 1 + L))
     rc[:, 0] = _rcond(Lam[:, 0])
-    Lt = Lam[:, 1].reshape(steps, -1)
-    for subs, pi, _ in groups:
-        rc[:, 1 + subs] = _rcond(Lt[:, pi])
+    for subs, rows, _ in groups:
+        rc[:, 1 + subs] = _rcond(Lam[:, 1, rows[:, :, None], rows[:, None, :]])
     failed = ~(rc >= RCOND_SINGULAR)
     if failed.any():
         # rows reversed, so that the first failure found is the largest k's
@@ -262,7 +252,7 @@ def solve_cre(stacked, model):
     is not finite, a RuntimeWarning names it and the solution is returned."""
     N, NL, ML = model.N, stacked.NL, stacked.ML
     blocks = local_blocks(stacked.n_offsets, stacked.m_offsets)
-    groups = _shape_groups(stacked.n_offsets, stacked.m_offsets)
+    groups = block_groups(stacked.n_offsets, stacked.m_offsets)
 
     # the pair arrays of the sweep; the estimate family's are copied out
     # and the error family's sliced into per-subsystem blocks at the end
@@ -274,9 +264,10 @@ def solve_cre(stacked, model):
     def minimizing(k, Lam_k, Psi):
         Lam[k] = Lam_k      # stored before the solves, for the pass to name
         K[k, 0] = -np.linalg.solve(Lam_k[0], Psi[0])
-        for _, pi, omega in groups:
-            np.put(K[k, 1], omega, -np.linalg.solve(
-                np.take(Lam_k[1], pi), np.take(Psi[1], omega)))
+        for _, rows, cols in groups:
+            r, c = rows[:, :, None], cols[:, None, :]
+            K[k, 1, r, c] = -np.linalg.solve(Lam_k[1, r, rows[:, None, :]],
+                                             Psi[1, r, c])
         return K[k]
 
     with np.errstate(over="ignore", invalid="ignore"):

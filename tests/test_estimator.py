@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncslq import gains, init_estimate, simulate, solve_cre, update_estimate
+from ncslq import gains, simulate, solve_cre
+from ncslq.estimator import init_estimate, update_estimate
 from ncslq.estimator import predict
 
 from conftest import make_scalar_coupled, make_unequal_blocks, validated_pair

@@ -3,9 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from ncslq import (NetworkModel, SubsystemModel, gains, optimal_cost,
+from ncslq import (NetworkModel, SubsystemModel, gains, optimal_cost, oracle,
                    simulate, solve_cre, cost_gradient, costate_moments,
-                   exact_cost, propagate_moments, stationarity_check)
+                   exact_cost, stationarity_check)
 from ncslq.model import psd_tolerance, stack
 from ncslq.synthesis import GainSchedule
 
@@ -98,16 +98,16 @@ def test_masked_noise_moment_equals_per_channel_sums():
     Sigma_v = place_blocks_by_loop([s.Sigma_v for s in model.subsystems],
                                    noff, stk.NL)
     channels = dense_noise_channels(vm)
-    states = list(propagate_moments(vm, stk, sched))
+    ST, _ = oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
     for k in range(model.N + 1):
-        S, T = states[k].S, states[k].T
+        S, T = ST[k]
         Kh, Kt = sched.Khat[k], ktilde_full_by_loop(sched, k)
         G = stk.A + stk.B @ Kt
         W = G @ T @ G.T + Sigma_v
         for sw, Ab, Bb in channels:
             Ph, Ps = Ab + Bb @ Kh, Ab + Bb @ Kt
             W = W + sw * (Ph @ S @ Ph.T + Ps @ T @ Ps.T)
-        T_next = states[k + 1].T
+        T_next = ST[k + 1, 1]
         for i, s in enumerate(model.subsystems):
             r = slice(noff[i], noff[i + 1])
             W_read = T_next[r, r] / (1.0 - s.p)
@@ -187,11 +187,12 @@ def test_moment_psd_invariants():
     model = make_random_definite(np.random.default_rng(43), L=2, N=6)
     vm, stk, _, sched = solve_all(model)
     off = off_block_mask(stk.n_offsets)
-    for ms in propagate_moments(vm, stk, sched):
-        for M in (ms.S, ms.T):
+    ST, _ = oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
+    for S, T in ST:
+        for M in (S, T):
             eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
             assert eigs.min() >= -psd_tolerance(eigs)
-        assert not ms.T[off].any()
+        assert not T[off].any()
 
 
 def test_stationarity_at_optimal_scalar():
@@ -374,9 +375,9 @@ def test_costate_telescoping_zero_noise():
     assert rep.max_relative_residual <= 1e-12
     # the telescoped sum equals the total cost
     import math
-    assert rep.costate_value[0] == pytest.approx(
-        math.fsum(ms.cost for ms in propagate_moments(vm, stk, sched)),
-        rel=1e-10)
+    _, cost = oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
+    assert rep.costate_value[0] == pytest.approx(math.fsum(cost.tolist()),
+                                                 rel=1e-10)
 
 
 def test_costate_audit_reports_a_nonfinite_residual():
@@ -443,20 +444,20 @@ def test_reduced_oracle_matches_full_referee(make, perturb):
         perturbed(sched)
     off = off_block_mask(stk.n_offsets)
     full = list(priced_moments_full(vm, stk, sched))
-    reduced = list(propagate_moments(vm, stk, sched))
-    assert len(reduced) == len(full) == vm.model.N + 2
-    for (ref, _), ms in zip(full, reduced):
+    ST, cost = oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
+    assert len(ST) == len(full) == vm.model.N + 2
+    for (ref, _), (S, T) in zip(full, ST):
         assert np.array_equal(ref.C, np.zeros_like(ref.C))
         assert np.array_equal(ref.mean_xtilde, np.zeros(stk.NL))
         assert not ref.T[off].any()
-        assert_rel_close(ms.S, ref.S)
-        assert_rel_close(ms.T, ref.T)
+        assert_rel_close(S, ref.S)
+        assert_rel_close(T, ref.T)
     # the stages are priced in one batch, not one product per step: each
     # stage's cost is held to the referee's on its own
-    np.testing.assert_allclose([ms.cost for ms in reduced],
+    np.testing.assert_allclose(cost.tolist(),
                                [c for _, c in full], rtol=1e-12, atol=0.0)
     assert (costate_moments(vm, stk, sched, sol).stage
-            == [ms.cost for ms in reduced][:-1])
+            == cost.tolist()[:-1])
 
 
 # The moment pass prices every stage in one batch, and the error input per

@@ -15,9 +15,9 @@ import ncslq
 from ncslq import (NetworkModel, SingularLambda, SingularPi, SubsystemModel,
                    check_definiteness, exact_cost, gains, model_to_dict,
                    solve_cre)
-from ncslq.model import least_eigenvalue, local_blocks
+from ncslq.model import block_groups, least_eigenvalue, local_blocks
 from ncslq.riccati import (RCOND_SINGULAR, _raise_if_singular, _rcond,
-                           _shape_groups, _step, solve_checked)
+                           _step, solve_checked)
 
 from conftest import (make_indefinite, make_random_definite,
                       make_scalar_coupled, make_scalar_decoupled,
@@ -246,7 +246,7 @@ def test_rcond_of_a_stack_is_exact():
 def test_singularity_pass_names_the_first_failure_in_sweep_order():
     # the sweep runs k = N down to 0 and forms Lambda_k before Pi_k^1..Pi_k^L;
     # here L = 2, n = (1, 2), m0 = m_i = 1, and steps k = 1..4 are stored
-    groups = _shape_groups([0, 1, 3], [0, 1, 2, 3])
+    groups = block_groups([0, 1, 3], [0, 1, 2, 3])
     Lam = np.stack([np.eye(3)] * 8).reshape(4, 2, 3, 3)
     Lam[0, 0] = 0.0                  # Lambda_1 singular
     Lam[1, 0, 0, 0] = np.nan         # Lambda_2 non-finite

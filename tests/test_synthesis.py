@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ncslq import (CRESolution, DimensionMismatch, GainSchedule, gains,
-                   optimal_cost, simulator, solve_cre)
-from ncslq.oracle import cost_gradient, exact_cost, propagate_moments
+                   optimal_cost, oracle, simulator, solve_cre)
+from ncslq.oracle import cost_gradient, exact_cost
 from ncslq.riccati import _step
 
 from conftest import (make_equal_blocks, make_indefinite,
@@ -100,7 +100,7 @@ def gradient_by_two_steps(vm, stk, sched):
     per step: (Lambda, Psi) at P_{k+1} and (Lt, Xt) at Y, each forming its
     own products with the shared noise weight Sw * Y."""
     cl = sched.closed_loop(stk, vm.N)
-    moments = list(propagate_moments(vm, stk, sched))
+    ST, _ = oracle._moments(vm, stk, cl)
     p = stk.p_rows[:, None]
     q = 1.0 - p
 
@@ -110,7 +110,7 @@ def gradient_by_two_steps(vm, stk, sched):
     P = Pt = sym(vm.P_terminal)
     dKh, dKt, ddKh, ddKt = (np.zeros(cl.K[:, 0].shape) for _ in range(4))
     for k in range(vm.N, -1, -1):
-        (Kh, Kt), S, T = cl.K[k], moments[k].S, moments[k].T
+        (Kh, Kt), (S, T) = cl.K[k], ST[k]
         Y = sym(p * P + q * Pt)
         Pw = stk.Sw * Y
         Lam, Psi, G = _step(P, Pw, stk, vm.Q, vm.R)
