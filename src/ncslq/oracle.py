@@ -172,11 +172,31 @@ def _warn_overflow(ST, cost):
     warnings.warn(msg, RuntimeWarning, stacklevel=4)
 
 
+def _total(cost):
+    """math.fsum of the step costs.  Where that overflows, the costs are
+    summed again scaled by 2**-e, e the largest binary exponent among them;
+    a total beyond the largest double is then +-inf, named by one
+    RuntimeWarning, where math.fsum raises OverflowError."""
+    cost = cost.tolist()
+    try:
+        return math.fsum(cost)
+    except OverflowError:   # finite step costs: no inf enters fsum's partials
+        e = max(math.frexp(c)[1] for c in cost)
+        total = math.fsum(math.ldexp(c, -e) for c in cost)
+        try:
+            return math.ldexp(total, e)
+        except OverflowError:
+            warnings.warn("the moment pass's total cost overflowed: the step "
+                          "costs are finite, their sum is not", RuntimeWarning,
+                          stacklevel=3)
+            return math.copysign(math.inf, total)
+
+
 def exact_cost(model, stacked, gain_schedule):
     """Exact expected total cost of the strategy (no sampling involved)."""
     _, cost = _moments(model, stacked,
                        gain_schedule.closed_loop(stacked, model.N))
-    return math.fsum(cost.tolist())
+    return _total(cost)
 
 
 @dataclass
@@ -219,7 +239,7 @@ def cost_gradient(model, stacked, gain_schedule):
         return replace(gain_schedule, N=N, Khat=dK[:, 0],
                        Ktilde=[dK[:, 1, r, c] for r, c in blocks])
 
-    return CostGradient(cost=math.fsum(cost.tolist()),
+    return CostGradient(cost=_total(cost),
                         gradient=per_block(dK), curvature=per_block(ddK))
 
 
@@ -328,15 +348,17 @@ def costate_moments(model, stacked, gain_schedule, sol):
     rows = [c for _, c in local_blocks(sol.n_offsets, sol.m_offsets)]
     ST, cost = _moments(model, stacked, gain_schedule.closed_loop(stacked, N))
     S, T = ST[:, 0], ST[:, 1]
-    Va = _frobenius(sol.P, S) + sum(
-        _frobenius(Pt, T[:, r, r]) for Pt, r in zip(sol.P_sub, rows))
-    stages = cost[:-1]  # the terminal cost enters through V[N+1]
-    noise = sum(np.einsum("ij,kij->k", stacked.Sigma_v[r, r], Mi[1:])
-                for Mi, r in zip(sol.M_sub, rows))
-    lhs = Va[:-1] - Va[1:]
-    rhs = stages - noise
-    res = lhs - rhs
-    rel = np.abs(res) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+    # an overflow shows as a non-finite residual, which fails the audit
+    with np.errstate(over="ignore", invalid="ignore"):
+        Va = _frobenius(sol.P, S) + sum(
+            _frobenius(Pt, T[:, r, r]) for Pt, r in zip(sol.P_sub, rows))
+        stages = cost[:-1]  # the terminal cost enters through V[N+1]
+        noise = sum(np.einsum("ij,kij->k", stacked.Sigma_v[r, r], Mi[1:])
+                    for Mi, r in zip(sol.M_sub, rows))
+        lhs = Va[:-1] - Va[1:]
+        rhs = stages - noise
+        res = lhs - rhs
+        rel = np.abs(res) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
     return CostateMomentsReport(
         costate_value=Va.tolist(), stage=stages.tolist(),
         noise_term=noise.tolist(), residuals=res.tolist(),

@@ -325,16 +325,18 @@ def check_definiteness(sol, model, stacked):
     least, tol = np.empty((2, len(sol.Pi), N + 1, 2))
     errors = np.empty((len(sol.Pi), N + 1))
     blocks = local_blocks(sol.n_offsets, sol.m_offsets)
-    for i, (M, (r, c)) in enumerate(zip(sol.M_sub, blocks)):
-        stored, g = sol.P_sub[i][:N + 1], sol.Ktilde[i]
-        least[i, ::-1, 0], tol[i, ::-1, 0] = least_eigenvalue(sol.Pi[i])
-        least[i, ::-1, 1], tol[i, ::-1, 1] = least_eigenvalue(stored)
-        G, Psi = C[:, 0, c, c], C[:, 1, c, c]
-        rebuilt = (model.Q[c, c] + g.swapaxes(1, 2) @ model.R[r, r] @ g
-                   + G.swapaxes(1, 2) @ M[1:] @ G
-                   + Psi.swapaxes(1, 2) * stacked.Sw[c, c] @ M[1:] @ Psi)
-        scale = np.maximum(np.linalg.norm(stored, axis=(1, 2)), 1.0)
-        errors[i] = np.linalg.norm(rebuilt - stored, axis=(1, 2)) / scale
+    # an overflow shows as a non-finite matrix or error, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (M, (r, c)) in enumerate(zip(sol.M_sub, blocks)):
+            stored, g = sol.P_sub[i][:N + 1], sol.Ktilde[i]
+            least[i, ::-1, 0], tol[i, ::-1, 0] = least_eigenvalue(sol.Pi[i])
+            least[i, ::-1, 1], tol[i, ::-1, 1] = least_eigenvalue(stored)
+            G, Psi = C[:, 0, c, c], C[:, 1, c, c]
+            rebuilt = (model.Q[c, c] + g.swapaxes(1, 2) @ model.R[r, r] @ g
+                       + G.swapaxes(1, 2) @ M[1:] @ G
+                       + Psi.swapaxes(1, 2) * stacked.Sw[c, c] @ M[1:] @ Psi)
+            scale = np.maximum(np.linalg.norm(stored, axis=(1, 2)), 1.0)
+            errors[i] = np.linalg.norm(rebuilt - stored, axis=(1, 2)) / scale
     # written so that a nan fails both tests
     passed = np.stack((least[..., 0] > tol[..., 0],
                        least[..., 1] >= -tol[..., 1]), axis=-1)

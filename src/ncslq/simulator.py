@@ -47,6 +47,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -106,6 +107,35 @@ def _panel_matmul(M, X):
     if head < T:
         np.matmul(M, X[:, head:], out=out[:, head:])
     return out
+
+
+def _scaled_sum_sq(X):
+    """(s, e) with s * 2**e the sum of the squares of the finite array X: X
+    is scaled by 2**-(e/2) first, e/2 the binary exponent of its largest
+    magnitude, so that the sum cannot overflow."""
+    h = int(np.frexp(np.abs(X).max())[1])
+    X = np.ldexp(X, -h)
+    return float(np.einsum("it,it->", X, X)), 2 * h
+
+
+def _cost_sums(costs):
+    """(s, m2, e): a block's sum of costs and its sum of squares about the
+    block's mean, in units of 2**e and 2**(2 e).  e = 0, the plain sums,
+    unless one of them is not finite while every cost is; then the costs
+    are scaled by 2**-e first, e the binary exponent of the largest
+    magnitude.  The sum of squares is taken about the mean, so equal costs
+    give zero, not the cancellation of two nearly equal squares."""
+    e = 0
+    total = float(costs.sum())
+    dev = costs - total / len(costs)
+    m2 = float((dev * dev).sum())
+    if not (math.isfinite(total) and math.isfinite(m2)) and np.isfinite(costs).all():
+        e = int(np.frexp(np.abs(costs).max())[1])
+        scaled = np.ldexp(costs, -e)
+        total = float(scaled.sum())
+        scaled -= total / len(costs)
+        m2 = float((scaled * scaled).sum())
+    return total, m2, e
 
 
 def _sqrt_factor(M):
@@ -204,6 +234,9 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     Xhat = np.where(arrived[sub], X, stacked.mu[:, None])
     costs = np.zeros(trials)
     sq_norms = np.zeros((N + 2, L))
+    sq_exp = np.zeros((N + 2, L), dtype=int)    # sq_norms[k, i] * 2**sq_exp[k, i]
+    # each path's first step whose ||x_k^i||^2 or running cost is not finite
+    overflow_k = np.full(trials, N + 2)
     gamma_sum = arrived.sum(axis=1)
     nonfinite = []
     Xs = np.empty((N + 2, NL, trials)) if retain else None
@@ -223,12 +256,21 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     def norms_and_overflow(k):
         row_sq = np.einsum("it,it->i", X, X)
         sq_norms[k] = np.add.reduceat(row_sq, noff[:-1])
-        # a non-finite ||x_k^i||^2 on a path makes sq_norms[k, i] non-finite
+        # a non-finite ||x_k^i||^2 on a path makes sq_norms[k, i] non-finite,
+        # and so does a sum of finite ones beyond the largest double
         if not np.isfinite(sq_norms[k]).all():
-            path_sq = np.add.reduceat(X * X, noff[:-1], axis=0)
-            bad = ~np.isfinite(path_sq).all(axis=0) & ~seen_bad
+            finite = np.isfinite(np.add.reduceat(X * X, noff[:-1], axis=0))
+            bad = ~finite.all(axis=0) & ~seen_bad
             nonfinite.extend((base_trial + int(t), k) for t in np.nonzero(bad)[0])
             seen_bad[bad] = True
+            overflow_k[bad] = np.minimum(overflow_k[bad], k)
+            for i in np.flatnonzero(~np.isfinite(sq_norms[k]) & finite.all(axis=1)):
+                sq_norms[k, i], sq_exp[k, i] = _scaled_sum_sq(X[noff[i]:noff[i + 1]])
+
+    def cost_overflow(k):
+        if not np.isfinite(costs).all():
+            np.minimum(overflow_k, np.where(np.isfinite(costs), N + 2, k),
+                       out=overflow_k)
 
     for k in range(N + 1):
         norms_and_overflow(k)
@@ -243,6 +285,7 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
             U[inputs] += mm(cl.K[k, 1, inputs, rows], X[rows])
         stage += quadratic(R, U)
         costs += stage
+        cost_overflow(k)
         if retain:
             Us[k], stage_rec[k] = U, stage
         del U
@@ -271,6 +314,7 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     norms_and_overflow(N + 1)
     terminal = quadratic(PT, X)
     costs += terminal
+    cost_overflow(N + 1)
     traces = []
     if retain:
         Xs[N + 1], Xhs[N + 1], Gs[N + 1] = X, Xhat, arrived
@@ -280,19 +324,81 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
                 U=Us[:, :, t].copy(), Gamma=Gs[:, :, t].copy(),
                 stage_costs=stage_rec[:, t].copy(), terminal_cost=float(terminal[t])))
     # numpy's pairwise sums within the block; simulate combines the blocks'
-    # sums with math.fsum in block order.  The sum of squares is taken about
-    # the block's own mean, so equal costs give zero, not the cancellation
-    # of two nearly equal squares
-    cost_sum = float(costs.sum())
-    costs -= cost_sum / trials
+    # sums with math.fsum in block order
+    cost_sum, cost_m2, cost_exp = _cost_sums(costs)
     return {
         "cost_sum": cost_sum,
-        "cost_m2": float((costs * costs).sum()),
+        "cost_m2": cost_m2,
+        "cost_exp": cost_exp,
         "sq_norms": sq_norms,
+        "sq_exp": sq_exp,
         "gamma_sum": gamma_sum,
         "nonfinite": nonfinite,
+        "overflowed": [(base_trial + int(t), int(overflow_k[t]))
+                       for t in np.flatnonzero(overflow_k <= N + 1)],
         "traces": traces,
     }
+
+
+def _unscaled(x, e):
+    """x * 2**e, +-inf beyond the largest double."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
+
+
+def _cost_moments(blocks, results, trials):
+    """The cost's mean and standard error from the blocks' partial sums.
+
+    Block b's cost_sum and cost_m2 are in units of 2**e_b and 2**(2 e_b),
+    e_b its cost_exp.  Each block's centred sum of squares is moved to the
+    overall mean by its count times the squared offset of its mean (Chan,
+    Golub & LeVeque).  The blocks are combined in units of 2**E: E = 0, the
+    plain sums, unless their mean or variance is not finite; then E is the
+    largest binary exponent of a finite block's sum, so that a finite mean
+    and standard error come out finite, and a non-finite block still gives
+    a non-finite mean."""
+    counts = [nt for _, nt in blocks]
+    sums, m2s, exps = ([r[key] for r in results]
+                       for key in ("cost_sum", "cost_m2", "cost_exp"))
+
+    def combine(E):
+        s = [_unscaled(x, e - E) for x, e in zip(sums, exps)]
+        mean = math.fsum(s) / trials
+        d = [x / nt - mean for x, nt in zip(s, counts)]
+        var = math.fsum([_unscaled(m, 2 * (e - E)) for m, e in zip(m2s, exps)]
+                        + [nt * y * y for nt, y in zip(counts, d)]) / trials
+        return mean, var
+
+    E = 0
+    try:
+        mean, var = combine(E)
+    except OverflowError:   # math.fsum of finite values beyond the largest double
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        E = max((e + math.frexp(x)[1] for x, m, e in zip(sums, m2s, exps)
+                 if math.isfinite(x) and math.isfinite(m)), default=0)
+        mean, var = combine(E)
+    stderr = math.sqrt(var / trials) if trials > 1 else math.inf
+    return _unscaled(mean, E), _unscaled(stderr, E)
+
+
+def _mean_sq_norms(results, trials):
+    """sum over the blocks of sq_norms / trials; where a block's entry was
+    scaled (sq_exp) or the plain sum of finite entries overflows, that
+    entry is summed in units of 2**E, E the largest binary exponent among
+    its blocks' entries, so that a finite mean comes out finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sum(r["sq_norms"] for r in results) / trials
+        if np.isfinite(mean).all() and not any(r["sq_exp"].any() for r in results):
+            return mean
+        sums = np.array([r["sq_norms"] for r in results])
+        exps = np.array([r["sq_exp"] for r in results])
+        redo = ((exps != 0).any(axis=0) | ~np.isfinite(mean)) \
+            & np.isfinite(sums).all(axis=0)
+        E = (exps + np.frexp(sums)[1]).max(axis=0)
+        scaled = np.ldexp(np.ldexp(sums, exps - E).sum(axis=0) / trials, E)
+        mean[redo] = scaled[redo]
+    return mean
 
 
 def _seed(seed):
@@ -337,23 +443,24 @@ def simulate(model, stacked, gain_schedule, seed, trials, retain_traces=False,
     def run(block):
         b, nt = block
         rng = np.random.default_rng([seed, b])
-        return caller.copy().run(_simulate_block, model, stacked, cl, chol_x0,
-                                 chol_v, N, rng, nt, b * BLOCK_TRIALS,
-                                 retain_traces)
+        # a path that overflows is counted and named once below, in place
+        # of numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _simulate_block(model, stacked, cl, chol_x0, chol_v, N,
+                                   rng, nt, b * BLOCK_TRIALS, retain_traces)
 
     with ThreadPoolExecutor(max_workers=min(thread_count(), len(blocks))) as pool:
-        results = list(pool.map(run, blocks))
-    total = math.fsum(r["cost_sum"] for r in results)
-    mean = total / trials
-    # each block's centred sum of squares, moved to the overall mean by its
-    # count times the squared offset of its mean (Chan, Golub & LeVeque)
-    m2 = []
-    for (_, nt), r in zip(blocks, results):
-        d = r["cost_sum"] / nt - mean
-        m2 += [r["cost_m2"], nt * d * d]
-    var = math.fsum(m2) / trials
-    stderr = math.sqrt(var / trials) if trials > 1 else math.inf
-    sq_norms = sum(r["sq_norms"] for r in results) / trials
+        results = list(pool.map(lambda block: caller.copy().run(run, block),
+                                blocks))
+    mean, stderr = _cost_moments(blocks, results, trials)
+    sq_norms = _mean_sq_norms(results, trials)
+    overflowed = [path for r in results for path in r["overflowed"]]
+    if overflowed:
+        t, k = overflowed[0]
+        warnings.warn(f"the simulation overflowed on {len(overflowed)} of "
+                      f"{trials} paths, first on trial {t} at k = {k}: its "
+                      f"state or cost is not finite", RuntimeWarning,
+                      stacklevel=2)
     gamma_total = sum(r["gamma_sum"] for r in results)
     freq = (gamma_total / (trials * (N + 2))).tolist()
     nonfinite = [t for r in results for t in r["nonfinite"]]

@@ -16,6 +16,8 @@ riccati.check_definiteness all read its ClosedLoop.
 """
 from __future__ import annotations
 
+import math
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -98,11 +100,19 @@ def optimal_cost(sol, model):
     otherwise all of x_0^i - mu^i is estimation error.  Each step's additive
     noise is priced the same way.  The value is the cost-to-go at k = 0 of
     the solved gains, so it equals the moment oracle's exact_cost up to
-    round-off.
+    round-off.  A solution whose values are finite but whose formula cost
+    overflows gives inf, named by one RuntimeWarning; a value that is not
+    finite is named by solve_cre.
     """
     mu = np.concatenate([s.mu for s in model.subsystems])
-    total = float(mu @ sol.P[0] @ mu)
-    for s, M in zip(model.subsystems, sol.M_sub):
-        total += float(np.vdot(s.Sigma_x0, M[0]))
-        total += float(np.vdot(s.Sigma_v, M[1:].sum(axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(mu @ sol.P[0] @ mu)
+        for s, M in zip(model.subsystems, sol.M_sub):
+            total += float(np.vdot(s.Sigma_x0, M[0]))
+            total += float(np.vdot(s.Sigma_v, M[1:].sum(axis=0)))
+    if not math.isfinite(total) and all(
+            np.isfinite(V).all() for V in [sol.P] + sol.P_sub):
+        warnings.warn("the formula cost overflowed: the solution's values "
+                      "are finite, the cost is not", RuntimeWarning,
+                      stacklevel=2)
     return total

@@ -164,6 +164,31 @@ def make_diverging():
     return model
 
 
+def _near_max_scalar(B, N):
+    """Scalar instance with A = 1, mu = 1e154, p = 1 and Q = R = P_T = I;
+    every other matrix, sigma_w, Sigma_x0 and Sigma_v is zero, so every
+    path is the one deterministic path and each ||x_k||^2 is about 1e308,
+    just below the largest double."""
+    sub = SubsystemModel(index=1, A=[[1.0]], Abar=[[0.0]], B=[[B]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=0.0,
+                         Sigma_v=[[0.0]], mu=[1e154], Sigma_x0=[[0.0]], p=1.0)
+    return NetworkModel(subsystems=[sub], m0=1, N=N, Q=[[1.0]], R=np.eye(2),
+                        P_terminal=[[1.0]])
+
+
+def make_near_max():
+    """B = 1, N = 2: the exact cost, 1.6153846153846154e+308, is finite,
+    but a sum of the per-trial costs or squared norms over many trials is
+    not."""
+    return _near_max_scalar(B=1.0, N=2)
+
+
+def make_over_max():
+    """B = 0, N = 1: each of the three step costs is 1e308, so the total,
+    3e308, is beyond the largest double."""
+    return _near_max_scalar(B=0.0, N=1)
+
+
 def make_singular_pi():
     """The coupled scalar instance at N = 3 with its local input cut off
     (B = Bbar = 0) and zero weight on it, R = [[1, 1], [1, 0]]: Lambda_3 is

@@ -1,6 +1,4 @@
 import csv
-import dataclasses
-import inspect
 import json
 import math
 import os
@@ -19,11 +17,10 @@ import ncslq
 from ncslq import (gains, load_config, model_to_dict, simulate, solve_cre,
                    stack, validate)
 from ncslq.cli import main
-from ncslq.riccati import check_definiteness
 from ncslq import serialize
 
 from conftest import (MALFORMED_CONFIGS, make_deterministic, make_diverging,
-                      make_indefinite,
+                      make_indefinite, make_near_max, make_over_max,
                       make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_singular_pi,
                       make_unequal_blocks, make_zero_plant, validated_pair)
@@ -422,34 +419,99 @@ def test_check_fails_and_names_an_indefinite_Pi(tmp_path, capsys):
         assert doc[name]["ok"], name
 
 
+OVERFLOW_INSTANCES = {"diverging_N0": make_diverging, "near": make_near_max,
+                      "over": make_over_max}
+COMMANDS = {"solve": ["solve"], "evaluate": ["evaluate"], "check": ["check"],
+            "simulate": ["simulate", "--trials", "200"],
+            "sweep": ["sweep", "--p", "0.5", "--trials", "200"]}
+EXITS = {"diverging_N0": {"check": 3}, "near": {}, "over": {"check": 3}}
+
+
 def test_diverging_instance_names_its_overflows_in_place_of_numpy_warnings(
         tmp_path):
-    # A = 1e200 at N = 0: P_0 = A^2 P_1 overflows in the solve, and the
-    # moments S_1, T_1 of the solved gains overflow in the oracle.  Each is
-    # named once per call; numpy's "... encountered in ..." warnings come
-    # from neither riccati's sweeps nor the oracle's moment pass (those of
-    # check_definiteness's closed-form rebuild and of the simulator stay)
-    model = make_scalar_coupled(N=0)
-    model.subsystems[0] = dataclasses.replace(model.subsystems[0], A=[[1e200]])
-    path = tmp_path / "diverging.json"
-    path.write_text(json.dumps(model_to_dict(model)))
-    rebuild_lines, first = inspect.getsourcelines(check_definiteness)
-    rebuild = range(first, first + len(rebuild_lines))
-    for command, status in [("solve", 0), ("evaluate", 0), ("check", 3)]:
+    # diverging_N0 (A = 1e200 at N = 0): P_0 = A^2 P_1 overflows in the
+    # solve, and the moments S_1, T_1 of the solved gains overflow in the
+    # oracle; near: sums over the trials of finite values pass the largest
+    # double; over: a total cost passes it.  No command lets numpy's "...
+    # encountered in ..." warnings out, from any file: the overflows are
+    # named by the package's own RuntimeWarnings, and near has none
+    for instance, make in OVERFLOW_INSTANCES.items():
+        path = tmp_path / f"{instance}.json"
+        path.write_text(json.dumps(model_to_dict(make())))
+        for command, argv in COMMANDS.items():
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert run(["--config", path, "--out",
+                            tmp_path / instance / command, *argv]) \
+                    == EXITS[instance].get(command, 0), (instance, command)
+            messages = [str(w.message) for w in seen]
+            leaked = [f"{w.filename}:{w.lineno}: {w.message}" for w in seen
+                      if "encountered in" in str(w.message)]
+            assert not leaked, (instance, command, leaked)
+            if instance == "near":
+                assert messages == [], command
+            if instance != "diverging_N0":
+                continue
+            assert messages.count("the recursion overflowed at k = 0: "
+                                  "P_0, Pt_0^1 not finite") == 1, command
+            if command in ("solve", "evaluate", "check"):
+                assert "the moment recursion overflowed at k = 1: S_1, T_1 " \
+                    "not finite" in messages, command
+
+
+def test_over_max_total_is_inf_and_named(tmp_path):
+    # the three step costs are 1e308 each: exact_cost and the formula cost
+    # are inf, where math.fsum raised OverflowError, and each is named once
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(model_to_dict(make_over_max())))
+    total = "the moment pass's total cost overflowed: the step costs are " \
+        "finite, their sum is not"
+    formula = "the formula cost overflowed: the solution's values are " \
+        "finite, the cost is not"
+    for command, doc, keys in [("solve", "cost.json", ("formula_cost", "oracle_cost")),
+                               ("evaluate", "evaluate.json", ("exact_cost", "formula_cost"))]:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert run(["--config", path, "--out", tmp_path / command,
-                        command]) == status
-        messages = [str(w.message) for w in seen]
-        leaked = [f"{w.filename}:{w.lineno}: {w.message}" for w in seen
-                  if "encountered in" in str(w.message)
-                  and pathlib.Path(w.filename).name in ("riccati.py", "oracle.py")
-                  and not (w.filename.endswith("riccati.py") and w.lineno in rebuild)]
-        assert not leaked, (command, leaked)
-        assert messages.count("the recursion overflowed at k = 0: "
-                              "P_0, Pt_0^1 not finite") == 1, command
-        assert "the moment recursion overflowed at k = 1: S_1, T_1 not finite" \
-            in messages, command
+                        command]) == 0
+        assert sorted(str(w.message) for w in seen) == [formula, total]
+        values = serialize.load(tmp_path / command / doc)
+        assert [values[k] for k in keys] == [math.inf, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(["--config", path, "--out", tmp_path / "check", "check"]) == 3
+    doc = serialize.load(tmp_path / "check" / "check.json")
+    assert doc["stationarity"]["cost"] == math.inf
+    assert [name for name in doc if isinstance(doc[name], dict)
+            and not doc[name]["ok"]] == [
+        "stationarity", "costate_telescoping", "cost_formula_vs_oracle",
+        "monte_carlo_vs_oracle"]
+    mc = doc["monte_carlo_vs_oracle"]
+    assert mc["mean"] == math.inf and math.isnan(mc["stderr"])
+
+
+def test_near_max_mean_is_finite_and_check_passes(tmp_path):
+    # the exact cost is finite; each trial's cost and squared norms are
+    # too, and so are their means, though their sums over the trials are not
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(model_to_dict(make_near_max())))
+    vm, stk = validated_pair(make_near_max())
+    sched = gains(solve_cre(stk, vm))
+    ST, _ = ncslq.oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
+    assert run(["--config", path, "--out", tmp_path / "e", "evaluate"]) == 0
+    assert serialize.load(tmp_path / "e" / "evaluate.json")["exact_cost"] \
+        == 1.6153846153846154e+308
+    assert run(["--config", path, "--out", tmp_path / "s", "simulate",
+                "--trials", "200"]) == 0
+    summary = serialize.load(tmp_path / "s" / "summary.json")
+    assert summary["cost_mean"] == pytest.approx(1.6153846153846154e+308,
+                                                 rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(np.array(summary["mean_sq_norms"])[:, 0],
+                               np.trace(ST.sum(axis=1), axis1=1, axis2=2),
+                               rtol=1e-12, atol=0.0)
+    assert summary["nonfinite"] == []
+    assert run(["--config", path, "--out", tmp_path / "c", "check"]) == 0
+    assert serialize.load(tmp_path / "c" / "check.json")["ok"]
 
 
 def test_check_passes_no_audit_on_a_non_finite_number(tmp_path):

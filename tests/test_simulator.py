@@ -1,20 +1,21 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ncslq import (DimensionMismatch, NetworkModel, ProbabilityOutOfRange,
-                   SubsystemModel, gains, simulate, simulator, solve_cre,
-                   exact_cost)
+                   SubsystemModel, gains, oracle, simulate, simulator,
+                   solve_cre, exact_cost)
 from ncslq.simulator import (HorizonMismatch, decay_time, sweep_dropout,
                              thread_count)
 from ncslq.synthesis import GainSchedule
 
 from conftest import (make_deterministic, make_diverging, make_equal_blocks,
-                      make_random_definite, make_scalar_coupled,
-                      make_unequal_blocks, validated_pair)
+                      make_near_max, make_over_max, make_random_definite,
+                      make_scalar_coupled, make_unequal_blocks, validated_pair)
 from reference import rollout_by_loop
 
 
@@ -448,3 +449,62 @@ def test_nonfinite_names_every_path_whose_squared_norm_overflows():
         summary = simulate(vm, stk, sched, 0, 10)
     assert summary.mean_sq_norms[1, 0] == math.inf
     assert summary.nonfinite == [(t, 1) for t in range(10)]
+
+
+@pytest.mark.parametrize("mu, trials", [
+    (1e154, 200),                               # one block's sums overflow
+    (1e154, 2 * simulator.BLOCK_TRIALS + 5),    # every block's sums overflow
+    (1e152, 2 * simulator.BLOCK_TRIALS),        # only the blocks' total overflows
+], ids=["one_block", "three_blocks", "two_finite_blocks"])
+def test_a_finite_mean_of_sums_beyond_the_largest_double_stays_finite(
+        mu, trials):
+    # every path is the same deterministic path, whose cost and squared
+    # norms are finite; their sums over the trials are not, and the mean is
+    # taken by the scaled sums, without a warning
+    model = make_near_max()
+    model.subsystems[0].mu = np.array([mu])
+    vm, stk, sched = solve_all(model)
+    ST, _ = oracle._moments(vm, stk, sched.closed_loop(stk, vm.N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = exact_cost(vm, stk, sched)
+        summary = simulate(vm, stk, sched, seed=3, trials=trials)
+    assert math.isfinite(exact) and exact > 1e300
+    assert summary.cost_mean == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert 0.0 <= summary.cost_stderr <= 1e-12 * exact
+    np.testing.assert_allclose(summary.mean_sq_norms[:, 0],
+                               np.trace(ST.sum(axis=1), axis1=1, axis2=2),
+                               rtol=1e-12, atol=0.0)
+    assert summary.nonfinite == []
+
+
+def test_a_path_whose_own_cost_overflows_is_counted_and_named_once():
+    # over: each step cost is 1e308, so every path's running cost is inf from
+    # k = 1 while its state stays finite; the mean is inf and the stderr nan,
+    # as for any trial whose own value overflows, and one RuntimeWarning
+    # names the paths (no numpy warning)
+    vm, stk, sched = solve_all(make_over_max())
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        summary = simulate(vm, stk, sched, seed=0, trials=200)
+    assert [str(w.message) for w in seen] == [
+        "the simulation overflowed on 200 of 200 paths, first on trial 0 at "
+        "k = 1: its state or cost is not finite"]
+    assert summary.cost_mean == math.inf and math.isnan(summary.cost_stderr)
+    assert summary.nonfinite == []
+    assert np.isfinite(summary.mean_sq_norms).all()
+
+
+def test_diverging_paths_are_named_once_without_numpy_warnings():
+    vm, stk = validated_pair(make_diverging())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sched = gains(solve_cre(stk, vm))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        summary = simulate(vm, stk, sched, seed=0, trials=10)
+    # the remote input is about 1e200, so u'Ru overflows at k = 0
+    assert [str(w.message) for w in seen] == [
+        "the simulation overflowed on 10 of 10 paths, first on trial 0 at "
+        "k = 0: its state or cost is not finite"]
+    assert summary.cost_mean == math.inf and math.isnan(summary.cost_stderr)
