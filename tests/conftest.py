@@ -123,6 +123,14 @@ def make_random_definite(rng, L=None, N=None):
         Q=GQ @ GQ.T, R=GR @ GR.T + 0.5 * np.eye(ML), P_terminal=GP @ GP.T)
 
 
+def make_fuzz_instance(seed):
+    """Seed `seed` of the long-horizon fuzz (seeds 0..299): the horizon N is
+    drawn in 20..200 first, then make_random_definite from the same
+    generator."""
+    rng = np.random.default_rng(seed)
+    return make_random_definite(rng, N=int(rng.integers(20, 201)))
+
+
 def make_unequal_blocks(N=6):
     """Seeded three-subsystem instance with unequal block sizes (n_i = 2, 1,
     3), distinct noise variances sigma_w^i and every p_i < 1, so that

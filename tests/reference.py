@@ -71,6 +71,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 from scipy.optimize import minimize
 
 from ncslq.estimator import init_estimate, update_estimate
@@ -347,6 +348,111 @@ def gains_from_cre_document(cre, model):
             Om = s.B.T @ M @ s.A + s.sigma_w * s.Bbar.T @ M @ s.Abar
             Ktilde[i][k] = -np.linalg.solve(Pi, Om)
     return Khat, Ktilde
+
+
+def _eigen_root(M):
+    """A square root F with F'F = M of a symmetric PSD matrix, from its
+    eigen-decomposition: M may be singular, which a Cholesky factor
+    refuses.  Negative round-off eigenvalues are clipped at zero."""
+    lam, V = np.linalg.eigh(0.5 * (M + M.T))
+    return np.sqrt(np.clip(lam, 0.0, None))[:, None] * V.T
+
+
+def _array_step(Z, m, U, A, B, W, Abar, Bbar):
+    """One square-root (array) step: the triangular factor of one QR of
+
+        Z = [[R^1/2, 0], [U B, U A], [W Bbar, W Abar], [0, Q^1/2]]
+          = Q [[T11, T12], [0, T22]],
+
+    whose Gram matrix is [[Lambda, Psi], [Psi', G]] for the value factor U
+    (P = U'U) and the noise factor W (W'W the noise weight).  Z holds R^1/2
+    and Q^1/2 (m inputs, n states) and gets the middle rows filled here.
+    Returns the gain K = -T11^{-1} T12, the value V = T22'T22 = G - Psi'
+    Lambda^{-1} Psi and T22, the next step's value factor; no Lambda or P
+    is formed on the way."""
+    n = A.shape[1]
+    Z[m:m + n, :m], Z[m:m + n, m:] = U @ B, U @ A
+    Z[m + n:m + 2 * n, :m], Z[m + n:m + 2 * n, m:] = W @ Bbar, W @ Abar
+    T = dgeqrf(Z)[0]
+    T22 = np.triu(T[m:m + n, m:])
+    return -dtrtrs(T[:m, :m], T[:m, m:])[0], T22.T @ T22, T22
+
+
+def _triangular_factor(*blocks):
+    """The R factor of one QR of the blocks stacked as rows."""
+    stacked = np.vstack(blocks)
+    return np.triu(dgeqrf(stacked)[0][:stacked.shape[1]])
+
+
+def square_root_sweep(stacked, model):
+    """The two-family recursion (module docstring) in square-root form, for
+    definite weights: it carries factors P_k = U'U and Pt_k^i = U_i'U_i
+    and takes each step as one QR per family (_array_step), so every value
+    it returns is a Gram matrix, PSD by construction.
+
+    Per step, subsystem i's innovation weight M^i = p_i [P]_ii
+    + (1 - p_i) Pt^i has the triangular factor r_i of one QR of
+    [sqrt(p_i) U[:, x^i]; sqrt(1 - p_i) U_i], and W = blockdiag(sqrt(
+    sigma_w^i) r_i) is the factor of the noise weight.  The estimate family
+    is the array on the stacked A, B, Abar, Bbar at (U, W) with R and Q;
+    error family i is the array on subsystem i's own A^i, B^i, Abar^i,
+    Bbar^i at (r_i, sqrt(sigma_w^i) r_i) with R_ii and Q_ii.  The roots of
+    R, Q and P_terminal are eigen-roots, as Q and P_terminal may be
+    singular.  Returns P, P_sub, Khat and Ktilde in CRESolution's layout,
+    the gains as a GainSchedule, and the closed-form cost mu' P_0 mu
+    + sum_i [Tr(Sigma_x0^i M_0^i) + sum_k Tr(Sigma_v^i M_{k+1}^i)]."""
+    noff, moff = offsets(model)
+    N, NL, ML = model.N, noff[-1], moff[-1]
+    subs = model.subsystems
+    Q, R, PT = (np.asarray(M) for M in (model.Q, model.R, model.P_terminal))
+    x = [slice(noff[i], noff[i + 1]) for i in range(len(subs))]
+    u = [slice(moff[i + 1], moff[i + 2]) for i in range(len(subs))]
+
+    def array(R_root, Q_root):
+        m, n = len(R_root), len(Q_root)
+        Z = np.zeros((m + 3 * n, m + n))
+        Z[:m, :m], Z[m + 2 * n:, m:] = R_root, Q_root
+        return Z
+
+    Z = array(_eigen_root(R), _eigen_root(Q))
+    Z_sub = [array(_eigen_root(R[u[i], u[i]]), _eigen_root(Q[x[i], x[i]]))
+             for i in range(len(subs))]
+    ref = SimpleNamespace(
+        P=np.zeros((N + 2, NL, NL)),
+        P_sub=[np.zeros((N + 2, s.n, s.n)) for s in subs],
+        Khat=np.zeros((N + 1, ML, NL)),
+        Ktilde=[np.zeros((N + 1, s.m, s.n)) for s in subs])
+    ref.P[N + 1] = PT
+    U = _eigen_root(PT)
+    U_sub = []
+    for i in range(len(subs)):
+        ref.P_sub[i][N + 1] = PT[x[i], x[i]]
+        U_sub.append(_eigen_root(PT[x[i], x[i]]))
+    for k in range(N, -1, -1):
+        # the factor r_i of M^i_{k+1}, and W of the noise weight
+        r = [_triangular_factor(math.sqrt(s.p) * U[:, x[i]],
+                                math.sqrt(1.0 - s.p) * U_sub[i])
+             for i, s in enumerate(subs)]
+        W = np.zeros((NL, NL))
+        for i, s in enumerate(subs):
+            W[x[i], x[i]] = math.sqrt(s.sigma_w) * r[i]
+        ref.Khat[k], ref.P[k], U_next = _array_step(
+            Z, ML, U, stacked.A, stacked.B, W, stacked.Abar, stacked.Bbar)
+        for i, s in enumerate(subs):
+            ref.Ktilde[i][k], ref.P_sub[i][k], U_sub[i] = _array_step(
+                Z_sub[i], s.m, r[i], s.A, s.B, math.sqrt(s.sigma_w) * r[i],
+                s.Abar, s.Bbar)
+        U = U_next
+    ref.schedule = GainSchedule(N=N, Khat=ref.Khat, Ktilde=ref.Ktilde,
+                                n_offsets=noff, m_offsets=moff)
+    mu = np.concatenate([s.mu for s in subs])
+    terms = [float(mu @ ref.P[0] @ mu)]
+    for i, s in enumerate(subs):
+        M = s.p * ref.P[:, x[i], x[i]] + (1.0 - s.p) * ref.P_sub[i]
+        terms.append(float(np.sum(s.Sigma_x0 * M[0])))
+        terms += [float(np.sum(s.Sigma_v * Mk)) for Mk in M[1:]]
+    ref.cost = math.fsum(terms)
+    return ref
 
 
 def dense_noise_channels(model):
