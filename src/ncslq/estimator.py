@@ -12,7 +12,8 @@ per-subsystem reference form of the estimator: the tests check them
 against the closed-form error recursion, and the benchmark's trace wraps
 update_estimate by name.  The Monte Carlo simulator does not call them; it
 runs the same line for all subsystems at once in stacked form (see
-ncslq.simulator).
+ncslq.simulator).  The package does not re-export them: import them from
+this module.
 """
 from __future__ import annotations
 

@@ -41,6 +41,15 @@ workers for the same cores.  The panels are used whatever the worker
 count, so that every run makes the same BLAS calls: OpenBLAS may choose
 its kernel by the product's shape, and the columns of a panel need not
 equal, bit for bit, the same columns of a whole-block product.
+
+An overflow prints no numpy warning: each block runs under np.errstate,
+and simulate names the paths whose state or running cost is not finite in
+one RuntimeWarning (their number and the first (trial, k)).  A block's
+sums over its trials are plain sums, unless a sum of finite values passes
+the largest double; that sum is taken again with the values scaled by a
+power of two (_scaled), and simulate combines the blocks in one common
+unit, so a finite mean stays finite.  A run whose plain sums are finite
+keeps its bits.
 """
 from __future__ import annotations
 
@@ -109,29 +118,27 @@ def _panel_matmul(M, X):
     return out
 
 
-def _scaled_sum_sq(X):
-    """(s, e) with s * 2**e the sum of the squares of the finite array X: X
-    is scaled by 2**-(e/2) first, e/2 the binary exponent of its largest
-    magnitude, so that the sum cannot overflow."""
-    h = int(np.frexp(np.abs(X).max())[1])
-    X = np.ldexp(X, -h)
-    return float(np.einsum("it,it->", X, X)), 2 * h
+def _scaled(x):
+    """(x * 2**-e, e) for a finite array x, e the binary exponent of its
+    largest magnitude: every scaled entry is below 1 in magnitude, so a sum
+    of them, or of their squares, over a block cannot overflow."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
 
 
 def _cost_sums(costs):
     """(s, m2, e): a block's sum of costs and its sum of squares about the
     block's mean, in units of 2**e and 2**(2 e).  e = 0, the plain sums,
     unless one of them is not finite while every cost is; then the costs
-    are scaled by 2**-e first, e the binary exponent of the largest
-    magnitude.  The sum of squares is taken about the mean, so equal costs
-    give zero, not the cancellation of two nearly equal squares."""
+    are scaled first (_scaled).  The sum of squares is taken about the
+    mean, so equal costs give zero, not the cancellation of two nearly
+    equal squares."""
     e = 0
     total = float(costs.sum())
     dev = costs - total / len(costs)
     m2 = float((dev * dev).sum())
     if not (math.isfinite(total) and math.isfinite(m2)) and np.isfinite(costs).all():
-        e = int(np.frexp(np.abs(costs).max())[1])
-        scaled = np.ldexp(costs, -e)
+        scaled, e = _scaled(costs)
         total = float(scaled.sum())
         scaled -= total / len(costs)
         m2 = float((scaled * scaled).sum())
@@ -265,7 +272,8 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
             seen_bad[bad] = True
             overflow_k[bad] = np.minimum(overflow_k[bad], k)
             for i in np.flatnonzero(~np.isfinite(sq_norms[k]) & finite.all(axis=1)):
-                sq_norms[k, i], sq_exp[k, i] = _scaled_sum_sq(X[noff[i]:noff[i + 1]])
+                Xi, e = _scaled(X[noff[i]:noff[i + 1]])
+                sq_norms[k, i], sq_exp[k, i] = np.einsum("it,it->", Xi, Xi), 2 * e
 
     def cost_overflow(k):
         if not np.isfinite(costs).all():
