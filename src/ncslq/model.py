@@ -13,6 +13,7 @@ and reads/writes the JSON configuration format.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -43,6 +44,28 @@ class HorizonMismatch(ValueError):
 # rejected instead of being symmetrized.
 SYMMETRY_RTOL = 1e-12
 
+# A set of finite values is summed in a binary unit 2**e (binary_unit): e = 0
+# while every value is below 2**UNIT_EXP (about 3e144), so that such a set is
+# summed plainly, and otherwise the values are scaled below 2**UNIT_EXP.  A
+# scaled value's square is below 2**960, so a sum of up to 2**40 scaled
+# values, of their squares or of their squared deviations stays below 2**1002
+# and cannot overflow.  Scaling by a power of two is exact.
+UNIT_EXP = 480
+
+
+def binary_unit(x):
+    """(x * 2**-e, e) for a float array x: e = max(0, E - UNIT_EXP), E the
+    binary exponent of x's largest magnitude, and e = 0 where that is inf or
+    nan (math.frexp gives both the exponent 0)."""
+    e = max(0, math.frexp(float(np.abs(x).max()))[1] - UNIT_EXP)
+    return np.ldexp(x, -e), e
+
+
+def fsum(values):
+    """math.fsum of a list of finite values; the IEEE sum of a list that
+    holds inf or nan (inf - inf is nan), where math.fsum raises ValueError."""
+    return math.fsum(values) if all(map(math.isfinite, values)) else sum(values)
+
 
 def psd_tolerance(eigenvalues):
     """Scale-aware tolerance for PSD tests, one per spectrum (last axis)."""
@@ -50,21 +73,30 @@ def psd_tolerance(eigenvalues):
 
 
 def symmetrized(M, name):
-    """Return (M + M^T)/2 if M is symmetric up to entry-rounding, else raise."""
+    """Return M/2 + M^T/2 if M is symmetric up to entry rounding, else raise.
+
+    The test compares the norms of M * 2**-e, e the binary exponent of M's
+    largest magnitude: the scaling is exact and its norms neither overflow
+    nor underflow, so the test holds at any scale, and halving before the
+    sum keeps a finite M's symmetric part finite."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    asym = np.linalg.norm(M - M.T)
-    if asym > SYMMETRY_RTOL * max(np.linalg.norm(M), 1e-300):
-        raise DefinitenessViolation(f"{name} is not symmetric (||M - M^T|| = {asym:g})")
-    return 0.5 * (M + M.T)
+    S = np.ldexp(M, -math.frexp(float(np.abs(M).max(initial=0.0)))[1])
+    asym, norm = np.linalg.norm(S - S.T), np.linalg.norm(S)
+    if asym > SYMMETRY_RTOL * norm:
+        raise DefinitenessViolation(f"{name} is not symmetric "
+                                    f"(||M - M^T|| = {asym / norm:g} ||M||)")
+    H = 0.5 * M
+    return H + H.T
 
 
 def least_eigenvalue(M):
-    """(least eigenvalue, psd_tolerance) of sym(M) = (M + M^T)/2 for M or each
+    """(least eigenvalue, psd_tolerance) of sym(M) = M/2 + M^T/2 for M or each
     matrix of a stack (..., n, n): sym(M) is PSD when least >= -tol and PD
     when least > tol, and neither where it is not finite (least is nan)."""
-    S = 0.5 * (M + np.swapaxes(M, -1, -2))
+    H = 0.5 * M
+    S = H + np.swapaxes(H, -1, -2)
     finite = np.isfinite(S).all(axis=(-2, -1))
     eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], S, 0.0))
     return np.where(finite, eigs.min(axis=-1), np.nan)[()], psd_tolerance(eigs)

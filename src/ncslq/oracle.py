@@ -96,7 +96,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import block_groups, integer, local_blocks
+from .model import binary_unit, block_groups, fsum, integer, local_blocks
 from .riccati import sweep
 from .synthesis import GainSchedule
 
@@ -173,23 +173,18 @@ def _warn_overflow(ST, cost):
 
 
 def _total(cost):
-    """math.fsum of the step costs.  Where that overflows, the costs are
-    summed again scaled by 2**-e, e the largest binary exponent among them;
-    a total beyond the largest double is then +-inf, named by one
-    RuntimeWarning, where math.fsum raises OverflowError."""
-    cost = cost.tolist()
+    """The sum of the step costs, math.fsum in their binary unit
+    (model.binary_unit), or their IEEE sum where one is not finite (model.fsum).
+    A total beyond the largest double is +-inf, named by one RuntimeWarning."""
+    cost, e = binary_unit(cost)
+    total = fsum(cost.tolist())
     try:
-        return math.fsum(cost)
-    except OverflowError:   # finite step costs: no inf enters fsum's partials
-        e = max(math.frexp(c)[1] for c in cost)
-        total = math.fsum(math.ldexp(c, -e) for c in cost)
-        try:
-            return math.ldexp(total, e)
-        except OverflowError:
-            warnings.warn("the moment pass's total cost overflowed: the step "
-                          "costs are finite, their sum is not", RuntimeWarning,
-                          stacklevel=3)
-            return math.copysign(math.inf, total)
+        return math.ldexp(total, e)
+    except OverflowError:
+        warnings.warn("the moment pass's total cost overflowed: the step "
+                      "costs are finite, their sum is not", RuntimeWarning,
+                      stacklevel=3)
+        return math.copysign(math.inf, total)
 
 
 def exact_cost(model, stacked, gain_schedule):

@@ -170,7 +170,9 @@ class CRESolution(GainSchedule):
 
 
 def _sym(M):
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    # halved before the sum, so that a finite M has a finite symmetric part
+    H = 0.5 * M
+    return H + H.swapaxes(-1, -2)
 
 
 def _step(P1, Pw, stacked, Q, R):
@@ -208,8 +210,8 @@ def sweep(stacked, model, choose):
     for k in range(model.N, -1, -1):
         X[0] = V[0]
         Z = p * V[0] + q * V[1]
-        Y = np.add(Z, Z.T, out=X[1])
-        Y *= 0.5            # sym(Z), as _sym forms it
+        Z *= 0.5
+        Y = np.add(Z, Z.T, out=X[1])    # sym(Z), as _sym forms it
         Lam, Psi, G = _step(X, stacked.Sw * Y, stacked, Q, R)
         K = choose(k, Lam, Psi)
         H = Lam @ K + Psi

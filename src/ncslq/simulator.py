@@ -44,12 +44,12 @@ equal, bit for bit, the same columns of a whole-block product.
 
 An overflow prints no numpy warning: each block runs under np.errstate,
 and simulate names the paths whose state or running cost is not finite in
-one RuntimeWarning (their number and the first (trial, k)).  A block's
-sums over its trials are plain sums, unless a sum of finite values passes
-the largest double; that sum is taken again with the values scaled by a
-power of two (_scaled), and simulate combines the blocks in one common
-unit, so a finite mean stays finite.  A run whose plain sums are finite
-keeps its bits.
+one RuntimeWarning (their number and the first (trial, k)).  A block sums
+its costs and squared norms over its trials once, each set in its binary
+unit 2**e (model.binary_unit): plainly while its values are below
+2**UNIT_EXP (about 3e144), scaled below that otherwise, so no such sum of
+finite values overflows.  simulate combines the blocks in the largest of
+their units, so a finite mean stays finite.
 """
 from __future__ import annotations
 
@@ -62,8 +62,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (HorizonMismatch, ProbabilityOutOfRange, integer,
-                    local_blocks, numeric, stack, validate)
+from .model import (UNIT_EXP, HorizonMismatch, ProbabilityOutOfRange,
+                    binary_unit, fsum, integer, local_blocks, numeric, stack,
+                    validate)
 from .riccati import RiccatiError, solve_cre
 from .synthesis import gains as synthesize_gains
 
@@ -118,31 +119,16 @@ def _panel_matmul(M, X):
     return out
 
 
-def _scaled(x):
-    """(x * 2**-e, e) for a finite array x, e the binary exponent of its
-    largest magnitude: every scaled entry is below 1 in magnitude, so a sum
-    of them, or of their squares, over a block cannot overflow."""
-    e = int(np.frexp(np.abs(x).max())[1])
-    return np.ldexp(x, -e), e
-
-
 def _cost_sums(costs):
     """(s, m2, e): a block's sum of costs and its sum of squares about the
-    block's mean, in units of 2**e and 2**(2 e).  e = 0, the plain sums,
-    unless one of them is not finite while every cost is; then the costs
-    are scaled first (_scaled).  The sum of squares is taken about the
-    mean, so equal costs give zero, not the cancellation of two nearly
-    equal squares."""
-    e = 0
+    block's mean, in units of 2**e and 2**(2 e), 2**e the costs' binary
+    unit (model.binary_unit).  The sum of squares is taken about the mean,
+    so equal costs give zero, not the cancellation of two nearly equal
+    squares."""
+    costs, e = binary_unit(costs)
     total = float(costs.sum())
-    dev = costs - total / len(costs)
-    m2 = float((dev * dev).sum())
-    if not (math.isfinite(total) and math.isfinite(m2)) and np.isfinite(costs).all():
-        scaled, e = _scaled(costs)
-        total = float(scaled.sum())
-        scaled -= total / len(costs)
-        m2 = float((scaled * scaled).sum())
-    return total, m2, e
+    costs -= total / len(costs)
+    return total, float((costs * costs).sum()), e
 
 
 def _sqrt_factor(M):
@@ -172,7 +158,8 @@ class SimulationTrace:
 
     @property
     def total_cost(self):
-        return math.fsum(self.stage_costs.tolist() + [self.terminal_cost])
+        costs, e = binary_unit(np.append(self.stage_costs, self.terminal_cost))
+        return _unscaled(fsum(costs.tolist()), e)
 
 
 @dataclass
@@ -263,16 +250,18 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
     def norms_and_overflow(k):
         row_sq = np.einsum("it,it->i", X, X)
         sq_norms[k] = np.add.reduceat(row_sq, noff[:-1])
-        # a non-finite ||x_k^i||^2 on a path makes sq_norms[k, i] non-finite,
-        # and so does a sum of finite ones beyond the largest double
-        if not np.isfinite(sq_norms[k]).all():
+        # a sum of squares below 2**UNIT_EXP is a sum in the states' binary
+        # unit, 1; above, a path's ||x_k^i||^2 may not be finite, and each
+        # subsystem whose paths are all finite is summed in its states' unit
+        big = ~(sq_norms[k] < 2.0**UNIT_EXP)
+        if big.any():
             finite = np.isfinite(np.add.reduceat(X * X, noff[:-1], axis=0))
             bad = ~finite.all(axis=0) & ~seen_bad
             nonfinite.extend((base_trial + int(t), k) for t in np.nonzero(bad)[0])
             seen_bad[bad] = True
             overflow_k[bad] = np.minimum(overflow_k[bad], k)
-            for i in np.flatnonzero(~np.isfinite(sq_norms[k]) & finite.all(axis=1)):
-                Xi, e = _scaled(X[noff[i]:noff[i + 1]])
+            for i in np.flatnonzero(big & finite.all(axis=1)):
+                Xi, e = binary_unit(X[noff[i]:noff[i + 1]])
                 sq_norms[k, i], sq_exp[k, i] = np.einsum("it,it->", Xi, Xi), 2 * e
 
     def cost_overflow(k):
@@ -332,7 +321,7 @@ def _simulate_block(model, stacked, cl, chol_x0, chol_v, N, rng, trials,
                 U=Us[:, :, t].copy(), Gamma=Gs[:, :, t].copy(),
                 stage_costs=stage_rec[:, t].copy(), terminal_cost=float(terminal[t])))
     # numpy's pairwise sums within the block; simulate combines the blocks'
-    # sums with math.fsum in block order
+    # sums with model.fsum in block order
     cost_sum, cost_m2, cost_exp = _cost_sums(costs)
     return {
         "cost_sum": cost_sum,
@@ -358,55 +347,28 @@ def _cost_moments(blocks, results, trials):
     """The cost's mean and standard error from the blocks' partial sums.
 
     Block b's cost_sum and cost_m2 are in units of 2**e_b and 2**(2 e_b),
-    e_b its cost_exp.  Each block's centred sum of squares is moved to the
+    e_b its cost_exp.  The blocks are combined in the largest of their
+    units, 2**E, and each block's centred sum of squares is moved to the
     overall mean by its count times the squared offset of its mean (Chan,
-    Golub & LeVeque).  The blocks are combined in units of 2**E: E = 0, the
-    plain sums, unless their mean or variance is not finite; then E is the
-    largest binary exponent of a finite block's sum, so that a finite mean
-    and standard error come out finite, and a non-finite block still gives
-    a non-finite mean."""
-    counts = [nt for _, nt in blocks]
-    sums, m2s, exps = ([r[key] for r in results]
-                       for key in ("cost_sum", "cost_m2", "cost_exp"))
-
-    def combine(E):
-        s = [_unscaled(x, e - E) for x, e in zip(sums, exps)]
-        mean = math.fsum(s) / trials
-        d = [x / nt - mean for x, nt in zip(s, counts)]
-        var = math.fsum([_unscaled(m, 2 * (e - E)) for m, e in zip(m2s, exps)]
-                        + [nt * y * y for nt, y in zip(counts, d)]) / trials
-        return mean, var
-
-    E = 0
-    try:
-        mean, var = combine(E)
-    except OverflowError:   # math.fsum of finite values beyond the largest double
-        mean = var = math.inf
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        E = max((e + math.frexp(x)[1] for x, m, e in zip(sums, m2s, exps)
-                 if math.isfinite(x) and math.isfinite(m)), default=0)
-        mean, var = combine(E)
+    Golub & LeVeque).  A non-finite block sum gives a non-finite mean, and
+    inf - inf a nan one (model.fsum)."""
+    E = max(r["cost_exp"] for r in results)
+    s = [math.ldexp(r["cost_sum"], r["cost_exp"] - E) for r in results]
+    mean = fsum(s) / trials
+    d = [x / nt - mean for x, (_, nt) in zip(s, blocks)]
+    var = fsum([math.ldexp(r["cost_m2"], 2 * (r["cost_exp"] - E)) for r in results]
+               + [nt * y * y for (_, nt), y in zip(blocks, d)]) / trials
     stderr = math.sqrt(var / trials) if trials > 1 else math.inf
     return _unscaled(mean, E), _unscaled(stderr, E)
 
 
 def _mean_sq_norms(results, trials):
-    """sum over the blocks of sq_norms / trials; where a block's entry was
-    scaled (sq_exp) or the plain sum of finite entries overflows, that
-    entry is summed in units of 2**E, E the largest binary exponent among
-    its blocks' entries, so that a finite mean comes out finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = sum(r["sq_norms"] for r in results) / trials
-        if np.isfinite(mean).all() and not any(r["sq_exp"].any() for r in results):
-            return mean
-        sums = np.array([r["sq_norms"] for r in results])
-        exps = np.array([r["sq_exp"] for r in results])
-        redo = ((exps != 0).any(axis=0) | ~np.isfinite(mean)) \
-            & np.isfinite(sums).all(axis=0)
-        E = (exps + np.frexp(sums)[1]).max(axis=0)
-        scaled = np.ldexp(np.ldexp(sums, exps - E).sum(axis=0) / trials, E)
-        mean[redo] = scaled[redo]
-    return mean
+    """sum over the blocks of sq_norms / trials, each entry combined in the
+    largest of its blocks' units (sq_exp)."""
+    E = np.max([r["sq_exp"] for r in results], axis=0)
+    with np.errstate(over="ignore"):
+        return np.ldexp(sum(np.ldexp(r["sq_norms"], r["sq_exp"] - E)
+                            for r in results) / trials, E)
 
 
 def _seed(seed):

@@ -197,6 +197,30 @@ def make_over_max():
     return _near_max_scalar(B=0.0, N=1)
 
 
+def make_largest_weight():
+    """Scalar instance with A = 0.5, mu = 1, Q = 1e308, P_T = 0 and N = 1;
+    every other matrix, sigma_w, Sigma_x0 and Sigma_v is zero and p = 1.
+    Q + Q' is beyond the largest double, Q itself is not: the cost is
+    1e308 (1 + 0.5**2) = 1.25e308."""
+    sub = SubsystemModel(index=1, A=[[0.5]], Abar=[[0.0]], B=[[0.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=0.0,
+                         Sigma_v=[[0.0]], mu=[1.0], Sigma_x0=[[0.0]], p=1.0)
+    return NetworkModel(subsystems=[sub], m0=1, N=1, Q=[[1e308]], R=np.eye(2),
+                        P_terminal=[[0.0]])
+
+
+def make_opposite_infinities():
+    """Scalar instance, indefinite mode only, with A = 1, mu = 1e100,
+    Q = -1e200, P_T = 1e200 and N = 0; every other matrix, sigma_w,
+    Sigma_x0 and Sigma_v is zero and p = 1.  Its stage cost is -inf and
+    its terminal cost +inf, so the exact cost is nan."""
+    sub = SubsystemModel(index=1, A=[[1.0]], Abar=[[0.0]], B=[[0.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=0.0,
+                         Sigma_v=[[0.0]], mu=[1e100], Sigma_x0=[[0.0]], p=1.0)
+    return NetworkModel(subsystems=[sub], m0=1, N=0, Q=[[-1e200]], R=np.eye(2),
+                        P_terminal=[[1e200]])
+
+
 def make_singular_pi():
     """The coupled scalar instance at N = 3 with its local input cut off
     (B = Bbar = 0) and zero weight on it, R = [[1, 1], [1, 0]]: Lambda_3 is

@@ -20,7 +20,8 @@ from ncslq.cli import main
 from ncslq import serialize
 
 from conftest import (MALFORMED_CONFIGS, make_deterministic, make_diverging,
-                      make_indefinite, make_near_max, make_over_max,
+                      make_indefinite, make_largest_weight, make_near_max,
+                      make_opposite_infinities, make_over_max,
                       make_random_definite, make_scalar_coupled,
                       make_scalar_decoupled, make_singular_pi,
                       make_unequal_blocks, make_zero_plant, validated_pair)
@@ -512,6 +513,49 @@ def test_near_max_mean_is_finite_and_check_passes(tmp_path):
     assert summary["nonfinite"] == []
     assert run(["--config", path, "--out", tmp_path / "c", "check"]) == 0
     assert serialize.load(tmp_path / "c" / "check.json")["ok"]
+
+
+def test_largest_weight_is_accepted_and_priced(tmp_path):
+    # Q = 1e308 is finite, Q + Q' is not: its symmetric part is formed as
+    # Q/2 + Q'/2 and its symmetry test on scaled norms, so every command
+    # runs without a RuntimeWarning, and the formula and the oracle agree
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps(model_to_dict(make_largest_weight())))
+    for command, argv in COMMANDS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["--config", path, "--out", tmp_path / command,
+                        *argv]) == 0, command
+    cost = serialize.load(tmp_path / "solve" / "cost.json")
+    assert cost == {"formula_cost": 1.25e308, "oracle_cost": 1.25e308}
+    assert serialize.load(tmp_path / "check" / "check.json")["ok"]
+    summary = serialize.load(tmp_path / "simulate" / "summary.json")
+    assert summary["cost_mean"] == 1.25e308 and summary["nonfinite"] == []
+
+
+def test_opposite_infinite_step_costs_give_a_nan_cost(tmp_path, capsys):
+    # the stage cost is -inf and the terminal cost +inf: their sum is nan,
+    # where math.fsum raised ValueError and the CLI reported an input error
+    path = tmp_path / "opposite.json"
+    path.write_text(json.dumps(model_to_dict(make_opposite_infinities())))
+    named = "the moment pass overflowed pricing the stage cost at k = 0"
+    for command, want in [("solve", 0), ("evaluate", 0), ("check", 3),
+                          ("simulate", 0)]:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run(["--config", path, "--out", tmp_path / command,
+                        "--mode", "indefinite", *COMMANDS[command]]) == want
+        messages = [str(w.message) for w in seen]
+        assert not [m for m in messages if "encountered in" in m], command
+        if command != "simulate":
+            assert named in messages, command
+    assert "input error" not in capsys.readouterr().err
+    assert math.isnan(serialize.load(tmp_path / "solve" / "cost.json")["oracle_cost"])
+    assert math.isnan(serialize.load(tmp_path / "evaluate" / "evaluate.json")["exact_cost"])
+    assert math.isnan(serialize.load(tmp_path / "check" / "check.json")
+                      ["stationarity"]["cost"])
+    assert math.isnan(serialize.load(tmp_path / "simulate" / "summary.json")
+                      ["cost_mean"])
 
 
 def test_check_passes_no_audit_on_a_non_finite_number(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ncslq import (DefinitenessViolation, DimensionMismatch, ModelError,
                    NetworkModel, ProbabilityOutOfRange, SubsystemModel,
                    ValidatedModel, load_config, model_from_dict, model_to_dict,
                    stack, validate)
-from ncslq.model import least_eigenvalue, local_blocks
+from ncslq.model import least_eigenvalue, local_blocks, symmetrized
 
 from conftest import (MALFORMED_CONFIGS, SEC5_CONFIG, make_random_definite,
                       make_scalar_coupled, requires_sec5, validated_pair)
@@ -305,6 +306,21 @@ def test_near_symmetric_input_is_symmetrized():
     assert np.array_equal(vm.model.Q, vm.model.Q.T)
     # the caller's model is not mutated
     assert model.Q[0, 1] == 1e-15 and model.Q[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 2.0**-600, 2.0**600, 1e308],
+                         ids=["1", "1e-200", "2**-600", "2**600", "1e308"])
+def test_symmetry_test_holds_at_any_scale(scale):
+    # the norms are taken of M * 2**-e, so they neither underflow to 0 nor
+    # overflow to inf: [[s, s], [0, s]] is refused at every scale, and a
+    # symmetric matrix comes back unchanged and finite, without a warning
+    s = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefinitenessViolation, match="Q is not symmetric"):
+            symmetrized([[s, s], [0.0, s]], "Q")
+        sym = symmetrized([[s, -s], [-s, s]], "Q")
+    assert np.array_equal(sym, [[s, -s], [-s, s]])
 
 
 def test_validated_model_deepcopies_and_pickles():

@@ -19,8 +19,8 @@ from conftest import (make_deterministic, make_diverging, make_equal_blocks,
 from reference import rollout_by_loop
 
 
-def solve_all(model):
-    vm, stk = validated_pair(model)
+def solve_all(model, mode="definite"):
+    vm, stk = validated_pair(model, mode=mode)
     sol = solve_cre(stk, vm)
     return vm, stk, gains(sol)
 
@@ -273,7 +273,9 @@ def test_nonfinite_states_reported_and_run_continues():
     model = NetworkModel(subsystems=[sub], m0=1, N=2, Q=[[1.0]],
                          R=np.eye(2), P_terminal=[[1.0]])
     vm, stk = validated_pair(model)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(RuntimeWarning, match=re.escape(
+            "the simulation overflowed on 3 of 3 paths, first on trial 0 at "
+            "k = 1: its state or cost is not finite")):
         summary = simulate(vm, stk, zero_gains(vm.model), seed=0, trials=3)
     assert summary.trials == 3
     assert len(summary.nonfinite) == 3
@@ -445,7 +447,9 @@ def test_nonfinite_names_every_path_whose_squared_norm_overflows():
     vm, stk = validated_pair(make_diverging())
     with np.errstate(over="ignore", invalid="ignore"), pytest.warns(RuntimeWarning):
         sched = gains(solve_cre(stk, vm))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.warns(RuntimeWarning, match=re.escape(
+            "the simulation overflowed on 10 of 10 paths, first on trial 0 at "
+            "k = 0: its state or cost is not finite")):
         summary = simulate(vm, stk, sched, 0, 10)
     assert summary.mean_sq_norms[1, 0] == math.inf
     assert summary.nonfinite == [(t, 1) for t in range(10)]
@@ -476,6 +480,56 @@ def test_a_finite_mean_of_sums_beyond_the_largest_double_stays_finite(
                                np.trace(ST.sum(axis=1), axis1=1, axis2=2),
                                rtol=1e-12, atol=0.0)
     assert summary.nonfinite == []
+
+
+def test_scaling_across_the_binary_unit_is_exact():
+    # mu * 2**j and Sigma_x0, Sigma_v * 4**j leave the gains as they are and
+    # scale every path's states by exactly 2**j (the Cholesky factors by
+    # 2**j too), so every cost scales by 4**j.  At j = 505 each path's cost
+    # is finite but a block's sum of costs is not: the costs are summed in
+    # their binary unit, and the blocks combined in the largest of theirs,
+    # with the same bits as the plain sums of the j = 0 run
+    def run(j):
+        model = make_unequal_blocks()
+        for s in model.subsystems:
+            s.mu = np.ldexp(s.mu, j)
+            s.Sigma_x0 = np.ldexp(s.Sigma_x0, 2 * j)
+            s.Sigma_v = np.ldexp(s.Sigma_v, 2 * j)
+        vm, stk, sched = solve_all(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return (simulate(vm, stk, sched, 3, 2 * simulator.BLOCK_TRIALS + 3),
+                    exact_cost(vm, stk, sched))
+
+    (small, small_cost), (big, big_cost) = run(0), run(505)
+    assert big.cost_mean * simulator.BLOCK_TRIALS == math.inf
+    assert big.cost_mean == math.ldexp(small.cost_mean, 1010)
+    assert big.cost_stderr == math.ldexp(small.cost_stderr, 1010)
+    assert big_cost == math.ldexp(small_cost, 1010)
+    # the squared norms of the large sums are summed in another order
+    np.testing.assert_allclose(big.mean_sq_norms,
+                               np.ldexp(small.mean_sq_norms, 1010),
+                               rtol=1e-12, atol=0.0)
+    assert big.nonfinite == []
+
+
+def test_blocks_of_opposite_infinite_costs_give_a_nan_mean(monkeypatch):
+    # one trial per block: Q = -1 and P_T = 1 with Sigma_x0 = Sigma_v = 8e307,
+    # so a path whose x_0^2 overflows costs -inf and one whose x_1^2 does
+    # costs +inf.  The blocks' sums +inf and -inf combine to nan, where
+    # math.fsum raised ValueError
+    monkeypatch.setattr(simulator, "BLOCK_TRIALS", 1)
+    sub = SubsystemModel(index=1, A=[[0.0]], Abar=[[0.0]], B=[[0.0]],
+                         Bbar=[[0.0]], B0=[[0.0]], Bbar0=[[0.0]], sigma_w=0.0,
+                         Sigma_v=[[8e307]], mu=[0.0], Sigma_x0=[[8e307]], p=1.0)
+    model = NetworkModel(subsystems=[sub], m0=1, N=0, Q=[[-1.0]], R=np.eye(2),
+                         P_terminal=[[1.0]])
+    vm, stk, sched = solve_all(model, mode="indefinite")
+    with pytest.warns(RuntimeWarning, match="overflowed on 3 of 4 paths"):
+        summary = simulate(vm, stk, sched, 9, 4, retain_traces=True)
+    costs = [tr.total_cost for tr in summary.traces]
+    assert math.inf in costs and -math.inf in costs
+    assert math.isnan(summary.cost_mean) and math.isnan(summary.cost_stderr)
 
 
 def test_a_path_whose_own_cost_overflows_is_counted_and_named_once():
